@@ -34,7 +34,7 @@ from .runner import (
     validate_corpus,
 )
 from .semantic import CorpusError, ScoreBreakdown, SemanticScore, semantic_score_from_asts, semantic_similarity
-from .sqlast import Dialect, Node, NodeKind, ParseError, SqlAst
+from .sqlast import Node, NodeKind, ParseError, SqlAst
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "CorpusError",
     "CorpusLoadError",
     "DEFAULT_ANCHOR",
-    "Dialect",
     "EditOp",
     "EditOpKind",
     "EditScript",

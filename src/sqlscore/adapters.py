@@ -15,16 +15,16 @@ adapter that produced nothing at all raises AdapterError.
 
 from __future__ import annotations
 
+import http.client
 import json
 import shlex
 import sqlite3
 import subprocess
 import time
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
-
-import requests
 
 from .corpus import BenchmarkQuestion
 
@@ -53,7 +53,10 @@ def parse_adapter_spec(spec: str) -> tuple[str, str]:
     if spec.startswith(("http://", "https://")):
         return "http", spec
     if spec.startswith("http:"):
-        return "http", spec[len("http:") :]
+        url = spec[len("http:") :]
+        if not url.startswith(("http://", "https://")):
+            raise ValueError(f"adapter spec {spec!r} has no URL scheme; expected http:http(s)://... or http(s)://...")
+        return "http", url
     raise ValueError(f"unknown adapter spec {spec!r}; expected identity, file:..., cmd:... or http(s)://...")
 
 
@@ -115,14 +118,17 @@ def _run_subprocess(command: str, payload: dict, timeout_s: float) -> str:
 
 def _post_http(url: str, payload: dict, timeout_s: float, backoff_s: float) -> str | None:
     """Returns SQL text, or None when the endpoint stayed unreachable."""
+    data = json.dumps(payload).encode("utf-8")
     for attempt in range(HTTP_RETRIES):
         try:
-            response = requests.post(url, json=payload, timeout=timeout_s)
-            response.raise_for_status()
-            body = response.json()
+            request = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"}, method="POST")
+            with urllib.request.urlopen(request, timeout=timeout_s) as response:
+                body = json.loads(response.read())
             sql = body.get("sql") if isinstance(body, dict) else None
             return sql if isinstance(sql, str) else ""
-        except (requests.RequestException, ValueError):
+        except (OSError, ValueError, http.client.HTTPException):
+            # OSError covers URLError, HTTPError (non-2xx status), timeouts and
+            # resets; ValueError covers malformed URLs and bodies that are not JSON
             if attempt + 1 < HTTP_RETRIES:
                 time.sleep(backoff_s * (2**attempt))
     return None

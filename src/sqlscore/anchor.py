@@ -57,4 +57,4 @@ def rewrite_time_anchor(ast: SqlAst, anchor: str | datetime = DEFAULT_ANCHOR) ->
             return node
         return node.replace_children(tuple(rewrite(c) for c in node.children))
 
-    return SqlAst(rewrite(ast.root), ast.dialect)
+    return SqlAst(rewrite(ast.root))

@@ -19,8 +19,7 @@ from .fixtures import write_fixtures
 from .parser import parse
 from .render import render
 from .report import report_to_csv, report_to_json, report_to_markdown, summary_text
-from .results import VERDICT_EXECUTION_ERROR, ExecutionError, ResultScore, execute, score_result_pair
-from .runner import ConfigError, EvalOptions, evaluate, validate_corpus
+from .runner import ConfigError, EvalOptions, evaluate, score_pair, validate_corpus
 from .semantic import CorpusError, semantic_similarity
 from .sqlast import ParseError
 
@@ -47,28 +46,21 @@ def cmd_score(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(f"invalid anchor: {exc}")
 
+    if args.db is not None and not Path(args.db).is_file():
+        return _fail(f"database not readable: {args.db}")
     try:
-        semantic = semantic_similarity(args.truth, args.predicted)
+        if args.db is None:
+            semantic, result = semantic_similarity(args.truth, args.predicted), None
+        else:
+            options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
+            semantic, result = score_pair(args.truth, args.predicted, args.db, anchor, options)
     except CorpusError as exc:
         return _fail(str(exc))
     print(f"semantic: {semantic.value:.3f}")
-
-    if args.db is None:
-        return EXIT_OK
-    if not Path(args.db).is_file():
-        return _fail(f"database not readable: {args.db}")
-    try:
-        truth_table = execute(args.truth, args.db, anchor, timeout_s=args.timeout_s)
-    except ExecutionError as exc:
-        return _fail(f"ground-truth query failed: {exc}")
-    try:
-        predicted_table = execute(args.predicted, args.db, anchor, timeout_s=args.timeout_s)
-        result = score_result_pair(predicted_table, truth_table, args.order_insensitive)
-    except ExecutionError:
-        result = ResultScore.failure(VERDICT_EXECUTION_ERROR)
-    print(f"precision: {result.precision:.3f}")
-    print(f"recall: {result.recall:.3f}")
-    print(f"f1: {result.f1:.3f}")
+    if result is not None:
+        print(f"precision: {result.precision:.3f}")
+        print(f"recall: {result.recall:.3f}")
+        print(f"f1: {result.f1:.3f}")
     return EXIT_OK
 
 
@@ -92,11 +84,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail(str(exc))
 
     try:
-        options = EvalOptions(
-            order_insensitive=args.order_insensitive,
-            workers=args.workers,
-            query_timeout_s=args.timeout_s,
-        )
+        options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
         report = evaluate(questions, predictions, args.db_dir, anchor, options)
     except ConfigError as exc:
         return _fail(str(exc))
@@ -171,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--adapter", default="identity", help="identity | file:preds.jsonl | cmd:command | http(s)://url")
     run.add_argument("--anchor", help="ISO-8601 clock anchor")
     run.add_argument("--order-insensitive", action="store_true")
-    run.add_argument("--workers", type=int, default=1)
     run.add_argument("--timeout-s", type=float, default=10.0, help="per-query execution timeout")
     run.add_argument("--adapter-timeout-s", type=float, default=60.0, help="per-question adapter timeout")
     run.add_argument("--report-json")

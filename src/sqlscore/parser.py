@@ -20,7 +20,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .sqlast import Dialect, Node, NodeKind, ParseError, SqlAst
+from .sqlast import Node, NodeKind, ParseError, SqlAst
 
 KEYWORDS = {
     "select", "from", "where", "group", "by", "order", "limit", "offset",
@@ -142,7 +142,7 @@ class _Parser:
 
     @contextmanager
     def _nested(self):
-        # keeps degenerate inputs (thousands of parens or NOTs) from
+        # keeps degenerate inputs (thousands of parens, NOTs or signs) from
         # exhausting the interpreter stack
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
@@ -441,7 +441,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.value in ("+", "-"):
             self.advance()
-            operand = self.parse_unary()
+            with self._nested():
+                operand = self.parse_unary()
             if tok.value == "+":
                 return operand
             if operand.kind is NodeKind.LITERAL and operand.text[:1].isdigit():
@@ -612,7 +613,7 @@ def _resolve_aliases(node: Node, env: dict[str, str]) -> Node:
     return node.replace_children(tuple(_resolve_aliases(c, env) for c in node.children))
 
 
-def parse(sql: str, dialect: Dialect = Dialect.SQLITE) -> SqlAst:
+def parse(sql: str) -> SqlAst:
     """Parse one SELECT statement into a normalized AST.
 
     Raises ParseError for empty input, multiple statements, or anything
@@ -628,4 +629,4 @@ def parse(sql: str, dialect: Dialect = Dialect.SQLITE) -> SqlAst:
     parser.accept_punct(";")
     if parser.peek().kind != "eof":
         raise parser.error("multiple statements are not supported" if parser.at_kw("select", "with") else "trailing input after statement")
-    return SqlAst(_resolve_aliases(root, {}), dialect)
+    return SqlAst(_resolve_aliases(root, {}))

@@ -8,7 +8,7 @@ where precedence demands them.  ``parse(render(ast))`` reproduces ``ast``.
 
 from __future__ import annotations
 
-from .sqlast import Dialect, Node, NodeKind, SqlAst
+from .sqlast import Node, NodeKind, SqlAst
 from .parser import BARE_TIME_FUNCTIONS
 
 _PRECEDENCE = {
@@ -26,7 +26,7 @@ _PRECEDENCE = {
 _BINARY_ARITHMETIC = {"+", "-", "||", "*", "/", "%"}
 
 
-def render(ast: SqlAst | Node, dialect: Dialect | None = None) -> str:
+def render(ast: SqlAst | Node) -> str:
     """Emit executable SQL for an AST produced by parse or a rewrite."""
     root = ast.root if isinstance(ast, SqlAst) else ast
     return _statement(root)

@@ -58,11 +58,9 @@ def report_to_dict(report: EvalReport) -> dict:
         "anchor": report.anchor.isoformat(),
         "options": {
             "order_insensitive": report.options.order_insensitive,
-            "workers": report.options.workers,
             "query_timeout_s": report.options.query_timeout_s,
             "row_cap": report.options.row_cap,
             "numeric_rel_tol": report.options.numeric_rel_tol,
-            "dialect": report.options.dialect.value,
         },
         "summary": {
             "overall": _aggregate_dict(report.overall),

@@ -19,7 +19,7 @@ from pathlib import Path
 from .anchor import DEFAULT_ANCHOR, rewrite_time_anchor
 from .parser import parse
 from .render import render
-from .sqlast import Dialect, ParseError
+from .sqlast import ParseError, SqlAst
 
 DEFAULT_TIMEOUT_S = 10.0
 DEFAULT_ROW_CAP = 100_000
@@ -183,23 +183,26 @@ def _open_readonly(db_path: str | Path) -> sqlite3.Connection:
 
 
 def execute(
-    query: str,
+    query: str | SqlAst,
     db: str | Path | sqlite3.Connection,
     anchor: str | datetime = DEFAULT_ANCHOR,
     *,
     timeout_s: float = DEFAULT_TIMEOUT_S,
     row_cap: int = DEFAULT_ROW_CAP,
-    dialect: Dialect = Dialect.SQLITE,
 ) -> ResultTable:
-    """Parse, anchor the clock, render and run a query read-only.
+    """Anchor the clock, render and run a query read-only.
 
-    The result is materialized fully; a timeout and a row cap bound
-    runaway predictions.  Raises ExecutionError on any failure.
+    ``query`` is SQL text, which is parsed first, or an already parsed
+    ``SqlAst``.  The result is materialized fully; a timeout and a row cap
+    bound runaway predictions.  Raises ExecutionError on any failure.
     """
-    try:
-        ast = parse(query, dialect)
-    except ParseError as exc:
-        raise ExecutionError(f"query does not parse: {exc}", stage="parse") from exc
+    if isinstance(query, SqlAst):
+        ast = query
+    else:
+        try:
+            ast = parse(query)
+        except ParseError as exc:
+            raise ExecutionError(f"query does not parse: {exc}", stage="parse") from exc
     sql = render(rewrite_time_anchor(ast, anchor))
 
     own_connection = not isinstance(db, sqlite3.Connection)

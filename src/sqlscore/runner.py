@@ -1,9 +1,8 @@
 """Score whole corpora: per-instance metrics, aggregation and corpus health.
 
-Instances are scored independently (optionally in parallel; every scoring
-call opens its own read-only connection) and merged back in question order,
-so a run is a pure function of (corpus, predictions, options) and reports
-are byte-identical across repeated runs.
+Instances are scored one at a time in question order, each query parsed
+once, so a run is a pure function of (corpus, predictions, options) and
+reports are byte-identical across repeated runs.
 
 A defective ground-truth query is a corpus error: the instance is excluded
 from every mean and reported as a warning, instead of punishing the model
@@ -13,7 +12,6 @@ for it.
 from __future__ import annotations
 
 import sqlite3
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -37,8 +35,8 @@ from .results import (
     match_columns,
     score_result_pair,
 )
-from .semantic import SemanticScore, invalid_prediction_score, semantic_score_from_asts
-from .sqlast import Dialect, NodeKind, ParseError, SqlAst, physical_tables
+from .semantic import CorpusError, SemanticScore, invalid_prediction_score, semantic_score_from_asts
+from .sqlast import NodeKind, ParseError, SqlAst, physical_tables
 
 __all__ = [
     "ConfigError",
@@ -47,6 +45,7 @@ __all__ = [
     "Aggregate",
     "EvalReport",
     "evaluate",
+    "score_pair",
     "validate_corpus",
 ]
 
@@ -58,15 +57,9 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class EvalOptions:
     order_insensitive: bool = False
-    workers: int = 1
     query_timeout_s: float = DEFAULT_TIMEOUT_S
     row_cap: int = DEFAULT_ROW_CAP
     numeric_rel_tol: float = DEFAULT_REL_TOL
-    dialect: Dialect = Dialect.SQLITE
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError("worker count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,6 +114,39 @@ def _db_path(db_dir: Path, db_id: str) -> Path:
     return db_dir / f"{db_id}.sqlite"
 
 
+def score_pair(
+    truth_sql: str,
+    predicted_sql: str,
+    db_path: str | Path,
+    anchor: datetime,
+    options: EvalOptions,
+) -> tuple[SemanticScore, ResultScore]:
+    """Statement and result similarity of one prediction, parsing each query once.
+
+    Raises CorpusError when the truth query does not parse or execute.
+    """
+    try:
+        truth_ast = parse(truth_sql)
+    except ParseError as exc:
+        raise CorpusError(f"truth query does not parse: {exc}") from exc
+    limits = dict(timeout_s=options.query_timeout_s, row_cap=options.row_cap)
+    try:
+        truth_table = execute(truth_ast, db_path, anchor, **limits)
+    except ExecutionError as exc:
+        raise CorpusError(f"truth query failed to execute: {exc}") from exc
+
+    try:
+        predicted_ast = parse(predicted_sql)
+    except ParseError:
+        return invalid_prediction_score(), ResultScore.failure(VERDICT_INVALID)
+    semantic = semantic_score_from_asts(truth_ast, predicted_ast)
+    try:
+        predicted_table = execute(predicted_ast, db_path, anchor, **limits)
+    except ExecutionError:
+        return semantic, ResultScore.failure(VERDICT_EXECUTION_ERROR)
+    return semantic, score_result_pair(predicted_table, truth_table, options.order_insensitive, options.numeric_rel_tol)
+
+
 def _score_instance(
     question: BenchmarkQuestion,
     predicted_sql: str,
@@ -128,46 +154,22 @@ def _score_instance(
     anchor: datetime,
     options: EvalOptions,
 ) -> InstanceResult:
-    def make(semantic, result, excluded=False, warning=None):
-        return InstanceResult(
-            question_id=question.id,
-            db_id=question.db_id,
-            case_type=question.case_type,
-            language=question.language,
-            predicted_sql=predicted_sql,
-            semantic=semantic,
-            result=result,
-            excluded=excluded,
-            warning=warning,
-        )
-
     try:
-        truth_ast = parse(question.query, options.dialect)
-    except ParseError as exc:
-        return make(None, None, excluded=True, warning=f"truth query does not parse: {exc}")
-
-    try:
-        predicted_ast = parse(predicted_sql, options.dialect)
-        semantic = semantic_score_from_asts(truth_ast, predicted_ast)
-    except ParseError:
-        predicted_ast = None
-        semantic = invalid_prediction_score()
-
-    exec_kwargs = dict(timeout_s=options.query_timeout_s, row_cap=options.row_cap, dialect=options.dialect)
-    try:
-        truth_table = execute(question.query, db_path, anchor, **exec_kwargs)
-    except ExecutionError as exc:
-        return make(None, None, excluded=True, warning=f"truth query failed to execute: {exc}")
-
-    if predicted_ast is None:
-        result = ResultScore.failure(VERDICT_INVALID)
-    else:
-        try:
-            predicted_table = execute(predicted_sql, db_path, anchor, **exec_kwargs)
-            result = score_result_pair(predicted_table, truth_table, options.order_insensitive, options.numeric_rel_tol)
-        except ExecutionError:
-            result = ResultScore.failure(VERDICT_EXECUTION_ERROR)
-    return make(semantic, result)
+        semantic, result = score_pair(question.query, predicted_sql, db_path, anchor, options)
+        warning = None
+    except CorpusError as exc:
+        semantic, result, warning = None, None, str(exc)
+    return InstanceResult(
+        question_id=question.id,
+        db_id=question.db_id,
+        case_type=question.case_type,
+        language=question.language,
+        predicted_sql=predicted_sql,
+        semantic=semantic,
+        result=result,
+        excluded=warning is not None,
+        warning=warning,
+    )
 
 
 def evaluate(
@@ -190,17 +192,10 @@ def evaluate(
             raise ConfigError(f"missing database file for db_id {db_id!r}: {_db_path(db_dir, db_id)}")
 
     by_id = {p.question_id: p.sql for p in predictions}
-    jobs = [(q, by_id.get(q.id, by_id.get(str(q.id), ""))) for q in questions]
-
-    def run(job) -> InstanceResult:
-        question, sql = job
-        return _score_instance(question, sql, _db_path(db_dir, question.db_id), instant, options)
-
-    if options.workers > 1:
-        with ThreadPoolExecutor(max_workers=options.workers) as pool:
-            instances = list(pool.map(run, jobs))
-    else:
-        instances = [run(job) for job in jobs]
+    instances = [
+        _score_instance(q, by_id.get(q.id, by_id.get(str(q.id), "")), _db_path(db_dir, q.db_id), instant, options)
+        for q in questions
+    ]
 
     by_case: dict[str, Aggregate] = {}
     for case_type in sorted({r.case_type for r in instances}):
@@ -300,12 +295,12 @@ def validate_corpus(
         if not db_path.is_file():
             continue
         try:
-            ast = parse(q.query, options.dialect)
+            ast = parse(q.query)
         except ParseError as exc:
             warnings.append(f"question {q.id}: truth query does not parse: {exc}")
             continue
         try:
-            table = execute(q.query, db_path, instant, timeout_s=options.query_timeout_s, row_cap=options.row_cap, dialect=options.dialect)
+            table = execute(ast, db_path, instant, timeout_s=options.query_timeout_s, row_cap=options.row_cap)
         except ExecutionError as exc:
             warnings.append(f"question {q.id}: truth query failed to execute: {exc}")
             continue

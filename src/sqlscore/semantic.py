@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .diff import EditOpKind, EditScript, diff
 from .parser import parse, split_qualified
-from .sqlast import Dialect, NodeKind, ParseError, SqlAst, cte_names
+from .sqlast import NodeKind, ParseError, SqlAst, cte_names
 
 VERDICT_SCORED = "scored"
 VERDICT_INVALID = "invalid_prediction"
@@ -132,17 +132,17 @@ def invalid_prediction_score() -> SemanticScore:
     return SemanticScore(value=0.0, verdict=VERDICT_INVALID, breakdown=ScoreBreakdown())
 
 
-def semantic_similarity(query_true: str, query_predicted: str, dialect: Dialect = Dialect.SQLITE) -> SemanticScore:
+def semantic_similarity(query_true: str, query_predicted: str) -> SemanticScore:
     """Score a predicted statement against the ground truth, in [0, 1].
 
     The score is directional: (truth, predicted) is not symmetrized.
     """
     try:
-        truth = parse(query_true, dialect)
+        truth = parse(query_true)
     except ParseError as exc:
         raise CorpusError(f"ground-truth query does not parse: {exc}") from exc
     try:
-        predicted = parse(query_predicted, dialect)
+        predicted = parse(query_predicted)
     except ParseError:
         return invalid_prediction_score()
     return semantic_score_from_asts(truth, predicted)

@@ -1,7 +1,7 @@
 """Core AST types shared by the parser, renderer, diff and scoring layers.
 
-Trees are immutable: every transformation builds new nodes, so values are
-safe to share between worker threads.
+Trees are immutable: every transformation builds new nodes, so a parsed
+tree can be handed to several consumers (diff, anchoring, rendering).
 """
 
 from __future__ import annotations
@@ -9,18 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
-
-
-class Dialect(Enum):
-    """Target dialect for parsing and rendering.
-
-    SQLITE is the execution dialect of the fixture databases; GENERIC is a
-    plain ANSI-style mode for comparing queries without executing them.
-    The supported statement surface is identical in both.
-    """
-
-    SQLITE = "sqlite"
-    GENERIC = "generic"
 
 
 class NodeKind(str, Enum):
@@ -76,10 +64,9 @@ class Node:
 
 @dataclass(frozen=True)
 class SqlAst:
-    """A dialect-normalized syntax tree for a single SELECT statement."""
+    """A normalized syntax tree for a single SELECT statement."""
 
     root: Node
-    dialect: Dialect = Dialect.SQLITE
 
     @property
     def node_count(self) -> int:

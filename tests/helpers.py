@@ -76,7 +76,7 @@ def swap_table(ast: SqlAst, new_name: str = "zz_other") -> SqlAst:
 
     ctes = cte_names(ast.root)
     target = next(n for n in ast.root.walk() if n.kind is NodeKind.TABLE_REF and n.text not in ctes)
-    return SqlAst(_rebuild(ast.root, target, Node(NodeKind.TABLE_REF, new_name)), ast.dialect)
+    return SqlAst(_rebuild(ast.root, target, Node(NodeKind.TABLE_REF, new_name)))
 
 
 def _first_select_list(ast: SqlAst) -> Node:
@@ -87,19 +87,19 @@ def add_column_alias(ast: SqlAst, label: str = "extra_label") -> SqlAst:
     """Wrap the first unaliased, non-star select item in an alias."""
     select_list = _first_select_list(ast)
     target = next(c for c in select_list.children if c.kind is not NodeKind.ALIAS and c.text != "*")
-    return SqlAst(_rebuild(ast.root, target, Node(NodeKind.ALIAS, label, (target,))), ast.dialect)
+    return SqlAst(_rebuild(ast.root, target, Node(NodeKind.ALIAS, label, (target,))))
 
 
 def rename_column_alias(ast: SqlAst, label: str = "renamed_label") -> SqlAst:
     target = next(n for n in ast.root.walk() if n.kind is NodeKind.ALIAS and n.children[0].kind is not NodeKind.TABLE_REF)
-    return SqlAst(_rebuild(ast.root, target, Node(NodeKind.ALIAS, label, target.children)), ast.dialect)
+    return SqlAst(_rebuild(ast.root, target, Node(NodeKind.ALIAS, label, target.children)))
 
 
 def drop_select_column(ast: SqlAst) -> SqlAst:
     """Remove the first select-list item (the list must keep >= 1 item)."""
     select_list = _first_select_list(ast)
     assert len(select_list.children) >= 2
-    return SqlAst(_rebuild(ast.root, select_list.children[0], None), ast.dialect)
+    return SqlAst(_rebuild(ast.root, select_list.children[0], None))
 
 
 # -- brute-force oracles --------------------------------------------------------

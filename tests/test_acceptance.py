@@ -135,7 +135,7 @@ def _permute_select_list(ast: SqlAst) -> SqlAst:
             children = tuple(reversed(children))
         return Node(node.kind, node.text, children)
 
-    return SqlAst(rebuild(ast.root), ast.dialect)
+    return SqlAst(rebuild(ast.root))
 
 
 def test_06_tree_diff_properties(questions):

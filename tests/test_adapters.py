@@ -14,8 +14,9 @@ def test_spec_parsing():
     assert parse_adapter_spec("cmd:python model.py") == ("cmd", "python model.py")
     assert parse_adapter_spec("http://host:1234/predict") == ("http", "http://host:1234/predict")
     assert parse_adapter_spec("http:https://host/predict") == ("http", "https://host/predict")
-    with pytest.raises(ValueError):
-        parse_adapter_spec("carrier-pigeon:coop")
+    for bad in ("carrier-pigeon:coop", "http:host:8000/p"):
+        with pytest.raises(ValueError):
+            parse_adapter_spec(bad)
 
 
 def test_identity_adapter(questions):

@@ -1,7 +1,14 @@
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
+from sqlscore import NodeKind, Prediction, evaluate, parse, render
 from sqlscore.cli import main
+
+from helpers import add_column_alias, drop_select_column, rename_column_alias
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +53,35 @@ class TestScore:
         code, _, err = run_cli(capsys, "score", "SELECT 1", "SELECT 1", "--db", "/nonexistent/x.sqlite")
         assert code == 2
         assert "error" in err
+
+
+    def test_score_agrees_with_run(self, capsys, questions, db_dir, monkeypatch):
+        monkeypatch.delenv("BIS_ANCHOR", raising=False)
+
+        def alias_renamed(ast):
+            aliased = any(n.kind is NodeKind.ALIAS and n.children[0].kind is not NodeKind.TABLE_REF for n in ast.walk())
+            return render(rename_column_alias(ast) if aliased else add_column_alias(ast))
+
+        def select_item_dropped(ast):
+            select_list = next(n for n in ast.walk() if n.kind is NodeKind.SELECT_LIST)
+            return render(drop_select_column(ast)) if len(select_list.children) >= 2 else None
+
+        def not_sql(ast):
+            return "not sql"
+
+        for mutate in (render, alias_renamed, select_item_dropped, not_sql):
+            pairs = [(q, mutate(parse(q.query))) for q in questions]
+            pairs = [(q, sql) for q, sql in pairs if sql is not None]
+            report = evaluate([q for q, _ in pairs], [Prediction(q.id, sql) for q, sql in pairs], db_dir)
+            for (q, sql), r in zip(pairs, report.instances):
+                code, out, _ = run_cli(capsys, "score", q.query, sql, "--db", str(db_dir / f"{q.db_id}.sqlite"))
+                assert code == 0
+                assert out.splitlines() == [
+                    f"semantic: {r.semantic.value:.3f}",
+                    f"precision: {r.result.precision:.3f}",
+                    f"recall: {r.result.recall:.3f}",
+                    f"f1: {r.result.f1:.3f}",
+                ], (mutate.__name__, q.id)
 
 
 class TestRun:
@@ -200,3 +236,10 @@ def test_normalize_command(capsys):
     code, out, _ = run_cli(capsys, "normalize", "select A ,b from T")
     assert code == 0
     assert out.strip() == "SELECT a, b FROM t"
+
+
+def test_package_imports_without_site_packages():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-S", "-c", "import sqlscore"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

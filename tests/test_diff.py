@@ -158,9 +158,3 @@ class TestNearOptimality:
         optimum = optimal_nonkeep_oracle(t_ast, p_ast)
         assert script.non_keep_count() <= optimum + 2
 
-
-def test_dialect_mismatch_rejected():
-    from sqlscore import Dialect
-
-    with pytest.raises(ValueError):
-        diff(parse("SELECT 1", Dialect.SQLITE), parse("SELECT 1", Dialect.GENERIC))

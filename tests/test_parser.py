@@ -69,7 +69,8 @@ class TestParse:
             assert 0 <= exc_info.value.position <= len(sql)
 
     def test_never_aborts_on_garbage(self):
-        for junk in ["not sql at all", "???", "select from where", "'unterminated", "--only a comment"]:
+        deep_signs = "SELECT " + "- " * 3000 + "1"
+        for junk in ["not sql at all", "???", "select from where", "'unterminated", "--only a comment", deep_signs]:
             with pytest.raises(ParseError):
                 parse(junk)
 
@@ -170,17 +171,6 @@ def test_parse_arbitrary_text_never_crashes(text):
         assert ast.node_count >= 1
     except ParseError as exc:
         assert 0 <= exc.position <= len(text)
-
-
-def test_generic_dialect_shares_the_surface():
-    from sqlscore import Dialect, rewrite_time_anchor
-
-    sql = "SELECT a FROM t WHERE ts > now()"
-    generic = parse(sql, Dialect.GENERIC)
-    assert generic.dialect is Dialect.GENERIC
-    assert generic.root == parse(sql, Dialect.SQLITE).root
-    anchored = rewrite_time_anchor(generic, "2023-01-17T00:00:00")
-    assert render(anchored) == "SELECT a FROM t WHERE ts > '2023-01-17 00:00:00'"
 
 
 def test_tokenizer_positions_monotonic():

@@ -3,7 +3,7 @@ import sqlite3
 
 import pytest
 
-from sqlscore import ExecutionError, ResultTable, cells_equal, execute, match_columns, score_result_pair
+from sqlscore import ExecutionError, ResultTable, cells_equal, execute, match_columns, parse, score_result_pair
 from sqlscore.results import VERDICT_SCORED
 
 from helpers import max_matching_oracle, random_result_table
@@ -199,7 +199,7 @@ class TestExecute:
         finally:
             conn.close()
 
-    def test_anchored_execution_matches_manual_literal(self, db_dir):
+    def test_anchored_execution_matches_manual_literal(self, db_dir, questions):
         automatic = execute(
             "SELECT ts FROM system_metrics WHERE metric = 'cpu_util' AND host_id = 1 AND ts >= datetime('now', '-14 days') ORDER BY ts",
             db_dir / "benchmark_2.sqlite",
@@ -209,6 +209,9 @@ class TestExecute:
             db_dir / "benchmark_2.sqlite",
         )
         assert automatic.columns == manual.columns
+        for q in questions:  # a parsed AST runs exactly like its source text
+            db = db_dir / f"{q.db_id}.sqlite"
+            assert execute(parse(q.query), db) == execute(q.query, db)
 
 
 def test_verdict_default_is_scored():

@@ -1,11 +1,11 @@
 import sqlite3
+import sys
 
 import pytest
 
 from sqlscore import (
     BenchmarkQuestion,
     ConfigError,
-    EvalOptions,
     Prediction,
     build_fixture_database,
     evaluate,
@@ -13,11 +13,29 @@ from sqlscore import (
     report_to_json,
     validate_corpus,
 )
+from sqlscore import parser
 from sqlscore.results import VERDICT_EXECUTION_ERROR, VERDICT_INVALID
 
 
 def identity_predictions(questions):
     return [Prediction(q.id, q.query) for q in questions]
+
+
+def count_parse_calls(monkeypatch) -> list:
+    """Route every sqlscore module's reference to ``parser.parse`` through a
+    counting wrapper; returns the list that grows by one per call."""
+    original, calls = parser.parse, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "sqlscore" or name.startswith("sqlscore.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 class TestEvaluate:
@@ -51,6 +69,18 @@ class TestEvaluate:
         assert report.overall.semantic == 0.0
         assert all(r.semantic.verdict == "invalid_prediction" for r in report.instances)
         assert all(r.result.verdict == VERDICT_INVALID for r in report.instances)
+
+    def test_deeply_signed_prediction_scores_invalid(self, questions, db_dir):
+        q = questions[0]
+        report = evaluate([q], [Prediction(q.id, "SELECT " + "- " * 3000 + "1")], db_dir)
+        r = report.instances[0]
+        assert r.semantic.verdict == VERDICT_INVALID
+        assert r.result.verdict == VERDICT_INVALID
+
+    def test_each_query_parsed_once(self, questions, db_dir, monkeypatch):
+        calls = count_parse_calls(monkeypatch)
+        evaluate(questions, identity_predictions(questions), db_dir)
+        assert len(calls) == 2 * len(questions)
 
     def test_executable_but_wrong_prediction(self, questions, db_dir):
         q = questions[0]
@@ -115,15 +145,6 @@ class TestEvaluate:
         second = evaluate(questions, identity_predictions(questions), db_dir)
         assert report_to_json(first) == report_to_json(second)
 
-    def test_parallel_equals_serial(self, questions, db_dir):
-        from sqlscore import report_to_dict
-
-        serial = report_to_dict(evaluate(questions, identity_predictions(questions), db_dir, options=EvalOptions(workers=1)))
-        parallel = report_to_dict(evaluate(questions, identity_predictions(questions), db_dir, options=EvalOptions(workers=4)))
-        serial.pop("options")
-        parallel.pop("options")
-        assert serial == parallel
-
     def test_overall_mean_is_count_weighted_category_mean(self, questions, db_dir):
         predictions = identity_predictions(questions)
         predictions[0] = Prediction(questions[0].id, "SELECT 1")  # degrade one instance
@@ -138,6 +159,11 @@ class TestEvaluate:
 class TestValidateCorpus:
     def test_shipped_fixtures_are_clean(self, questions, db_dir):
         assert validate_corpus(questions, db_dir) == []
+
+    def test_each_truth_parsed_once(self, questions, db_dir, monkeypatch):
+        calls = count_parse_calls(monkeypatch)
+        assert validate_corpus(questions, db_dir) == []
+        assert len(calls) == len(questions)
 
     def test_truncated_query_warns(self, questions, db_dir):
         broken = BenchmarkQuestion("benchmark_1", "SELECT count(*", "q", "en", "filtering", id="trunc")
