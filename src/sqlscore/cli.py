@@ -12,13 +12,14 @@ import os
 import sys
 from pathlib import Path
 
-from .adapters import AdapterError, get_predictions
+from .adapters import DEFAULT_ADAPTER_TIMEOUT_S, AdapterError, get_predictions
 from .anchor import DEFAULT_ANCHOR, parse_anchor
 from .corpus import CorpusLoadError, load_corpus
 from .fixtures import write_fixtures
 from .parser import parse
 from .render import render
 from .report import report_to_csv, report_to_json, report_to_markdown, summary_text
+from .results import DEFAULT_TIMEOUT_S
 from .runner import ConfigError, EvalOptions, evaluate, score_pair, validate_corpus
 from .semantic import CorpusError, semantic_similarity
 from .sqlast import ParseError
@@ -148,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("truth", help="ground-truth SQL")
     score.add_argument("predicted", help="predicted SQL")
     score.add_argument("--db", help="fixture database; adds result-similarity scores")
-    score.add_argument("--anchor", help="ISO-8601 clock anchor (default 2023-01-17T00:00:00)")
+    score.add_argument("--anchor", help=f"ISO-8601 clock anchor (default {DEFAULT_ANCHOR.isoformat()})")
     score.add_argument("--order-insensitive", action="store_true", help="sort column values before comparing")
-    score.add_argument("--timeout-s", type=float, default=10.0, help="per-query execution timeout")
+    score.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
     score.set_defaults(func=cmd_score)
 
     run = sub.add_parser("run", help="evaluate a whole corpus")
@@ -159,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--adapter", default="identity", help="identity | file:preds.jsonl | cmd:command | http(s)://url")
     run.add_argument("--anchor", help="ISO-8601 clock anchor")
     run.add_argument("--order-insensitive", action="store_true")
-    run.add_argument("--timeout-s", type=float, default=10.0, help="per-query execution timeout")
-    run.add_argument("--adapter-timeout-s", type=float, default=60.0, help="per-question adapter timeout")
+    run.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
+    run.add_argument("--adapter-timeout-s", type=float, default=DEFAULT_ADAPTER_TIMEOUT_S, help="per-question adapter timeout")
     run.add_argument("--report-json")
     run.add_argument("--report-csv")
     run.add_argument("--report-md")

@@ -19,8 +19,9 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
-from .sqlast import Node, NodeKind, ParseError, SqlAst
+from .sqlast import Node, NodeKind, ParseError, SqlAst, from_items
 
 KEYWORDS = {
     "select", "from", "where", "group", "by", "order", "limit", "offset",
@@ -140,13 +141,16 @@ class _Parser:
         self.source_len = source_len
         self.depth = 0
 
-    @contextmanager
-    def _nested(self):
-        # keeps degenerate inputs (thousands of parens, NOTs or signs) from
-        # exhausting the interpreter stack
+    def _deeper(self) -> None:
+        # keeps degenerate inputs (thousands of parens, NOTs, signs, calls,
+        # chained operators or joins) from exhausting the interpreter stack
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
             raise self.error("statement nesting too deep")
+
+    @contextmanager
+    def _nested(self):
+        self._deeper()
         try:
             yield
         finally:
@@ -304,6 +308,7 @@ class _Parser:
 
     def parse_from_item(self) -> Node:
         item = self.parse_table_primary()
+        depth = self.depth
         while self.at_kw("join", "inner", "left", "cross"):
             join_type = "inner"
             if self.accept_kw("left"):
@@ -314,6 +319,7 @@ class _Parser:
             else:
                 self.accept_kw("inner")
             self.expect_kw("join")
+            self._deeper()  # joins nest left-deep, like operator chains
             right = self.parse_table_primary()
             children = [item, right]
             if join_type == "cross":
@@ -323,6 +329,7 @@ class _Parser:
                 self.expect_kw("on")
                 children.append(self.parse_expr())
             item = Node(NodeKind.JOIN, join_type, tuple(children))
+        self.depth = depth
         return item
 
     def parse_table_primary(self) -> Node:
@@ -395,9 +402,10 @@ class _Parser:
                 sub = self.parse_select_core()
                 self.expect_punct(")")
                 return Node(NodeKind.OPERATOR, op, (left, sub))
-            items = [self.parse_expr()]
-            while self.accept_punct(","):
-                items.append(self.parse_expr())
+            with self._nested():
+                items = [self.parse_expr()]
+                while self.accept_punct(","):
+                    items.append(self.parse_expr())
             self.expect_punct(")")
             return Node(NodeKind.OPERATOR, op, (left, *items))
         if self.accept_kw("like"):
@@ -418,24 +426,22 @@ class _Parser:
         return left
 
     def parse_additive(self) -> Node:
-        left = self.parse_multiplicative()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.value in ("+", "-", "||"):
-                self.advance()
-                left = Node(NodeKind.OPERATOR, tok.value, (left, self.parse_multiplicative()))
-            else:
-                return left
+        return self._left_chain(("+", "-", "||"), self.parse_multiplicative)
 
     def parse_multiplicative(self) -> Node:
-        left = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.value in ("*", "/", "%"):
-                self.advance()
-                left = Node(NodeKind.OPERATOR, tok.value, (left, self.parse_unary()))
-            else:
-                return left
+        return self._left_chain(("*", "/", "%"), self.parse_unary)
+
+    def _left_chain(self, ops: tuple[str, ...], parse_operand: Callable[[], Node]) -> Node:
+        # each fold deepens the left-deep tree by one level, so it counts
+        # against the nesting limit until the chain ends
+        left = parse_operand()
+        depth = self.depth
+        while self.peek().kind == "op" and self.peek().value in ops:
+            op = self.advance().value
+            self._deeper()
+            left = Node(NodeKind.OPERATOR, op, (left, parse_operand()))
+        self.depth = depth
+        return left
 
     def parse_unary(self) -> Node:
         tok = self.peek()
@@ -463,7 +469,8 @@ class _Parser:
             return Node(NodeKind.LITERAL, "null")
         if self.accept_kw("cast"):
             self.expect_punct("(")
-            value = self.parse_expr()
+            with self._nested():
+                value = self.parse_expr()
             self.expect_kw("as")
             type_name = self.identifier("type name")
             self.expect_punct(")")
@@ -480,7 +487,8 @@ class _Parser:
         if tok.kind in ("ident", "qident"):
             name = self.identifier()
             if self.at_punct("("):
-                return self.parse_function_call(name)
+                with self._nested():
+                    return self.parse_function_call(name)
             if name in BARE_TIME_FUNCTIONS:
                 return Node(NodeKind.FUNCTION_CALL, name)
             if self.accept_punct("."):
@@ -559,12 +567,7 @@ def _sole_from_name(statement: Node, local: dict[str, str]) -> str | None:
     Qualifiers naming it are redundant and get elided; scopes with joins or
     several from-items keep every qualifier.
     """
-    items = [
-        c
-        for c in statement.children
-        if c.kind in (NodeKind.TABLE_REF, NodeKind.JOIN)
-        or (c.kind is NodeKind.ALIAS and c.children[0].kind in (NodeKind.TABLE_REF, NodeKind.STATEMENT))
-    ]
+    items = from_items(statement)
     if len(items) != 1:
         return None
     item = items[0]

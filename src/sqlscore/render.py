@@ -8,7 +8,7 @@ where precedence demands them.  ``parse(render(ast))`` reproduces ``ast``.
 
 from __future__ import annotations
 
-from .sqlast import Node, NodeKind, SqlAst
+from .sqlast import Node, NodeKind, SqlAst, from_items
 from .parser import BARE_TIME_FUNCTIONS
 
 _PRECEDENCE = {
@@ -49,12 +49,7 @@ def _statement(node: Node) -> str:
     items = ", ".join(_select_item(c) for c in select_list.children)
     parts.append(f"{keyword} {items}")
 
-    tables = [
-        c
-        for c in node.children
-        if c.kind in (NodeKind.TABLE_REF, NodeKind.JOIN)
-        or (c.kind is NodeKind.ALIAS and c.children[0].kind in (NodeKind.TABLE_REF, NodeKind.STATEMENT))
-    ]
+    tables = from_items(node)
     if tables:
         parts.append("FROM " + ", ".join(_from_item(c) for c in tables))
 

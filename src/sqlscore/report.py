@@ -11,6 +11,7 @@ import io
 import json
 from dataclasses import asdict
 
+from .results import DEFAULT_REL_TOL, DEFAULT_ROW_CAP
 from .runner import Aggregate, EvalReport, InstanceResult
 
 
@@ -59,8 +60,8 @@ def report_to_dict(report: EvalReport) -> dict:
         "options": {
             "order_insensitive": report.options.order_insensitive,
             "query_timeout_s": report.options.query_timeout_s,
-            "row_cap": report.options.row_cap,
-            "numeric_rel_tol": report.options.numeric_rel_tol,
+            "row_cap": DEFAULT_ROW_CAP,
+            "numeric_rel_tol": DEFAULT_REL_TOL,
         },
         "summary": {
             "overall": _aggregate_dict(report.overall),

@@ -85,7 +85,7 @@ class ResultScore:
         return cls(0.0, 0.0, 0.0, (), verdict)
 
 
-def cells_equal(a: Cell, b: Cell, rel_tol: float = DEFAULT_REL_TOL) -> bool:
+def cells_equal(a: Cell, b: Cell) -> bool:
     """Cell equality: null=null, numbers within relative tolerance,
     text compared exactly after trimming trailing whitespace."""
     if a is None or b is None:
@@ -93,7 +93,7 @@ def cells_equal(a: Cell, b: Cell, rel_tol: float = DEFAULT_REL_TOL) -> bool:
     a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
     b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
     if a_num and b_num:
-        return math.isclose(a, b, rel_tol=rel_tol, abs_tol=0.0) or a == b
+        return math.isclose(a, b, rel_tol=DEFAULT_REL_TOL, abs_tol=0.0) or a == b
     if isinstance(a, str) and isinstance(b, str):
         return a.rstrip() == b.rstrip()
     return type(a) is type(b) and a == b
@@ -102,8 +102,6 @@ def cells_equal(a: Cell, b: Cell, rel_tol: float = DEFAULT_REL_TOL) -> bool:
 def _sort_key(cell: Cell):
     if cell is None:
         return (0, "")
-    if isinstance(cell, bool):
-        return (1, float(cell))
     if isinstance(cell, (int, float)):
         return (1, float(cell))
     if isinstance(cell, str):
@@ -111,32 +109,21 @@ def _sort_key(cell: Cell):
     return (3, repr(cell))
 
 
-def _columns_compatible(a: tuple[Cell, ...], b: tuple[Cell, ...], order_insensitive: bool, rel_tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    if order_insensitive:
-        a = tuple(sorted(a, key=_sort_key))
-        b = tuple(sorted(b, key=_sort_key))
-    return all(cells_equal(x, y, rel_tol) for x, y in zip(a, b))
-
-
-def match_columns(
-    predicted: ResultTable,
-    truth: ResultTable,
-    order_insensitive: bool = False,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> list[tuple[int, int]]:
+def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive: bool = False) -> list[tuple[int, int]]:
     """Maximum one-to-one matching of predicted columns onto truth columns.
 
-    All M x N column pairs are checked for compatibility (same row count,
-    every cell equal, in row order unless ``order_insensitive`` sorts each
-    column first); labels are ignored.  Returns (predicted index, truth
-    index) pairs.
+    A pair is compatible when both tables have the same row count and every
+    cell is equal, in row order unless ``order_insensitive`` sorts each
+    column (once per table) first; labels are ignored.  Returns (predicted
+    index, truth index) pairs.
     """
-    compat: list[list[int]] = []
-    for p_col in predicted.columns:
-        row = [t_idx for t_idx, t_col in enumerate(truth.columns) if _columns_compatible(p_col, t_col, order_insensitive, rel_tol)]
-        compat.append(row)
+    if predicted.row_count != truth.row_count:
+        return []
+    p_cols, t_cols = predicted.columns, truth.columns
+    if order_insensitive:
+        p_cols = [sorted(c, key=_sort_key) for c in p_cols]
+        t_cols = [sorted(c, key=_sort_key) for c in t_cols]
+    compat = [[t_idx for t_idx, t_col in enumerate(t_cols) if all(map(cells_equal, p_col, t_col))] for p_col in p_cols]
 
     # augmenting-path maximum matching; column counts are small
     match_t: dict[int, int] = {}
@@ -156,16 +143,11 @@ def match_columns(
     return sorted((p_idx, t_idx) for t_idx, p_idx in match_t.items())
 
 
-def score_result_pair(
-    predicted: ResultTable,
-    truth: ResultTable,
-    order_insensitive: bool = False,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> ResultScore:
+def score_result_pair(predicted: ResultTable, truth: ResultTable, order_insensitive: bool = False) -> ResultScore:
     """Column-matching precision, recall and F1 for a result pair."""
     if predicted.column_count == 0 and truth.column_count == 0:
         return ResultScore(1.0, 1.0, 1.0, (), VERDICT_SCORED)
-    matched = match_columns(predicted, truth, order_insensitive, rel_tol)
+    matched = match_columns(predicted, truth, order_insensitive)
     m = len(matched)
     precision = m / predicted.column_count if predicted.column_count else 0.0
     recall = m / truth.column_count if truth.column_count else 0.0
@@ -212,14 +194,9 @@ def execute(
     try:
         cursor = conn.execute(sql)
         labels = tuple(d[0] for d in cursor.description) if cursor.description else ()
-        rows: list[tuple] = []
-        while True:
-            chunk = cursor.fetchmany(1_000)
-            if not chunk:
-                break
-            rows.extend(chunk)
-            if len(rows) > row_cap:
-                raise ExecutionError(f"result exceeds row cap of {row_cap}", stage="row-cap")
+        rows = cursor.fetchmany(row_cap + 1)
+        if len(rows) > row_cap:
+            raise ExecutionError(f"result exceeds row cap of {row_cap}", stage="row-cap")
         return ResultTable.from_rows(list(labels), rows)
     except sqlite3.OperationalError as exc:
         if "interrupted" in str(exc).lower():

@@ -23,8 +23,6 @@ from .corpus import BenchmarkQuestion
 from .parser import parse
 from .render import render_expression
 from .results import (
-    DEFAULT_REL_TOL,
-    DEFAULT_ROW_CAP,
     DEFAULT_TIMEOUT_S,
     VERDICT_EXECUTION_ERROR,
     VERDICT_INVALID,
@@ -58,8 +56,6 @@ class ConfigError(Exception):
 class EvalOptions:
     order_insensitive: bool = False
     query_timeout_s: float = DEFAULT_TIMEOUT_S
-    row_cap: int = DEFAULT_ROW_CAP
-    numeric_rel_tol: float = DEFAULT_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,8 @@ def score_pair(
         truth_ast = parse(truth_sql)
     except ParseError as exc:
         raise CorpusError(f"truth query does not parse: {exc}") from exc
-    limits = dict(timeout_s=options.query_timeout_s, row_cap=options.row_cap)
     try:
-        truth_table = execute(truth_ast, db_path, anchor, **limits)
+        truth_table = execute(truth_ast, db_path, anchor, timeout_s=options.query_timeout_s)
     except ExecutionError as exc:
         raise CorpusError(f"truth query failed to execute: {exc}") from exc
 
@@ -141,10 +136,10 @@ def score_pair(
         return invalid_prediction_score(), ResultScore.failure(VERDICT_INVALID)
     semantic = semantic_score_from_asts(truth_ast, predicted_ast)
     try:
-        predicted_table = execute(predicted_ast, db_path, anchor, **limits)
+        predicted_table = execute(predicted_ast, db_path, anchor, timeout_s=options.query_timeout_s)
     except ExecutionError:
         return semantic, ResultScore.failure(VERDICT_EXECUTION_ERROR)
-    return semantic, score_result_pair(predicted_table, truth_table, options.order_insensitive, options.numeric_rel_tol)
+    return semantic, score_result_pair(predicted_table, truth_table, options.order_insensitive)
 
 
 def _score_instance(
@@ -219,12 +214,6 @@ def evaluate(
 # -- corpus validation --------------------------------------------------------
 
 
-def _tables_identical(a: ResultTable, b: ResultTable, rel_tol: float) -> bool:
-    if a.column_count != b.column_count or a.row_count != b.row_count:
-        return False
-    return len(match_columns(a, b, rel_tol=rel_tol)) == a.column_count
-
-
 def _timestamp_columns(conn: sqlite3.Connection, table: str) -> list[str]:
     try:
         info = conn.execute(f'PRAGMA table_info("{table}")').fetchall()
@@ -271,7 +260,6 @@ def validate_corpus(
     questions: list[BenchmarkQuestion],
     db_dir: str | Path,
     anchor: str | datetime = DEFAULT_ANCHOR,
-    options: EvalOptions | None = None,
 ) -> list[str]:
     """Warnings about corpus health; an empty list means a clean corpus.
 
@@ -280,7 +268,6 @@ def validate_corpus(
     of degenerate fixture data), and timestamped tables whose data range
     does not bracket the anchor-relative windows of time-period questions.
     """
-    options = options or EvalOptions()
     instant = parse_anchor(anchor)
     db_dir = Path(db_dir)
     warnings: list[str] = []
@@ -300,7 +287,7 @@ def validate_corpus(
             warnings.append(f"question {q.id}: truth query does not parse: {exc}")
             continue
         try:
-            table = execute(ast, db_path, instant, timeout_s=options.query_timeout_s, row_cap=options.row_cap)
+            table = execute(ast, db_path, instant)
         except ExecutionError as exc:
             warnings.append(f"question {q.id}: truth query failed to execute: {exc}")
             continue
@@ -317,7 +304,7 @@ def validate_corpus(
                 continue
             if ast_a.root == ast_b.root:
                 continue
-            if _tables_identical(table_a, table_b, options.numeric_rel_tol):
+            if table_a.column_count == table_b.column_count == len(match_columns(table_a, table_b)):
                 warnings.append(
                     f"questions {qa.id} and {qb.id}: distinct queries over "
                     f"{'/'.join(sorted(tables_a))} produce identical results (degenerate fixture data)"

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 from .diff import EditOpKind, EditScript, diff
 from .parser import parse, split_qualified
+from .results import VERDICT_INVALID, VERDICT_SCORED
 from .sqlast import NodeKind, ParseError, SqlAst, cte_names
-
-VERDICT_SCORED = "scored"
-VERDICT_INVALID = "invalid_prediction"
 
 RULE_NORMAL = "normal"
 RULE_TABLE_MISMATCH = "table-mismatch"

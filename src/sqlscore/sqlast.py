@@ -89,6 +89,16 @@ class ParseError(Exception):
         self.position = position
 
 
+def from_items(statement: Node) -> list[Node]:
+    """The FROM items of one statement: tables, joins, aliased tables and derived tables."""
+    return [
+        c
+        for c in statement.children
+        if c.kind in (NodeKind.TABLE_REF, NodeKind.JOIN)
+        or (c.kind is NodeKind.ALIAS and c.children[0].kind in (NodeKind.TABLE_REF, NodeKind.STATEMENT))
+    ]
+
+
 def accessed_tables(root: Node) -> set[str]:
     """Names of every table reference in the tree, CTE references included."""
     return {n.text for n in root.walk() if n.kind is NodeKind.TABLE_REF}

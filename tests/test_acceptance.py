@@ -128,6 +128,41 @@ def test_05_matching_oracle_200_randomized():
     ok(5, "maximum matching equals exhaustive oracle (200/200)")
 
 
+def _value_order(cell):
+    # nulls first, then numbers by value, then text; 2 and 2.0 tie
+    return (cell is not None, isinstance(cell, str), 0 if cell is None else cell)
+
+
+def test_05_matching_oracle_order_insensitive_200_randomized():
+    from sqlscore import ResultTable, cells_equal
+
+    rng = random.Random(43)
+    agreements = matched = 0
+    for i in range(200):
+        predicted = random_result_table(rng, max_columns=4, max_rows=6)
+        if i % 2:
+            truth = random_result_table(rng, max_columns=4, max_rows=6)
+        else:  # the predicted columns reordered, each with its rows shuffled
+            columns = [tuple(rng.sample(col, len(col))) for col in rng.sample(predicted.columns, predicted.column_count)]
+            truth = ResultTable(tuple(f"t{j}" for j in range(len(columns))), tuple(columns))
+        pairs = match_columns(predicted, truth, order_insensitive=True)
+        compat = [
+            [
+                predicted.row_count == truth.row_count
+                and all(cells_equal(x, y) for x, y in zip(sorted(p_col, key=_value_order), sorted(t_col, key=_value_order)))
+                for t_col in truth.columns
+            ]
+            for p_col in predicted.columns
+        ]
+        assert len(pairs) == max_matching_oracle(compat)
+        assert all(compat[p_idx][t_idx] for p_idx, t_idx in pairs)
+        agreements += 1
+        matched += bool(pairs)
+    assert agreements == 200
+    assert matched >= 100  # every shuffled case matches
+    ok(5, "order-insensitive matching equals exhaustive oracle (200/200)")
+
+
 def _permute_select_list(ast: SqlAst) -> SqlAst:
     def rebuild(node: Node) -> Node:
         children = tuple(rebuild(c) for c in node.children)

@@ -70,7 +70,13 @@ class TestParse:
 
     def test_never_aborts_on_garbage(self):
         deep_signs = "SELECT " + "- " * 3000 + "1"
-        for junk in ["not sql at all", "???", "select from where", "'unterminated", "--only a comment", deep_signs]:
+        long_chains = ["SELECT " + " + ".join(["a"] * n) + " FROM t" for n in (500, 5000)]
+        deep_calls = "SELECT " + "abs(" * 3000 + "1" + ")" * 3000
+        deep_casts = "SELECT " + "cast(" * 3000 + "1" + " AS int)" * 3000
+        deep_in = "SELECT a FROM t WHERE " + "a IN (" * 3000 + "1" + ")" * 3000
+        long_joins = "SELECT a FROM t0 " + " ".join(f"CROSS JOIN t{i}" for i in range(1, 3000))
+        junks = ["not sql at all", "???", "select from where", "'unterminated", "--only a comment", deep_signs]
+        for junk in junks + long_chains + [deep_calls, deep_casts, deep_in, long_joins]:
             with pytest.raises(ParseError):
                 parse(junk)
 

@@ -172,13 +172,16 @@ class TestExecute:
         assert exc_info.value.stage == "database"
 
     def test_row_cap(self, db_dir):
+        cross = "SELECT a.value FROM metric_log_real AS a CROSS JOIN metric_log_real AS b"
+        db = db_dir / "benchmark_1.sqlite"
         with pytest.raises(ExecutionError) as exc_info:
-            execute(
-                "SELECT a.value FROM metric_log_real AS a CROSS JOIN metric_log_real AS b",
-                db_dir / "benchmark_1.sqlite",
-                row_cap=100,
-            )
+            execute(cross, db, row_cap=100)
         assert exc_info.value.stage == "row-cap"
+        assert execute(f"{cross} LIMIT 100", db, row_cap=100).row_count == 100
+        with pytest.raises(ExecutionError) as exc_info:
+            execute(f"{cross} LIMIT 101", db, row_cap=100)
+        assert exc_info.value.stage == "row-cap"
+        assert str(exc_info.value) == "result exceeds row cap of 100"
 
     def test_timeout(self, db_dir):
         with pytest.raises(ExecutionError) as exc_info:

@@ -20,6 +20,12 @@ class TestIdentity:
         assert score.breakdown.rule == RULE_NORMAL
         assert score.breakdown.diff_count == 0
 
+    def test_long_arithmetic_chain_scores_one_against_itself(self):
+        sql = "SELECT " + " + ".join(["a"] * 50) + " FROM t"
+        score = semantic_similarity(sql, sql)
+        assert score.value == 1.0
+        assert score.verdict == VERDICT_SCORED
+
 
 class TestAliasInvariance:
     def test_added_count_alias_scores_one(self):
