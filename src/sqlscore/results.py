@@ -159,7 +159,8 @@ def _open_readonly(db_path: str | Path) -> sqlite3.Connection:
     path = Path(db_path)
     if not path.is_file():
         raise ExecutionError(f"database file not found: {path}", stage="database")
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    # each rendered statement runs once per run, so caching it only holds memory
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, cached_statements=0)
     conn.execute("PRAGMA query_only = ON")
     return conn
 
@@ -191,8 +192,9 @@ def execute(
     conn = _open_readonly(db) if own_connection else db
     deadline = time.monotonic() + timeout_s
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
+    cursor = conn.cursor()
     try:
-        cursor = conn.execute(sql)
+        cursor.execute(sql)
         labels = tuple(d[0] for d in cursor.description) if cursor.description else ()
         rows = cursor.fetchmany(row_cap + 1)
         if len(rows) > row_cap:
@@ -205,6 +207,7 @@ def execute(
     except sqlite3.Error as exc:
         raise ExecutionError(f"engine error: {exc}", stage="engine") from exc
     finally:
+        cursor.close()  # a shared connection outlives this call; end the statement here
         conn.set_progress_handler(None, 0)
         if own_connection:
             conn.close()

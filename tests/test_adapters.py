@@ -101,6 +101,9 @@ def constant_model_url():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/predict"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestHttpAdapter:

@@ -1,3 +1,4 @@
+import dataclasses
 import sqlite3
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from sqlscore import (
     BenchmarkQuestion,
     ConfigError,
+    EvalOptions,
     Prediction,
     build_fixture_database,
     evaluate,
@@ -156,6 +158,124 @@ class TestEvaluate:
         assert report.overall.f1 == pytest.approx(weighted_f1)
 
 
+def record_connections(monkeypatch) -> list:
+    """Wrap ``sqlite3.connect``; returns the list of connections it opens."""
+    original, opened = sqlite3.connect, []
+
+    def recording(*args, **kwargs):
+        conn = original(*args, **kwargs)
+        opened.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", recording)
+    return opened
+
+
+def assert_all_closed(connections) -> None:
+    for conn in connections:
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
+
+
+def tripled(questions) -> list:
+    """Three copies of every question, with fresh ids, copy after copy."""
+    return [dataclasses.replace(q, id=f"{q.id}-copy{k}") for k in range(3) for q in questions]
+
+
+def mixed_predictions(questions) -> list:
+    """Identity, wrong-but-executable and unparseable predictions in turn."""
+    sqls = [q.query if i % 3 == 0 else "SELECT 1" if i % 3 == 1 else "not sql" for i, q in enumerate(questions)]
+    return [Prediction(q.id, sql) for q, sql in zip(questions, sqls)]
+
+
+class TestTruthSharing:
+    def test_shared_truths_score_as_single_copies(self, questions, db_dir):
+        single = evaluate(questions, mixed_predictions(questions), db_dir)
+        copies = tripled(questions)
+        sql_of = {p.question_id: p.sql for p in mixed_predictions(questions)}
+        predictions = [Prediction(c.id, sql_of[q.id]) for c, q in zip(copies, questions * 3)]
+        report = evaluate(copies, predictions, db_dir)
+        assert len(report.instances) == 3 * len(questions)
+        for r, expected in zip(report.instances, list(single.instances) * 3):
+            assert dataclasses.replace(r, question_id=expected.question_id) == expected
+
+    def test_each_distinct_truth_parsed_once(self, questions, db_dir, monkeypatch):
+        copies = tripled(questions)
+        distinct = len({(q.db_id, q.query) for q in copies})
+        calls = count_parse_calls(monkeypatch)
+        evaluate(copies, identity_predictions(copies), db_dir)
+        assert len(calls) == distinct + len(copies)
+        calls.clear()
+        assert validate_corpus(copies, db_dir) == []
+        assert len(calls) == distinct
+
+    def test_one_connection_per_database(self, questions, db_dir, monkeypatch):
+        copies = tripled(questions)
+        opened = record_connections(monkeypatch)
+        evaluate(copies, identity_predictions(copies), db_dir)
+        assert len(opened) == len({q.db_id for q in copies})
+
+    def test_bad_truth_shared_by_three_questions(self, db_dir):
+        broken = BenchmarkQuestion("benchmark_1", "SELECT definitely FROM", "broken", "en", "filtering", id="broken")
+        copies = tripled([broken])
+        report = evaluate(copies, [Prediction(c.id, "SELECT 1") for c in copies], db_dir)
+        assert len(report.corpus_errors) == 3
+        assert [e.split(":")[0] for e in report.corpus_errors] == [f"question {c.id}" for c in copies]
+        assert all("does not parse" in e for e in report.corpus_errors)
+
+    def test_same_query_on_two_databases_runs_on_each(self, db_dir):
+        query = "SELECT count(*) FROM campaigns"  # benchmark_2 has no such table
+        on_1 = BenchmarkQuestion("benchmark_1", query, "q", "en", "aggregation", id="on-1")
+        on_2 = BenchmarkQuestion("benchmark_2", query, "q", "en", "aggregation", id="on-2")
+        report = evaluate([on_1, on_2, on_1], [Prediction("on-1", query), Prediction("on-2", query)], db_dir)
+        assert [r.excluded for r in report.instances] == [False, True, False]
+
+
+class TestSharedConnection:
+    def test_failed_predictions_leave_connection_usable(self, questions, db_dir):
+        q = next(q for q in questions if q.db_id == "benchmark_1")
+        heavy = (
+            "SELECT count(*) FROM metric_log_real AS a CROSS JOIN metric_log_real AS b "
+            "CROSS JOIN metric_log_real AS c CROSS JOIN metric_log_real AS d"
+        )
+        valid = q.query.replace("SELECT ", "SELECT 1, ", 1)
+        copies = [dataclasses.replace(q, id=name) for name in ("timeout", "engine", "valid")]
+        predictions = [
+            Prediction("timeout", heavy),
+            Prediction("engine", "SELECT no_such_column FROM campaigns"),
+            Prediction("valid", valid),
+        ]
+        options = EvalOptions(query_timeout_s=0.05)
+        report = evaluate(copies, predictions, db_dir, options=options)
+        timed_out, engine_error, scored = report.instances
+        assert timed_out.result.verdict == engine_error.result.verdict == VERDICT_EXECUTION_ERROR
+        alone = evaluate([copies[2]], [predictions[2]], db_dir, options=options).instances[0]
+        assert scored == alone
+        assert scored.result.verdict == "scored" and 0.0 < scored.result.f1 < 1.0
+
+    def test_database_files_unchanged(self, questions, db_dir):
+        files = sorted(db_dir.glob("*.sqlite"))
+        before = [f.read_bytes() for f in files]
+        evaluate(questions, mixed_predictions(questions), db_dir)
+        validate_corpus(questions, db_dir)
+        assert sorted(db_dir.glob("*.sqlite")) == files
+        assert [f.read_bytes() for f in files] == before
+
+    def test_connections_closed_after_evaluate_and_validate(self, questions, db_dir, monkeypatch):
+        opened = record_connections(monkeypatch)
+        evaluate(questions, mixed_predictions(questions), db_dir)
+        validate_corpus(questions, db_dir)
+        assert opened
+        assert_all_closed(opened)
+
+    def test_connections_closed_on_config_error(self, questions, db_dir, tmp_path, monkeypatch):
+        (tmp_path / "benchmark_1.sqlite").write_bytes((db_dir / "benchmark_1.sqlite").read_bytes())
+        opened = record_connections(monkeypatch)
+        with pytest.raises(ConfigError, match="missing database file"):
+            evaluate(questions, identity_predictions(questions), tmp_path)
+        assert_all_closed(opened)
+
+
 class TestValidateCorpus:
     def test_shipped_fixtures_are_clean(self, questions, db_dir):
         assert validate_corpus(questions, db_dir) == []
@@ -188,6 +308,11 @@ class TestValidateCorpus:
         b = BenchmarkQuestion("benchmark_1", "SELECT max(campaign_id) FROM campaigns", "q2", "en", "aggregation", id="b")
         warnings = validate_corpus([a, b], db_dir)
         assert any("identical results" in w for w in warnings)
+        # shared truths are compared once but warned about per question pair, in (i, j) order
+        copies = [dataclasses.replace(q, id=f"{q.id}{k}") for k in range(3) for q in (a, b)]
+        expected = [(x.id, y.id) for i, x in enumerate(copies) for y in copies[i + 1 :] if x.query != y.query]
+        warnings = validate_corpus(copies, db_dir)
+        assert [tuple(w.split(":")[0].removeprefix("questions ").split(" and ")) for w in warnings] == expected
 
     def test_data_range_must_bracket_time_window(self, questions, tmp_path):
         db_dir = tmp_path / "db"
@@ -200,6 +325,15 @@ class TestValidateCorpus:
         time_questions = [q for q in questions if q.case_type == "time_period" and q.db_id == "benchmark_2"]
         warnings = validate_corpus(time_questions, db_dir)
         assert any("does not bracket" in w for w in warnings)
+        # a shared truth is checked once but warned about once per question
+        expected = [
+            w.replace(f"question {q.id}:", f"question {q.id}-copy{k}:", 1)
+            for k in range(3)
+            for q in time_questions
+            for w in warnings
+            if w.startswith(f"question {q.id}:")
+        ]
+        assert validate_corpus(tripled(time_questions), db_dir) == expected
 
     def test_missing_database_file_warns(self, questions, tmp_path):
         warnings = validate_corpus(questions, tmp_path)
