@@ -45,6 +45,27 @@ BARE_TIME_FUNCTIONS = {"current_timestamp", "current_date", "current_time"}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# The lexical grammar; alternatives are tried in order at each offset.  A
+# string closes on a quote that is not doubled: ``(?!')`` stops backtracking
+# from closing it on the first half of a ``''`` escape (Python 3.10 has no
+# possessive quantifiers).  ``unterminated`` matches only an opener whose
+# token could not be closed.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
+    |(?P<string>'[^']*(?:''[^']*)*'(?!'))
+    |(?P<qident>"[^"]*"|`[^`]*`|\[[^\]]*\])
+    |(?P<unterminated>/\*|['"`[])
+    |(?P<number>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
+    |(?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<op><=|>=|!=|<>|\|\||[=<>+\-*/%])
+    |(?P<punct>[(),.;])
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_UNTERMINATED = {"/*": "block comment", "'": "string literal"}  # else a quoted identifier
+
 
 @dataclass(frozen=True)
 class Token:
@@ -57,73 +78,27 @@ def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
     i, n = 0, len(sql)
     while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
+        m = _TOKEN_RE.match(sql, i)
+        if m is None:
+            raise ParseError(f"unexpected character {sql[i]!r}", i)
+        start, i = i, m.end()
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
             continue
-        if sql.startswith("--", i):
-            nl = sql.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if sql.startswith("/*", i):
-            end = sql.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated block comment", i)
-            i = end + 2
-            continue
-        if ch == "'":
-            j = i + 1
-            buf: list[str] = []
-            while True:
-                if j >= n:
-                    raise ParseError("unterminated string literal", i)
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(sql[j])
-                j += 1
-            tokens.append(Token("string", "".join(buf), i))
-            i = j + 1
-            continue
-        if ch in "\"`[":
-            closer = {"\"": "\"", "`": "`", "[": "]"}[ch]
-            j = sql.find(closer, i + 1)
-            if j < 0:
-                raise ParseError("unterminated quoted identifier", i)
-            tokens.append(Token("qident", sql[i + 1 : j], i))
-            i = j + 1
-            continue
-        if ch in "0123456789" or (ch == "." and sql[i + 1 : i + 2] in tuple("0123456789")):
-            m = re.match(r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?", sql[i:])
-            assert m is not None
-            tokens.append(Token("number", m.group(0).lower(), i))
-            i += m.end()
-            continue
-        if ("a" <= ch <= "z") or ("A" <= ch <= "Z") or ch == "_":
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", sql[i:])
-            assert m is not None
-            word = m.group(0).lower()
-            kind = "kw" if word in KEYWORDS or word in UNSUPPORTED else "ident"
-            tokens.append(Token(kind, word, i))
-            i += m.end()
-            continue
-        if sql.startswith(("<=", ">=", "!=", "<>", "||"), i):
-            op = sql[i : i + 2]
-            tokens.append(Token("op", "!=" if op == "<>" else op, i))
-            i += 2
-            continue
-        if ch in "=<>+-*/%":
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch in "(),.;":
-            tokens.append(Token("punct", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        if kind == "unterminated":
+            raise ParseError(f"unterminated {_UNTERMINATED.get(text, 'quoted identifier')}", start)
+        if kind == "word":
+            text = text.lower()
+            kind = "kw" if text in KEYWORDS or text in UNSUPPORTED else "ident"
+        elif kind == "string":
+            text = text[1:-1].replace("''", "'")
+        elif kind == "qident":
+            text = text[1:-1]
+        elif kind == "number":
+            text = text.lower()
+        elif text == "<>":
+            text = "!="
+        tokens.append(Token(kind, text, start))
     tokens.append(Token("eof", "", n))
     return tokens
 
@@ -135,10 +110,9 @@ MAX_NESTING_DEPTH = 64
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source_len: int):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.source_len = source_len
         self.depth = 0
 
     def _deeper(self) -> None:
@@ -159,7 +133,8 @@ class _Parser:
     # -- token helpers -----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        # advance() never moves past eof, and peek(1) is only asked at a NOT
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -202,9 +177,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "kw" and tok.value in UNSUPPORTED:
             message = f"unsupported SQL construct {tok.value.upper()}"
-        position = min(tok.pos, self.source_len)
         detail = f"near {tok.value!r}" if tok.kind != "eof" else "at end of input"
-        return ParseError(f"{message} {detail}", position)
+        return ParseError(f"{message} {detail}", tok.pos)
 
     # -- identifiers -------------------------------------------------------
 
@@ -625,7 +599,7 @@ def parse(sql: str) -> SqlAst:
     if not isinstance(sql, str) or not sql.strip():
         raise ParseError("empty SQL text", 0)
     tokens = tokenize(sql)
-    parser = _Parser(tokens, len(sql))
+    parser = _Parser(tokens)
     if not parser.at_kw("select", "with"):
         raise parser.error("expected SELECT or WITH")
     root = parser.parse_statement()

@@ -105,7 +105,7 @@ def _sort_key(cell: Cell):
     if isinstance(cell, (int, float)):
         return (1, float(cell))
     if isinstance(cell, str):
-        return (2, cell)
+        return (2, cell.rstrip())  # as cells_equal compares text, so equal keys mean equal cells
     return (3, repr(cell))
 
 

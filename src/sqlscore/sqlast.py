@@ -79,7 +79,7 @@ class SqlAst:
 class ParseError(Exception):
     """Raised for any statement outside the supported SQL surface.
 
-    ``position`` is a character offset into the source text, clamped to
+    ``position`` is a character offset into the source text, within
     ``[0, len(source)]``.
     """
 

@@ -1,6 +1,27 @@
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from sqlscore import load_corpus, write_fixtures
+
+# Same examples on every run, and no example database written to disk.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # hypothesis's pytest plugin also caches the constants of local modules
+    # in its storage directory while collecting; keep that out of the checkout
+    config.stash[_HYPOTHESIS_HOME] = home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 @pytest.fixture(scope="session")

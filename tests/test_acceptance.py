@@ -2,6 +2,7 @@
 tolerance, printing one line per criterion (run pytest with -s to see them).
 """
 
+import itertools
 import json
 import os
 import random
@@ -12,6 +13,8 @@ import pytest
 from sqlscore import (
     NodeKind,
     Prediction,
+    ResultTable,
+    cells_equal,
     diff,
     evaluate,
     execute,
@@ -93,8 +96,6 @@ def test_03_identity_fixed_point(questions, db_dir):
 
 def test_04_precision_recall_formulas():
     # truth has three columns; the prediction reproduces exactly two of them
-    from sqlscore import ResultTable
-
     truth = ResultTable(("stream", "revenue", "share"), (("ads", "search", "video"), (900, 700, 500), (0.5, 0.3, 0.2)))
     predicted = ResultTable(("a", "b"), (("ads", "search", "video"), (900, 700, 500)))
     score = score_result_pair(predicted, truth)
@@ -106,8 +107,6 @@ def test_04_precision_recall_formulas():
 
 
 def test_05_matching_oracle_200_randomized():
-    from sqlscore import cells_equal
-
     rng = random.Random(42)
     agreements = 0
     for _ in range(200):
@@ -128,39 +127,47 @@ def test_05_matching_oracle_200_randomized():
     ok(5, "maximum matching equals exhaustive oracle (200/200)")
 
 
-def _value_order(cell):
-    # nulls first, then numbers by value, then text; 2 and 2.0 tie
-    return (cell is not None, isinstance(cell, str), 0 if cell is None else cell)
+def _rows_biject(p_col, t_col) -> bool:
+    """Whether some ordering of ``t_col`` equals ``p_col`` cell by cell."""
+    return len(p_col) == len(t_col) and any(all(map(cells_equal, p_col, perm)) for perm in itertools.permutations(t_col))
 
 
-def test_05_matching_oracle_order_insensitive_200_randomized():
-    from sqlscore import ResultTable, cells_equal
-
-    rng = random.Random(43)
-    agreements = matched = 0
+def _check_order_insensitive_200(rng, make_table) -> int:
+    """Check 200 cases against the oracle; return how many matched a pair."""
+    matched = 0
     for i in range(200):
-        predicted = random_result_table(rng, max_columns=4, max_rows=6)
+        predicted = make_table(rng)
         if i % 2:
-            truth = random_result_table(rng, max_columns=4, max_rows=6)
+            truth = make_table(rng)
         else:  # the predicted columns reordered, each with its rows shuffled
             columns = [tuple(rng.sample(col, len(col))) for col in rng.sample(predicted.columns, predicted.column_count)]
             truth = ResultTable(tuple(f"t{j}" for j in range(len(columns))), tuple(columns))
         pairs = match_columns(predicted, truth, order_insensitive=True)
-        compat = [
-            [
-                predicted.row_count == truth.row_count
-                and all(cells_equal(x, y) for x, y in zip(sorted(p_col, key=_value_order), sorted(t_col, key=_value_order)))
-                for t_col in truth.columns
-            ]
-            for p_col in predicted.columns
-        ]
+        compat = [[_rows_biject(p_col, t_col) for t_col in truth.columns] for p_col in predicted.columns]
         assert len(pairs) == max_matching_oracle(compat)
         assert all(compat[p_idx][t_idx] for p_idx, t_idx in pairs)
-        agreements += 1
         matched += bool(pairs)
-    assert agreements == 200
+    return matched
+
+
+def test_05_matching_oracle_order_insensitive_200_randomized():
+    matched = _check_order_insensitive_200(random.Random(43), lambda rng: random_result_table(rng, max_columns=4, max_rows=6))
     assert matched >= 100  # every shuffled case matches
     ok(5, "order-insensitive matching equals exhaustive oracle (200/200)")
+
+
+def _trailing_whitespace_table(rng) -> ResultTable:
+    # cells_equal trims "b ", "b\n" to "b", and "b\t!" sorts between them as
+    # raw text; a pool this small makes equal multisets common
+    pool = ["b", "b ", "b\n", "b\t!"]
+    n_rows = rng.randint(0, 6)
+    columns = tuple(tuple(rng.choice(pool) for _ in range(n_rows)) for _ in range(rng.randint(1, 4)))
+    return ResultTable(tuple(f"c{i}" for i in range(len(columns))), columns)
+
+
+def test_05_matching_oracle_order_insensitive_trailing_whitespace():
+    assert _check_order_insensitive_200(random.Random(44), _trailing_whitespace_table) >= 100
+    ok(5, "order-insensitive matching equals exhaustive oracle on trimmed text (200/200)")
 
 
 def _permute_select_list(ast: SqlAst) -> SqlAst:

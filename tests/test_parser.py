@@ -169,9 +169,29 @@ class TestRoundTrip:
             assert parse(render(parse(sql))).root == parse(sql).root
 
 
+# Pieces that open, close or split tokens, so that drawn text often holds
+# quotes, escapes, comments, number forms and unusual whitespace; any other
+# character can still be drawn.
+SQL_FRAGMENTS = [
+    "select", "SELECT", "from", "where", "not", "in", "as", "with", "having", "x", "t1", "_",
+    "'", "''", '"', "`", "[", "]", "--", "/*", "*/", "0", "7", ".", "e", "E",
+    "+", "-", "*", "/", "%", "=", "<", ">", "!", "|", "(", ")", ",", ";",
+    " ", "\n", "\t", "\r", "\xa0", "　", "\x00", "\x0b", "\x1f", "\x85", "é",
+]
+sql_text = st.lists(st.one_of(st.sampled_from(SQL_FRAGMENTS), st.characters()), max_size=40).map("".join)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(max_size=80))
+@given(sql_text)
 def test_parse_arbitrary_text_never_crashes(text):
+    try:
+        tokens = tokenize(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+    else:
+        positions = [t.pos for t in tokens]
+        assert all(a < b for a, b in zip(positions, positions[1:]))
+        assert (tokens[-1].kind, tokens[-1].pos) == ("eof", len(text))
     try:
         ast = parse(text)
         assert ast.node_count >= 1
@@ -185,3 +205,52 @@ def test_tokenizer_positions_monotonic():
     positions = [t.pos for t in tokens]
     assert positions == sorted(positions)
     assert tokens[-1].kind == "eof"
+
+
+@pytest.mark.parametrize(
+    "sql, tokens",
+    [
+        ("SELECT 'a'''", [("kw", "select", 0), ("string", "a'", 7), ("eof", "", 12)]),
+        ("''''", [("string", "'", 0), ("eof", "", 4)]),
+        (
+            "SELECT .5, 1.e3, 1e+",
+            [
+                ("kw", "select", 0), ("number", ".5", 7), ("punct", ",", 9),
+                ("number", "1", 11), ("punct", ".", 12), ("ident", "e3", 13), ("punct", ",", 15),
+                ("number", "1", 17), ("ident", "e", 18), ("op", "+", 19), ("eof", "", 20),
+            ],
+        ),
+        ("1E5e", [("number", "1e5", 0), ("ident", "e", 3), ("eof", "", 4)]),
+        ("a -- c", [("ident", "a", 0), ("eof", "", 6)]),
+        ("x--c\ny", [("ident", "x", 0), ("ident", "y", 5), ("eof", "", 6)]),
+        ("/**/", [("eof", "", 4)]),
+        ("a　b\xa0c", [("ident", "a", 0), ("ident", "b", 2), ("ident", "c", 4), ("eof", "", 5)]),
+        ('"A b" [C]d `e`', [("qident", "A b", 0), ("qident", "C", 6), ("ident", "d", 9), ("qident", "e", 11), ("eof", "", 14)]),
+        ("a<>b", [("ident", "a", 0), ("op", "!=", 1), ("ident", "b", 3), ("eof", "", 4)]),
+        ("a!=b", [("ident", "a", 0), ("op", "!=", 1), ("ident", "b", 3), ("eof", "", 4)]),
+    ],
+)
+def test_tokens_pinned(sql, tokens):
+    assert [(t.kind, t.value, t.pos) for t in tokenize(sql)] == tokens
+
+
+@pytest.mark.parametrize(
+    "sql, message, position",
+    [
+        ("SELECT 'a''", "unterminated string literal", 7),
+        ("x 'é--f''", "unterminated string literal", 2),
+        ("x/* c", "unterminated block comment", 1),
+        ("a/*/b", "unterminated block comment", 1),
+        ("[a", "unterminated quoted identifier", 0),
+        ("`a", "unterminated quoted identifier", 0),
+        ('"a', "unterminated quoted identifier", 0),
+        ("SELECT é", "unexpected character 'é'", 7),
+        ("SELECT ٣1", "unexpected character '٣'", 7),
+        ("a||b|c", "unexpected character '|'", 4),
+        ("!", "unexpected character '!'", 0),
+    ],
+)
+def test_token_errors_pinned(sql, message, position):
+    with pytest.raises(ParseError) as exc_info:
+        tokenize(sql)
+    assert (exc_info.value.message, exc_info.value.position) == (message, position)

@@ -73,6 +73,12 @@ class TestMatchColumns:
         predicted = table(["x", 1.5, None, 2])
         assert match_columns(predicted, truth, order_insensitive=True) == [(0, 0)]
 
+    def test_order_insensitive_keys_text_as_compared(self):
+        # "b\n" equals "b", but as raw text it sorts after "b\t!"
+        predicted = table(["b\n", "b\t!"])
+        truth = table(["b", "b\t!"])
+        assert match_columns(predicted, truth, order_insensitive=True) == [(0, 0)]
+
     @pytest.mark.parametrize("seed", range(60))
     def test_matching_equals_exhaustive_oracle(self, seed):
         rng = random.Random(seed)
