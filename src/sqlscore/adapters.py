@@ -10,7 +10,8 @@ Any NL2SQL model can be hooked up through one of four adapters:
 
 Adapter failures (timeout, non-zero exit, bad response) degrade to an
 empty-SQL prediction that scores as invalid, never an aborted run; only an
-adapter that produced nothing at all raises AdapterError.
+adapter that produced nothing at all, or a predictions file that cannot be
+read, raises AdapterError.
 """
 
 from __future__ import annotations
@@ -86,7 +87,12 @@ def _schema_text(db_path: Path) -> str:
 
 def _load_predictions_file(path: str) -> dict:
     by_id: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise AdapterError(f"predictions file {path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise AdapterError(f"predictions file {path}: not UTF-8: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -96,6 +102,8 @@ def _load_predictions_file(path: str) -> dict:
             raise AdapterError(f"predictions file {path}, line {line_no}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or "id" not in record or "sql" not in record:
             raise AdapterError(f"predictions file {path}, line {line_no}: expected an object with 'id' and 'sql'")
+        if isinstance(record["id"], (list, dict)):
+            raise AdapterError(f"predictions file {path}, line {line_no}: 'id' must be a JSON scalar, not an array or an object")
         by_id[record["id"]] = record
     return by_id
 
@@ -106,10 +114,11 @@ def _run_subprocess(command: str, payload: dict, timeout_s: float) -> str:
             shlex.split(command),
             input=json.dumps(payload, ensure_ascii=False),
             capture_output=True,
-            text=True,
+            encoding="utf-8",
             timeout=timeout_s,
         )
-    except (subprocess.TimeoutExpired, OSError):
+    except (subprocess.TimeoutExpired, OSError, UnicodeError):
+        # UnicodeError: stdout that is not UTF-8 is no SQL text
         return ""
     if proc.returncode != 0:
         return ""

@@ -5,6 +5,12 @@ agrees (no partial credit within a column), predicted and truth columns are
 paired by a maximum one-to-one matching over all M x N combinations, and
 the pairing ignores labels entirely.  Precision is matched/|predicted
 columns|, recall is matched/|truth columns|, F1 their harmonic mean.
+
+The matcher compares cell by cell only the column pairs whose first cells
+can be equal: columns are bucketed by an exact key of their first cell, and
+a column whose first cell has no exact key (a non-integer float, say) is
+compared with every column.  The pruning is exact, so scores are the same
+as comparing all M x N pairs.
 """
 
 from __future__ import annotations
@@ -24,6 +30,11 @@ from .sqlast import ParseError, SqlAst
 DEFAULT_TIMEOUT_S = 10.0
 DEFAULT_ROW_CAP = 100_000
 DEFAULT_REL_TOL = 1e-9
+
+# below 2**29 two distinct integers are never within DEFAULT_REL_TOL of each other
+_EXACT_INT_BOUND = 2**29
+# below 2**53 every integer converts to float exactly, so native order is float order
+_NATIVE_SORT_BOUND = 2**53
 
 VERDICT_SCORED = "scored"
 VERDICT_EXECUTION_ERROR = "execution_error"
@@ -88,6 +99,8 @@ class ResultScore:
 def cells_equal(a: Cell, b: Cell) -> bool:
     """Cell equality: null=null, numbers within relative tolerance,
     text compared exactly after trimming trailing whitespace."""
+    if type(a) is type(b) and a == b:  # equal under every rule below; the common case
+        return True
     if a is None or b is None:
         return a is None and b is None
     a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
@@ -109,6 +122,32 @@ def _sort_key(cell: Cell):
     return (3, repr(cell))
 
 
+def _sorted_column(column: tuple[Cell, ...]) -> list[Cell]:
+    """The same list as ``sorted(column, key=_sort_key)``, mostly without a key function."""
+    rest = [c for c in column if c is not None]
+    kinds = set(map(type, rest))
+    if kinds <= {str}:
+        rest.sort(key=str.rstrip)
+    elif kinds <= {int, float} and all(-_NATIVE_SORT_BOUND < c < _NATIVE_SORT_BOUND for c in rest):
+        rest.sort()
+    else:
+        return sorted(column, key=_sort_key)
+    return [None] * (len(column) - len(rest)) + rest
+
+
+def _exact_key(cell: Cell):
+    """A key such that, for two cells that both have one, the keys are equal
+    exactly when ``cells_equal`` holds; None for cells that need tolerance."""
+    if cell is None:
+        return ()
+    kind = type(cell)
+    if kind is str:
+        return cell.rstrip()
+    if (kind is int or kind is float and cell.is_integer()) and -_EXACT_INT_BOUND < cell < _EXACT_INT_BOUND:
+        return int(cell)
+    return None
+
+
 def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive: bool = False) -> list[tuple[int, int]]:
     """Maximum one-to-one matching of predicted columns onto truth columns.
 
@@ -121,9 +160,27 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
         return []
     p_cols, t_cols = predicted.columns, truth.columns
     if order_insensitive:
-        p_cols = [sorted(c, key=_sort_key) for c in p_cols]
-        t_cols = [sorted(c, key=_sort_key) for c in t_cols]
-    compat = [[t_idx for t_idx, t_col in enumerate(t_cols) if all(map(cells_equal, p_col, t_col))] for p_col in p_cols]
+        p_cols = [_sorted_column(c) for c in p_cols]
+        t_cols = [_sorted_column(c) for c in t_cols]
+
+    # a pair can only be compatible when its first cells are equal, so each
+    # predicted column meets only the truth columns in its first cell's bucket
+    # and the loose ones, whose first cells have no exact key
+    every = range(len(t_cols))
+    buckets: dict[object, list[int]] = {}
+    loose: list[int] = []
+    if truth.row_count:
+        for t_idx, t_col in enumerate(t_cols):
+            key = _exact_key(t_col[0])
+            if key is None:
+                loose.append(t_idx)
+            else:
+                buckets.setdefault(key, []).append(t_idx)
+    compat = []
+    for p_col in p_cols:
+        key = _exact_key(p_col[0]) if truth.row_count else None
+        candidates = every if key is None else sorted(buckets.get(key, []) + loose)
+        compat.append([t_idx for t_idx in candidates if all(map(cells_equal, p_col, t_cols[t_idx]))])
 
     # augmenting-path maximum matching; column counts are small
     match_t: dict[int, int] = {}

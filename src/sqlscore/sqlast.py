@@ -55,9 +55,6 @@ class Node:
     def size(self) -> int:
         return sum(1 for _ in self.walk())
 
-    def find_all(self, kind: NodeKind) -> list["Node"]:
-        return [n for n in self.walk() if n.kind is kind]
-
     def replace_children(self, children: tuple["Node", ...]) -> "Node":
         return Node(self.kind, self.text, children)
 

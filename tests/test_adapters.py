@@ -1,11 +1,13 @@
 import json
+import re
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from sqlscore import AdapterError, get_predictions, parse_adapter_spec
+from sqlscore import AdapterError, evaluate, get_predictions, parse_adapter_spec
+from sqlscore.results import VERDICT_INVALID, VERDICT_SCORED
 
 
 def test_spec_parsing():
@@ -43,8 +45,19 @@ class TestFileAdapter:
 
     def test_bad_line_raises(self, questions, tmp_path):
         path = tmp_path / "preds.jsonl"
-        path.write_text('{"id": 0, "sql": "SELECT 1"}\nnot json\n', encoding="utf-8")
-        with pytest.raises(AdapterError, match="line 2"):
+        for bad_line in ("not json", '{"id": [1], "sql": "SELECT 1"}', '{"id": {"n": 1}, "sql": "SELECT 1"}'):
+            path.write_text('{"id": 0, "sql": "SELECT 1"}\n' + bad_line + "\n", encoding="utf-8")
+            with pytest.raises(AdapterError, match=re.escape(f"{path}, line 2")):
+                get_predictions(questions, f"file:{path}")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+    def test_unreadable_file_raises(self, questions, tmp_path, kind):
+        path = tmp_path / "preds.jsonl"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not utf-8":
+            path.write_bytes(b'{"id": 0, "sql": "SELECT \xff"}\n')
+        with pytest.raises(AdapterError, match=re.escape(f"predictions file {path}: ")):
             get_predictions(questions, f"file:{path}")
 
 
@@ -77,6 +90,19 @@ class TestSubprocessAdapter:
         )
         predictions = get_predictions(questions[:4], f"cmd:{sys.executable} {script}")
         assert [p.sql for p in predictions] == ["SELECT 1", "", "SELECT 1", ""]
+
+    def test_output_not_utf8_is_tolerated(self, questions, db_dir, tmp_path):
+        script = tmp_path / "garbling_model.py"
+        script.write_text(
+            "import json, sys\n"
+            "q = json.load(sys.stdin)\n"
+            f"sys.stdout.buffer.write(b'\\xff\\xfe' if q['id'] == {questions[1].id!r} else b'SELECT 1')\n",
+            encoding="utf-8",
+        )
+        predictions = get_predictions(questions[:3], f"cmd:{sys.executable} {script}")
+        assert [p.sql for p in predictions] == ["SELECT 1", "", "SELECT 1"]
+        verdicts = [r.result.verdict for r in evaluate(questions[:3], predictions, db_dir).instances]
+        assert verdicts == [VERDICT_SCORED, VERDICT_INVALID, VERDICT_SCORED]
 
 
 class _ConstantModel(BaseHTTPRequestHandler):

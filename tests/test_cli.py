@@ -197,6 +197,16 @@ class TestRun:
         assert code == 0
         assert "semantic= 1.0000" in out
 
+    def test_missing_predictions_file_exits_two(self, capsys, corpus_path, db_dir, tmp_path):
+        missing = tmp_path / "nonexistent.jsonl"
+        code, out, err = run_cli(
+            capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), "--adapter", f"file:{missing}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
+
 
 class TestValidate:
     def test_clean_fixtures_exit_zero(self, capsys, corpus_path, db_dir):

@@ -3,8 +3,8 @@ import sqlite3
 
 import pytest
 
-from sqlscore import ExecutionError, ResultTable, cells_equal, execute, match_columns, parse, score_result_pair
-from sqlscore.results import VERDICT_SCORED
+from sqlscore import ExecutionError, ResultTable, cells_equal, execute, match_columns, parse, results, score_result_pair
+from sqlscore.results import VERDICT_SCORED, _sort_key, _sorted_column
 
 from helpers import max_matching_oracle, random_result_table
 
@@ -35,6 +35,13 @@ class TestCellEquality:
 
     def test_text_never_equals_number(self):
         assert not cells_equal("1", 1)
+
+    def test_bool_is_not_a_number_and_nan_is_unequal(self):
+        assert cells_equal(True, True)
+        assert not cells_equal(True, 1)  # True == 1 in Python, but a bool is not a number here
+        assert not cells_equal(1.0, True)
+        assert not cells_equal(b"x", "x")
+        assert not cells_equal(float("nan"), float("nan"))
 
 
 class TestMatchColumns:
@@ -97,6 +104,97 @@ class TestMatchColumns:
         # sanity: every reported pair is actually compatible
         for p_idx, t_idx in pairs:
             assert compat[p_idx][t_idx]
+
+    def test_distinct_columns_compare_only_their_partner(self, monkeypatch):
+        calls = 0
+
+        def counting_cells_equal(a, b):
+            nonlocal calls
+            calls += 1
+            return cells_equal(a, b)
+
+        monkeypatch.setattr(results, "cells_equal", counting_cells_equal)
+        truth = table(*([7 * i] for i in range(320)))
+        order = list(range(320))
+        random.Random(5).shuffle(order)
+        predicted = table(*([7 * i] for i in order))
+        assert len(match_columns(predicted, truth)) == 320
+        assert calls <= 2 * 320  # all M x N pairs would be 102,400 calls
+
+
+# boundaries of the matcher's first-cell keys and of its native sort
+_BOUNDARY_POOL = [
+    None, "", "b", "b ", "b\n", 3, 3.0, 5, 5.000000001,
+    2**29 - 1, -(2**29 - 1), 2**29, -(2**29), 10**9, 10**9 + 1, 10**12, 10**12 + 1,
+    0.1 + 0.2, 0.3, 2**53, 2**53 + 1, float("inf"), True, b"x",
+]  # fmt: skip
+# cells that are equal under cells_equal but differ as Python values
+_EQUAL_GROUPS = [
+    ["b", "b ", "b\n"], [3, 3.0], [5, 5.000000001], [10**9, 10**9 + 1], [10**12, 10**12 + 1], [0.1 + 0.2, 0.3], [2**53, 2**53 + 1],
+]  # fmt: skip
+
+
+def _equal_variant(rng: random.Random, cell):
+    for group in _EQUAL_GROUPS:
+        if any(type(cell) is type(x) and cell == x for x in group):
+            return rng.choice(group)
+    return cell
+
+
+def _boundary_pair(rng: random.Random, order_insensitive: bool) -> tuple[ResultTable, ResultTable]:
+    n_rows = rng.randint(0, 4)
+    truth_columns = [[rng.choice(_BOUNDARY_POOL) for _ in range(n_rows)] for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.1:
+        n_rows = rng.randint(0, 4)
+    predicted_columns = []
+    for _ in range(rng.randint(1, 6)):
+        source = rng.choice(truth_columns)
+        if len(source) != n_rows or rng.random() < 0.25:
+            column = [rng.choice(_BOUNDARY_POOL) for _ in range(n_rows)]
+        else:
+            column = [_equal_variant(rng, cell) for cell in source]
+            if order_insensitive:
+                rng.shuffle(column)
+        predicted_columns.append(column)
+    return table(*predicted_columns), table(*truth_columns)
+
+
+def _reference_match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive: bool) -> list[tuple[int, int]]:
+    """All M x N pairs compared cell by cell, then augmenting-path matching."""
+    if predicted.row_count != truth.row_count:
+        return []
+    p_cols, t_cols = predicted.columns, truth.columns
+    if order_insensitive:
+        p_cols = [sorted(c, key=_sort_key) for c in p_cols]
+        t_cols = [sorted(c, key=_sort_key) for c in t_cols]
+    compat = [[t_idx for t_idx, t_col in enumerate(t_cols) if all(map(cells_equal, p_col, t_col))] for p_col in p_cols]
+    match_t: dict[int, int] = {}
+
+    def try_assign(p_idx: int, seen: set[int]) -> bool:
+        for t_idx in compat[p_idx]:
+            if t_idx in seen:
+                continue
+            seen.add(t_idx)
+            if t_idx not in match_t or try_assign(match_t[t_idx], seen):
+                match_t[t_idx] = p_idx
+                return True
+        return False
+
+    for p_idx in range(len(p_cols)):
+        try_assign(p_idx, set())
+    return sorted((p_idx, t_idx) for t_idx, p_idx in match_t.items())
+
+
+@pytest.mark.parametrize("order_insensitive", [False, True])
+def test_matching_equals_all_pairs_reference_on_boundary_cells(order_insensitive):
+    rng = random.Random(2029 + order_insensitive)
+    for _ in range(600):
+        predicted, truth = _boundary_pair(rng, order_insensitive)
+        expected = _reference_match_columns(predicted, truth, order_insensitive)
+        assert match_columns(predicted, truth, order_insensitive) == expected, (predicted, truth)
+        for column in predicted.columns + truth.columns:
+            typed = [(type(x), x) for x in _sorted_column(column)]
+            assert typed == [(type(x), x) for x in sorted(column, key=_sort_key)], column
 
 
 class TestScoreResultPair:
