@@ -31,6 +31,7 @@ from .runner import (
     EvalReport,
     InstanceResult,
     evaluate,
+    score_pair,
     validate_corpus,
 )
 from .semantic import CorpusError, ScoreBreakdown, SemanticScore, semantic_score_from_asts, semantic_similarity
@@ -83,6 +84,7 @@ __all__ = [
     "report_to_json",
     "report_to_markdown",
     "rewrite_time_anchor",
+    "score_pair",
     "score_result_pair",
     "semantic_score_from_asts",
     "semantic_similarity",

@@ -51,6 +51,8 @@ def question_from_mapping(raw: dict, index: int) -> BenchmarkQuestion:
             raise CorpusLoadError(f"instance {index}: field {name!r} must be a string")
     if raw["case_type"] not in CASE_TYPES:
         raise CorpusLoadError(f"instance {index}: unknown case_type {raw['case_type']!r}")
+    if isinstance(raw.get("id"), (list, dict)):
+        raise CorpusLoadError(f"instance {index}: 'id' must be a JSON scalar, not an array or an object")
     extra = {k: v for k, v in raw.items() if k not in _REQUIRED_FIELDS and k != "id"}
     return BenchmarkQuestion(
         db_id=raw["db_id"],
@@ -68,7 +70,7 @@ def load_corpus(path: str | Path) -> list[BenchmarkQuestion]:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusLoadError(f"cannot read corpus file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CorpusLoadError(f"corpus file {path} is not valid JSON: {exc}") from exc

@@ -2,10 +2,11 @@
 
 The matcher runs in two phases:
 
-1. bottom-up exact-subtree anchoring: identical subtrees (hashed with
-   order-insensitive child sets for select lists, GROUP BY keys and AND/OR
-   conjuncts) are paired greedily, largest first, so reordered query
-   components come out as moves instead of insert/delete pairs;
+1. bottom-up exact-subtree anchoring: identical subtrees are paired
+   greedily, largest first, so reordered query components come out as
+   moves instead of insert/delete pairs.  Subtrees are compared by interned
+   int keys, which take the children of select lists, GROUP BY keys and
+   AND/OR conjuncts as multisets;
 2. top-down pairing of the remaining equal-kind nodes, by equal text first
    and then by similarity of their descendants, which yields update and
    move operations.
@@ -19,7 +20,6 @@ one insert, not a move).
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -87,149 +87,152 @@ def _is_unordered(node: Node) -> bool:
 
 
 class _TreeIndex:
-    """Preorder tables for one tree: parents, positions, buckets, hashes."""
+    """Preorder tables for one tree, indexed by preorder position.
 
-    def __init__(self, root: Node):
-        self.root = root
+    ``parent`` is -1 for the root.  ``key[i]`` is an int, equal for two
+    subtrees exactly when they are equal up to the order of unordered nodes'
+    children: ``keys``, shared by both trees of one diff, interns
+    ``(kind, text, *child keys)`` with those child keys sorted.  The
+    descendants of ``i`` are the positions ``i + 1 .. i + size[i] - 1``.
+    """
+
+    def __init__(self, root: Node, keys: dict[tuple, int]):
         self.nodes: list[Node] = []
-        self.order: dict[int, int] = {}
-        self.parent: dict[int, Node | None] = {id(root): None}
-        self.child_index: dict[int, int] = {id(root): 0}
-        self.bucket: dict[int, str] = {}
-        self.key: dict[int, bytes] = {}
-        self.size: dict[int, int] = {}
-        self._descendant_keys: dict[int, Counter] = {}
-        self._build(root, "")
+        self.parent: list[int] = []
+        self.child_index: list[int] = []
+        self.children: list[list[int]] = []
+        self.bucket: list[str] = []
+        stack = [(root, -1, 0, "")]
+        while stack:
+            node, parent, child_index, bucket = stack.pop()
+            i = len(self.nodes)
+            self.nodes.append(node)
+            self.parent.append(parent)
+            self.child_index.append(child_index)
+            self.children.append([])
+            self.bucket.append(bucket)
+            if parent >= 0:
+                self.children[parent].append(i)
+            child_bucket = node.kind.value if node.kind in _CLAUSE_KINDS else bucket
+            stack.extend((node.children[c], i, c, child_bucket) for c in reversed(range(len(node.children))))
+        self.key = [0] * len(self.nodes)
+        self.size = [1] * len(self.nodes)
+        for i in reversed(range(len(self.nodes))):
+            node, kids = self.nodes[i], self.children[i]
+            child_keys = [self.key[c] for c in kids]
+            if _is_unordered(node):
+                child_keys.sort()
+            self.key[i] = keys.setdefault((node.kind, node.text, *child_keys), len(keys))
+            self.size[i] += sum(self.size[c] for c in kids)
 
-    def _build(self, node: Node, bucket: str) -> None:
-        self.order[id(node)] = len(self.nodes)
-        self.nodes.append(node)
-        self.bucket[id(node)] = bucket
-        child_bucket = node.kind.value if node.kind in _CLAUSE_KINDS else bucket
-        for i, child in enumerate(node.children):
-            self.parent[id(child)] = node
-            self.child_index[id(child)] = i
-            self._build(child, child_bucket)
-        child_keys = [self.key[id(c)] for c in node.children]
-        if _is_unordered(node):
-            child_keys.sort()
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(node.kind.value.encode())
-        digest.update(b"\x00")
-        digest.update(node.text.encode())
-        for ck in child_keys:
-            digest.update(ck)
-        self.key[id(node)] = digest.digest()
-        self.size[id(node)] = 1 + sum(self.size[id(c)] for c in node.children)
 
-    def descendant_keys(self, node: Node) -> Counter:
-        cached = self._descendant_keys.get(id(node))
-        if cached is None:
-            cached = Counter()
-            for child in node.children:
-                cached[self.key[id(child)]] += 1
-                cached.update(self.descendant_keys(child))
-            self._descendant_keys[id(node)] = cached
-        return cached
+def _dice(a: Counter, b: Counter) -> float:
+    total = a.total() + b.total()
+    return 2.0 * (a & b).total() / total if total else 0.0
 
 
 class _Matcher:
+    """Pairs truth and predicted positions; ``t2p``/``p2t`` hold -1 while unpaired."""
+
     def __init__(self, truth: Node, predicted: Node):
-        self.t = _TreeIndex(truth)
-        self.p = _TreeIndex(predicted)
-        self.t2p: dict[int, Node] = {}
-        self.p2t: dict[int, Node] = {}
+        keys: dict[tuple, int] = {}
+        self.t = _TreeIndex(truth, keys)
+        self.p = _TreeIndex(predicted, keys)
+        self.t2p = [-1] * len(self.t.nodes)
+        self.p2t = [-1] * len(self.p.nodes)
 
     # -- phase 1: exact subtree anchoring -----------------------------------
 
     def anchor_exact(self) -> None:
-        by_key: dict[bytes, list[Node]] = {}
-        for node in self.p.nodes:
-            by_key.setdefault(self.p.key[id(node)], []).append(node)
+        t, p = self.t, self.p
+        by_key: dict[int, list[int]] = {}
+        for j, key in enumerate(p.key):
+            by_key.setdefault(key, []).append(j)
 
-        for t_node in sorted(self.t.nodes, key=lambda n: (-self.t.size[id(n)], self.t.order[id(n)])):
-            if id(t_node) in self.t2p:
+        # largest first; the stable sort keeps preorder among equal sizes
+        for i in sorted(range(len(t.nodes)), key=lambda i: -t.size[i]):
+            if self.t2p[i] >= 0:
                 continue
             candidates = [
-                c
-                for c in by_key.get(self.t.key[id(t_node)], [])
-                if id(c) not in self.p2t
-                and self.p.bucket[id(c)] == self.t.bucket[id(t_node)]
-                and (c is self.p.root) == (t_node is self.t.root)
+                j
+                for j in by_key.get(t.key[i], ())
+                if self.p2t[j] < 0 and p.bucket[j] == t.bucket[i] and (j == 0) == (i == 0)
             ]
             if not candidates:
                 continue
-            chosen = min(candidates, key=lambda c: (not self._parents_paired(t_node, c), not self._same_position(t_node, c), self.p.order[id(c)]))
-            self._pair_subtree(t_node, chosen)
+            chosen = min(candidates, key=lambda j: (not self._parents_paired(i, j), not self._same_position(i, j), j))
+            self._pair_subtree(i, chosen)
 
-    def _parents_paired(self, t_node: Node, p_node: Node) -> bool:
-        tp = self.t.parent[id(t_node)]
-        pp = self.p.parent[id(p_node)]
-        if tp is None or pp is None:
-            return tp is None and pp is None
-        return self.t2p.get(id(tp)) is pp
+    def _parents_paired(self, i: int, j: int) -> bool:
+        tp = self.t.parent[i]
+        pp = self.p.parent[j]
+        if tp < 0 or pp < 0:
+            return tp == pp
+        return self.t2p[tp] == pp
 
-    def _same_position(self, t_node: Node, p_node: Node) -> bool:
-        return self.t.child_index[id(t_node)] == self.p.child_index[id(p_node)]
+    def _same_position(self, i: int, j: int) -> bool:
+        return self.t.child_index[i] == self.p.child_index[j]
 
-    def _pair_subtree(self, t_node: Node, p_node: Node) -> None:
-        self.t2p[id(t_node)] = p_node
-        self.p2t[id(p_node)] = t_node
-        if _is_unordered(t_node):
-            groups: dict[bytes, list[Node]] = {}
-            for pc in p_node.children:
-                groups.setdefault(self.p.key[id(pc)], []).append(pc)
-            for tc in t_node.children:
-                self._pair_subtree(tc, groups[self.t.key[id(tc)]].pop(0))
+    def _pair_subtree(self, i: int, j: int) -> None:
+        self.t2p[i] = j
+        self.p2t[j] = i
+        if _is_unordered(self.t.nodes[i]):
+            groups: dict[int, list[int]] = {}
+            for pc in self.p.children[j]:
+                groups.setdefault(self.p.key[pc], []).append(pc)
+            for tc in self.t.children[i]:
+                self._pair_subtree(tc, groups[self.t.key[tc]].pop(0))
         else:
-            for tc, pc in zip(t_node.children, p_node.children):
+            for tc, pc in zip(self.t.children[i], self.p.children[j]):
                 self._pair_subtree(tc, pc)
 
     # -- phase 2: top-down pairing of the remainder --------------------------
 
     def pair_remainder(self) -> None:
-        t_root, p_root = self.t.root, self.p.root
-        if id(t_root) not in self.t2p and id(p_root) not in self.p2t:
-            self.t2p[id(t_root)] = p_root
-            self.p2t[id(p_root)] = t_root
-            self._match_children(t_root, p_root)
+        if self.t2p[0] < 0 and self.p2t[0] < 0:
+            self._adopt(0, 0)
 
-    def _match_children(self, t_node: Node, p_node: Node) -> None:
-        t_free = [c for c in t_node.children if id(c) not in self.t2p]
-        p_free = [c for c in p_node.children if id(c) not in self.p2t]
+    def _match_children(self, i: int, j: int) -> None:
+        t, p = self.t, self.p
+        t_free = [c for c in t.children[i] if self.t2p[c] < 0]
+        p_free = [c for c in p.children[j] if self.p2t[c] < 0]
         if not t_free or not p_free:
             return
-        kinds = sorted({c.kind for c in t_free} & {c.kind for c in p_free}, key=lambda k: k.value)
-        unordered = _is_unordered(t_node)
+        kinds = sorted({t.nodes[c].kind for c in t_free} & {p.nodes[c].kind for c in p_free}, key=lambda k: k.value)
+        unordered = _is_unordered(t.nodes[i])
         for kind in kinds:
-            tl = [c for c in t_free if c.kind is kind and id(c) not in self.t2p]
-            pl = [c for c in p_free if c.kind is kind and id(c) not in self.p2t]
+            tl = [c for c in t_free if t.nodes[c].kind is kind]
+            pl = [c for c in p_free if p.nodes[c].kind is kind]
             if unordered:
                 self._pair_set_wise(tl, pl)
             else:
                 for tc, pc in zip(tl, pl):
                     self._adopt(tc, pc)
 
-    def _pair_set_wise(self, tl: list[Node], pl: list[Node]) -> None:
+    def _pair_set_wise(self, tl: list[int], pl: list[int]) -> None:
+        t, p = self.t, self.p
         # equal text first, in order
-        by_text: dict[str, list[Node]] = {}
+        by_text: dict[str, list[int]] = {}
         for pc in pl:
-            by_text.setdefault(pc.text, []).append(pc)
-        rest_t: list[Node] = []
+            by_text.setdefault(p.nodes[pc].text, []).append(pc)
+        rest_t: list[int] = []
         for tc in tl:
-            bucket = by_text.get(tc.text)
+            bucket = by_text.get(t.nodes[tc].text)
             if bucket:
                 self._adopt(tc, bucket.pop(0))
             else:
                 rest_t.append(tc)
-        rest_p = [pc for pc in pl if id(pc) not in self.p2t]
+        rest_p = [pc for pc in pl if self.p2t[pc] < 0]
         if not rest_t or not rest_p:
             return
-        # then most-similar descendants, deterministically greedy
+        # then most-similar descendants, deterministically greedy; no text
+        # is left on both sides here, so two leaves score 0
+        t_desc = [Counter(t.key[tc + 1 : tc + t.size[tc]]) for tc in rest_t]
+        p_desc = [Counter(p.key[pc + 1 : pc + p.size[pc]]) for pc in rest_p]
         scored = []
-        for ti, tc in enumerate(rest_t):
-            for pi, pc in enumerate(rest_p):
-                scored.append((-self._dice(tc, pc), abs(ti - pi), ti, pi))
+        for ti, td in enumerate(t_desc):
+            for pi, pd in enumerate(p_desc):
+                scored.append((-_dice(td, pd), abs(ti - pi), ti, pi))
         scored.sort()
         taken_t: set[int] = set()
         taken_p: set[int] = set()
@@ -240,36 +243,28 @@ class _Matcher:
             taken_p.add(pi)
             self._adopt(rest_t[ti], rest_p[pi])
 
-    def _adopt(self, t_node: Node, p_node: Node) -> None:
-        self.t2p[id(t_node)] = p_node
-        self.p2t[id(p_node)] = t_node
-        self._match_children(t_node, p_node)
-
-    def _dice(self, t_node: Node, p_node: Node) -> float:
-        td = self.t.descendant_keys(t_node)
-        pd = self.p.descendant_keys(p_node)
-        total = sum(td.values()) + sum(pd.values())
-        if total == 0:
-            return 1.0 if t_node.text == p_node.text else 0.0
-        common = sum((td & pd).values())
-        return 2.0 * common / total
+    def _adopt(self, i: int, j: int) -> None:
+        self.t2p[i] = j
+        self.p2t[j] = i
+        self._match_children(i, j)
 
     # -- classification ------------------------------------------------------
 
     def script(self) -> EditScript:
         ops: list[EditOp] = []
-        for t_node in self.t.nodes:
-            p_node = self.t2p.get(id(t_node))
+        for i, t_node in enumerate(self.t.nodes):
+            j = self.t2p[i]
+            p_node = self.p.nodes[j] if j >= 0 else None
             if p_node is None:
                 ops.append(EditOp(EditOpKind.DELETE, t_node.kind, source=t_node))
             elif t_node.text != p_node.text:
                 ops.append(EditOp(EditOpKind.UPDATE, t_node.kind, source=t_node, target=p_node))
-            elif self._parents_paired(t_node, p_node) and self._same_position(t_node, p_node):
+            elif self._parents_paired(i, j) and self._same_position(i, j):
                 ops.append(EditOp(EditOpKind.KEEP, t_node.kind, source=t_node, target=p_node))
             else:
                 ops.append(EditOp(EditOpKind.MOVE, t_node.kind, source=t_node, target=p_node))
-        for p_node in self.p.nodes:
-            if id(p_node) not in self.p2t:
+        for j, p_node in enumerate(self.p.nodes):
+            if self.p2t[j] < 0:
                 ops.append(EditOp(EditOpKind.INSERT, p_node.kind, target=p_node))
         return EditScript(tuple(ops))
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import sqlite3
@@ -5,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sqlscore import NodeKind, Prediction, evaluate, parse, render
+import pytest
+
+from sqlscore import DEFAULT_ANCHOR, EvalOptions, NodeKind, Prediction, evaluate, parse, render, score_pair
 from sqlscore.cli import main
 
 from helpers import add_column_alias, drop_select_column, rename_column_alias
@@ -74,7 +77,9 @@ class TestScore:
             pairs = [(q, sql) for q, sql in pairs if sql is not None]
             report = evaluate([q for q, _ in pairs], [Prediction(q.id, sql) for q, sql in pairs], db_dir)
             for (q, sql), r in zip(pairs, report.instances):
-                code, out, _ = run_cli(capsys, "score", q.query, sql, "--db", str(db_dir / f"{q.db_id}.sqlite"))
+                db_path = db_dir / f"{q.db_id}.sqlite"
+                assert score_pair(q.query, sql, db_path, DEFAULT_ANCHOR, EvalOptions()) == (r.semantic, r.result)
+                code, out, _ = run_cli(capsys, "score", q.query, sql, "--db", str(db_path))
                 assert code == 0
                 assert out.splitlines() == [
                     f"semantic: {r.semantic.value:.3f}",
@@ -233,6 +238,21 @@ class TestValidate:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("defect", ["array id", "not utf-8"])
+def test_malformed_corpus_exits_two(capsys, db_dir, tmp_path, command, defect):
+    corpus = tmp_path / "broken.json"
+    instance = {"db_id": "benchmark_1", "query": "SELECT 1", "question": "q", "language": "en", "case_type": "filtering"}
+    if defect == "array id":
+        corpus.write_text(json.dumps([dict(instance, id=[1])]), encoding="utf-8")
+    else:
+        corpus.write_bytes(json.dumps([instance]).encode("utf-8").replace(b"SELECT", b"SELECT\xff"))
+    code, out, err = run_cli(capsys, command, "--corpus", str(corpus), "--db-dir", str(db_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestFixturesCommand:
     def test_writes_corpus_and_databases(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "fixtures", "--out", str(tmp_path / "fx"))
@@ -253,3 +273,18 @@ def test_package_imports_without_site_packages():
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-S", "-c", "import sqlscore"], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parents[1] / "src" / "sqlscore"
+    outside = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside |= {f"{path.name}: {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names | {"sqlscore"}}
+    assert not outside

@@ -64,6 +64,20 @@ def test_duplicate_ids_rejected(tmp_path):
         load_corpus(write_corpus(tmp_path, payload))
 
 
+@pytest.mark.parametrize("bad_id", [[1], {"n": 1}], ids=["array", "object"])
+def test_non_scalar_id_names_instance(tmp_path, bad_id):
+    payload = [SAMPLE_INSTANCE, dict(SAMPLE_INSTANCE, id=bad_id)]
+    with pytest.raises(CorpusLoadError, match=r"instance 1: 'id' must be a JSON scalar"):
+        load_corpus(write_corpus(tmp_path, payload))
+
+
+def test_file_not_utf8(tmp_path):
+    path = tmp_path / "questions.json"
+    path.write_bytes(json.dumps([SAMPLE_INSTANCE]).encode("utf-8").replace(b"rta", b"rt\xff"))
+    with pytest.raises(CorpusLoadError, match="cannot read corpus file .*'utf-8' codec can't decode byte 0xff"):
+        load_corpus(path)
+
+
 def test_malformed_json(tmp_path):
     path = tmp_path / "questions.json"
     path.write_text('[{"db_id": ', encoding="utf-8")
