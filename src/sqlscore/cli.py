@@ -8,6 +8,7 @@ overrides the default clock anchor when --anchor is not given.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,6 +35,18 @@ def _resolve_anchor(value: str | None) -> str:
     if value:
         return value
     return os.environ.get("BIS_ANCHOR") or DEFAULT_ANCHOR.isoformat()
+
+
+def _seconds(text: str) -> float:
+    """argparse type of a timeout: a finite number of seconds above 0 (a NaN
+    deadline never passes; one at or before the start interrupts every query)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds above 0, got {text!r}")
+    return value
 
 
 def _fail(message: str) -> int:
@@ -151,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--db", help="fixture database; adds result-similarity scores")
     score.add_argument("--anchor", help=f"ISO-8601 clock anchor (default {DEFAULT_ANCHOR.isoformat()})")
     score.add_argument("--order-insensitive", action="store_true", help="sort column values before comparing")
-    score.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
+    score.add_argument("--timeout-s", type=_seconds, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
     score.set_defaults(func=cmd_score)
 
     run = sub.add_parser("run", help="evaluate a whole corpus")
@@ -160,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--adapter", default="identity", help="identity | file:preds.jsonl | cmd:command | http(s)://url")
     run.add_argument("--anchor", help="ISO-8601 clock anchor")
     run.add_argument("--order-insensitive", action="store_true")
-    run.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
-    run.add_argument("--adapter-timeout-s", type=float, default=DEFAULT_ADAPTER_TIMEOUT_S, help="per-question adapter timeout")
+    run.add_argument("--timeout-s", type=_seconds, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
+    run.add_argument("--adapter-timeout-s", type=_seconds, default=DEFAULT_ADAPTER_TIMEOUT_S, help="per-question adapter timeout")
     run.add_argument("--report-json")
     run.add_argument("--report-csv")
     run.add_argument("--report-md")

@@ -9,10 +9,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict
+from dataclasses import fields
 
 from .results import DEFAULT_REL_TOL, DEFAULT_ROW_CAP
 from .runner import Aggregate, EvalReport, InstanceResult
+from .semantic import ScoreBreakdown
+
+_BREAKDOWN_FIELDS = tuple(f.name for f in fields(ScoreBreakdown))
 
 
 def _aggregate_dict(aggregate: Aggregate) -> dict:
@@ -26,6 +29,8 @@ def _aggregate_dict(aggregate: Aggregate) -> dict:
 
 
 def _instance_dict(r: InstanceResult) -> dict:
+    """One instance's report fields, with ``semantic_breakdown`` left None:
+    only the JSON report writes it (see ``_instance_json``)."""
     out = {
         "id": r.question_id,
         "db_id": r.db_id,
@@ -45,12 +50,19 @@ def _instance_dict(r: InstanceResult) -> dict:
     if r.semantic is not None:
         out["semantic"] = r.semantic.value
         out["semantic_verdict"] = r.semantic.verdict
-        out["semantic_breakdown"] = asdict(r.semantic.breakdown)
     if r.result is not None:
         out["precision"] = r.result.precision
         out["recall"] = r.result.recall
         out["f1"] = r.result.f1
         out["result_verdict"] = r.result.verdict
+    return out
+
+
+def _instance_json(r: InstanceResult) -> dict:
+    out = _instance_dict(r)
+    if r.semantic is not None:
+        breakdown = r.semantic.breakdown
+        out["semantic_breakdown"] = {name: getattr(breakdown, name) for name in _BREAKDOWN_FIELDS}
     return out
 
 
@@ -68,7 +80,7 @@ def report_to_dict(report: EvalReport) -> dict:
             "by_case_type": {k: _aggregate_dict(v) for k, v in report.by_case_type.items()},
             "by_language": {k: _aggregate_dict(v) for k, v in report.by_language.items()},
         },
-        "instances": [_instance_dict(r) for r in report.instances],
+        "instances": [_instance_json(r) for r in report.instances],
         "corpus_errors": list(report.corpus_errors),
     }
 

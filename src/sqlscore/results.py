@@ -6,11 +6,12 @@ paired by a maximum one-to-one matching over all M x N combinations, and
 the pairing ignores labels entirely.  Precision is matched/|predicted
 columns|, recall is matched/|truth columns|, F1 their harmonic mean.
 
-The matcher compares cell by cell only the column pairs whose first cells
-can be equal: columns are bucketed by an exact key of their first cell, and
-a column whose first cell has no exact key (a non-integer float, say) is
-compared with every column.  The pruning is exact, so scores are the same
-as comparing all M x N pairs.
+The matcher compares cell by cell only the column pairs whose first
+non-NULL cells can be equal: columns are bucketed by the position of that
+cell and an exact key of it, and a column whose first non-NULL cell has no
+exact key (a non-integer float, say) is compared with every column.  NULL
+equals only NULL, so the pruning is exact in both row-order modes and scores
+are the same as comparing all M x N pairs.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class ResultTable:
 
     @classmethod
     def from_rows(cls, labels: list[str] | tuple[str, ...], rows: list[tuple]) -> "ResultTable":
-        columns = tuple(tuple(row[i] for row in rows) for i in range(len(labels)))
+        columns = tuple(zip(*rows)) if rows else ((),) * len(labels)
         return cls(tuple(labels), columns)
 
 
@@ -148,6 +149,17 @@ def _exact_key(cell: Cell):
     return None
 
 
+def _bucket_key(column) -> object:
+    """The position of a column's first non-NULL cell and that cell's exact
+    key, or the column's length when it is all NULL; None when that cell has
+    no exact key.  Columns that can be equal cell by cell have equal keys."""
+    for i, cell in enumerate(column):
+        if cell is not None:
+            key = _exact_key(cell)
+            return None if key is None else (i, key)
+    return len(column)
+
+
 def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive: bool = False) -> list[tuple[int, int]]:
     """Maximum one-to-one matching of predicted columns onto truth columns.
 
@@ -163,22 +175,21 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
         p_cols = [_sorted_column(c) for c in p_cols]
         t_cols = [_sorted_column(c) for c in t_cols]
 
-    # a pair can only be compatible when its first cells are equal, so each
-    # predicted column meets only the truth columns in its first cell's bucket
-    # and the loose ones, whose first cells have no exact key
+    # a compatible pair has its NULLs in the same rows and equal first
+    # non-NULL cells, so each predicted column meets only the truth columns
+    # in its own bucket and the loose ones, whose keys are None
     every = range(len(t_cols))
     buckets: dict[object, list[int]] = {}
     loose: list[int] = []
-    if truth.row_count:
-        for t_idx, t_col in enumerate(t_cols):
-            key = _exact_key(t_col[0])
-            if key is None:
-                loose.append(t_idx)
-            else:
-                buckets.setdefault(key, []).append(t_idx)
+    for t_idx, t_col in enumerate(t_cols):
+        key = _bucket_key(t_col)
+        if key is None:
+            loose.append(t_idx)
+        else:
+            buckets.setdefault(key, []).append(t_idx)
     compat = []
     for p_col in p_cols:
-        key = _exact_key(p_col[0]) if truth.row_count else None
+        key = _bucket_key(p_col)
         candidates = every if key is None else sorted(buckets.get(key, []) + loose)
         compat.append([t_idx for t_idx in candidates if all(map(cells_equal, p_col, t_cols[t_idx]))])
 

@@ -2,9 +2,10 @@
 
 Instances are scored one at a time in question order, so a run is a pure
 function of (corpus, predictions, options) and reports are byte-identical
-across repeated runs.  Each prediction is parsed once, and each distinct
-truth is parsed and executed once per run over one read-only connection per
-database.
+across repeated runs.  Each distinct truth is parsed and executed once per
+run over one read-only connection per database, and each distinct
+(database, truth, prediction) triple is scored once per run: questions that
+share one are given the same scores.
 
 A defective ground-truth query is a corpus error: the instance is excluded
 from every mean and reported as a warning, instead of punishing the model
@@ -212,11 +213,17 @@ def _score_instance(
     conn: sqlite3.Connection,
     anchor: datetime,
     options: EvalOptions,
+    scores: dict[tuple[str, str, str], tuple[SemanticScore, ResultScore]],
 ) -> InstanceResult:
+    """Score one question; ``scores`` holds the scores of each (db_id, truth
+    query, predicted SQL) seen so far in the run, and gains this one's."""
     if isinstance(truth, CorpusError):
         semantic, result, warning = None, None, str(truth)
     else:
-        semantic, result = _score_prediction(truth, predicted_sql, conn, anchor, options)
+        key = (question.db_id, question.query, predicted_sql)
+        if key not in scores:
+            scores[key] = _score_prediction(truth, predicted_sql, conn, anchor, options)
+        semantic, result = scores[key]
         warning = None
     return InstanceResult(
         question_id=question.id,
@@ -251,10 +258,11 @@ def evaluate(
             raise ConfigError(f"missing database file for db_id {db_id!r}: {_db_path(db_dir, db_id)}")
 
     by_id = {p.question_id: p.sql for p in predictions}
+    scores: dict[tuple[str, str, str], tuple[SemanticScore, ResultScore]] = {}
     with ExitStack() as stack:
         conns = _open_databases(stack, db_dir, {q.db_id for q in questions})
         instances = [
-            _score_instance(q, truth, by_id.get(q.id, by_id.get(str(q.id), "")), conns[q.db_id], instant, options)
+            _score_instance(q, truth, by_id.get(q.id, by_id.get(str(q.id), "")), conns[q.db_id], instant, options, scores)
             for q, truth in _truths(questions, conns, instant, options)
         ]
 

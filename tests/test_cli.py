@@ -253,6 +253,26 @@ def test_malformed_corpus_exits_two(capsys, db_dir, tmp_path, command, defect):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "SELECT 1", "SELECT 1", "--timeout-s"],
+        ["run", "--corpus", "q.json", "--db-dir", "db", "--timeout-s"],
+        ["run", "--corpus", "q.json", "--db-dir", "db", "--adapter-timeout-s"],
+    ],
+    ids=["score", "run", "run-adapter"],
+)
+def test_bad_timeout_exits_two(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [captured.err.splitlines()[-1]]
+    assert f"got {value!r}" in captured.err
+
+
 class TestFixturesCommand:
     def test_writes_corpus_and_databases(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "fixtures", "--out", str(tmp_path / "fx"))

@@ -121,6 +121,22 @@ class TestMatchColumns:
         assert len(match_columns(predicted, truth)) == 320
         assert calls <= 2 * 320  # all M x N pairs would be 102,400 calls
 
+    @pytest.mark.parametrize("order_insensitive", [False, True])
+    def test_nullable_columns_compare_only_their_partner(self, monkeypatch, order_insensitive):
+        calls = 0
+
+        def counting_cells_equal(a, b):
+            nonlocal calls
+            calls += 1
+            return cells_equal(a, b)
+
+        monkeypatch.setattr(results, "cells_equal", counting_cells_equal)
+        # 64 distinct columns of 100 rows, 80% NULL: sorted, each starts with 80 NULLs
+        truth = table(*([1000 * j + r if (r + j) % 5 == 0 else None for r in range(100)] for j in range(64)))
+        predicted = table(*reversed(truth.columns))
+        assert len(match_columns(predicted, truth, order_insensitive)) == 64
+        assert calls <= 64 * 100  # one full comparison per partner
+
 
 # boundaries of the matcher's first-cell keys and of its native sort
 _BOUNDARY_POOL = [
@@ -197,6 +213,38 @@ def test_matching_equals_all_pairs_reference_on_boundary_cells(order_insensitive
             assert typed == [(type(x), x) for x in sorted(column, key=_sort_key)], column
 
 
+def _nullable_pair(rng: random.Random, order_insensitive: bool) -> tuple[ResultTable, ResultTable]:
+    """Mixed-type columns, from none to all of their cells NULL; predicted
+    columns are equal variants of truth columns, some with one cell's NULL
+    added or taken away."""
+    n_rows = rng.randint(0, 12)
+    null_share = rng.choice([0.0, 0.3, 0.8, 0.95, 1.0])
+
+    def cell():
+        return None if rng.random() < null_share else rng.choice(_BOUNDARY_POOL)
+
+    truth_columns = [[cell() for _ in range(n_rows)] for _ in range(rng.randint(1, 6))]
+    predicted_columns = []
+    for _ in range(rng.randint(1, 6)):
+        column = [_equal_variant(rng, c) for c in rng.choice(truth_columns)]
+        if column and rng.random() < 0.3:
+            i = rng.randrange(n_rows)
+            column[i] = rng.choice(_BOUNDARY_POOL[1:]) if column[i] is None else None
+        if order_insensitive:
+            rng.shuffle(column)
+        predicted_columns.append(column)
+    return table(*predicted_columns), table(*truth_columns)
+
+
+@pytest.mark.parametrize("order_insensitive", [False, True])
+def test_matching_equals_all_pairs_reference_on_nullable_columns(order_insensitive):
+    rng = random.Random(4051 + order_insensitive)
+    for _ in range(600):
+        predicted, truth = _nullable_pair(rng, order_insensitive)
+        expected = _reference_match_columns(predicted, truth, order_insensitive)
+        assert match_columns(predicted, truth, order_insensitive) == expected, (predicted, truth)
+
+
 class TestScoreResultPair:
     def test_perfect_prediction(self):
         t = table([1, 2], ["x", "y"], [0.5, 0.25])
@@ -259,6 +307,12 @@ class TestExecute:
         )
         assert t.column_count == 1 and t.row_count == 1
         assert t.columns[0][0] == 7
+
+    def test_zero_rows_keep_every_column(self, db_dir):
+        result = execute("SELECT name, budget, campaign_id FROM campaigns WHERE campaign_id < 0", db_dir / "benchmark_1.sqlite")
+        assert result == ResultTable(("name", "budget", "campaign_id"), ((), (), ()))
+        assert (result.column_count, result.row_count) == (3, 0)
+        assert ResultTable.from_rows(["a", "b"], [(1, "x"), (2, None)]).columns == ((1, 2), ("x", None))
 
     def test_parse_failure_stage(self, db_dir):
         with pytest.raises(ExecutionError) as exc_info:

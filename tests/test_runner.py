@@ -15,7 +15,7 @@ from sqlscore import (
     report_to_json,
     validate_corpus,
 )
-from sqlscore import parser
+from sqlscore import parser, runner
 from sqlscore.results import VERDICT_EXECUTION_ERROR, VERDICT_INVALID
 
 
@@ -204,7 +204,7 @@ class TestTruthSharing:
         distinct = len({(q.db_id, q.query) for q in copies})
         calls = count_parse_calls(monkeypatch)
         evaluate(copies, identity_predictions(copies), db_dir)
-        assert len(calls) == distinct + len(copies)
+        assert len(calls) == 2 * distinct  # each truth once, each (db, truth, prediction) once
         calls.clear()
         assert validate_corpus(copies, db_dir) == []
         assert len(calls) == distinct
@@ -229,6 +229,48 @@ class TestTruthSharing:
         on_2 = BenchmarkQuestion("benchmark_2", query, "q", "en", "aggregation", id="on-2")
         report = evaluate([on_1, on_2, on_1], [Prediction("on-1", query), Prediction("on-2", query)], db_dir)
         assert [r.excluded for r in report.instances] == [False, True, False]
+
+
+def count_score_calls(monkeypatch) -> list:
+    """Wrap ``runner._score_prediction``; returns the list of (predicted SQL,
+    connection) pairs it is called with."""
+    original, calls = runner._score_prediction, []
+
+    def counting(truth, predicted_sql, db, anchor, options):
+        calls.append((predicted_sql, db))
+        return original(truth, predicted_sql, db, anchor, options)
+
+    monkeypatch.setattr(runner, "_score_prediction", counting)
+    return calls
+
+
+class TestScoreSharing:
+    def test_each_distinct_triple_scored_once(self, questions, db_dir, monkeypatch):
+        copies = tripled(questions)
+        predictions = [Prediction(c.id, p.sql) for c, p in zip(copies, mixed_predictions(questions) * 3)]
+        distinct = len({(c.db_id, c.query, p.sql) for c, p in zip(copies, predictions)})
+        calls = count_score_calls(monkeypatch)
+        report = evaluate(copies, predictions, db_dir)
+        assert len(calls) == distinct < len(copies)
+        assert [r.predicted_sql for r in report.instances] == [p.sql for p in predictions]
+        assert [r.question_id for r in report.instances] == [c.id for c in copies]
+
+    def test_same_texts_on_two_databases_scored_on_each(self, db_dir, monkeypatch):
+        query = "SELECT count(*) FROM sqlite_master WHERE type = 'table'"  # 5 tables in benchmark_1, 3 in benchmark_2
+        on_1 = BenchmarkQuestion("benchmark_1", query, "q", "en", "aggregation", id="on-1")
+        on_2 = BenchmarkQuestion("benchmark_2", query, "q", "en", "aggregation", id="on-2")
+        calls = count_score_calls(monkeypatch)
+        report = evaluate([on_1, on_2, on_1, on_2], [Prediction("on-1", "SELECT 5"), Prediction("on-2", "SELECT 5")], db_dir)
+        assert len(calls) == 2 and calls[0][1] is not calls[1][1]
+        assert [r.result.f1 for r in report.instances] == [1.0, 0.0, 1.0, 0.0]
+
+    def test_one_prediction_against_two_truths_scored_against_each(self, db_dir, monkeypatch):
+        one = BenchmarkQuestion("benchmark_1", "SELECT 1", "q", "en", "aggregation", id="one")
+        two = BenchmarkQuestion("benchmark_1", "SELECT 2", "q", "en", "aggregation", id="two")
+        calls = count_score_calls(monkeypatch)
+        report = evaluate([one, two, one, two], [Prediction("one", "SELECT 1"), Prediction("two", "SELECT 1")], db_dir)
+        assert len(calls) == 2
+        assert [r.result.f1 for r in report.instances] == [1.0, 0.0, 1.0, 0.0]
 
 
 class TestSharedConnection:
