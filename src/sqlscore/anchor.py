@@ -35,7 +35,8 @@ def rewrite_time_anchor(ast: SqlAst, anchor: str | datetime = DEFAULT_ANCHOR) ->
     ``current_date``/``current_time`` keep their granularity, and a ``'now'``
     argument inside the date/time function family is substituted in place,
     so ``datetime('now', '-14 days')`` keeps its modifier.  Idempotent;
-    trees without time functions pass through unchanged.
+    every subtree without a time function, and a tree without any, is
+    returned as the very same object.
     """
     instant = parse_anchor(anchor)
     ts = _timestamp_literal(instant)
@@ -51,10 +52,10 @@ def rewrite_time_anchor(ast: SqlAst, anchor: str | datetime = DEFAULT_ANCHOR) ->
             if node.text == "current_time" and not node.children:
                 return Node(NodeKind.LITERAL, f"'{instant.strftime('%H:%M:%S')}'")
             if node.text in TIME_VALUE_FUNCTIONS:
-                args = tuple(ts if a.kind is NodeKind.LITERAL and a.text == "'now'" else rewrite(a) for a in node.children)
-                return node.replace_children(args)
+                return node.map_children(lambda a: ts if a.kind is NodeKind.LITERAL and a.text == "'now'" else rewrite(a))
         if not node.children:
             return node
-        return node.replace_children(tuple(rewrite(c) for c in node.children))
+        return node.map_children(rewrite)
 
-    return SqlAst(rewrite(ast.root))
+    root = rewrite(ast.root)
+    return ast if root is ast.root else SqlAst(root)

@@ -21,7 +21,7 @@ from .parser import parse
 from .render import render
 from .report import report_to_csv, report_to_json, report_to_markdown, summary_text
 from .results import DEFAULT_TIMEOUT_S
-from .runner import ConfigError, EvalOptions, evaluate, score_pair, validate_corpus
+from .runner import ConfigError, EvalOptions, evaluate, score_pair, valid_timeout, validate_corpus
 from .semantic import CorpusError, semantic_similarity
 from .sqlast import ParseError
 
@@ -38,13 +38,12 @@ def _resolve_anchor(value: str | None) -> str:
 
 
 def _seconds(text: str) -> float:
-    """argparse type of a timeout: a finite number of seconds above 0 (a NaN
-    deadline never passes; one at or before the start interrupts every query)."""
+    """argparse type of a timeout: a finite number of seconds above 0."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0 < value < math.inf:
+    if not valid_timeout(value):
         raise argparse.ArgumentTypeError(f"expected a finite number of seconds above 0, got {text!r}")
     return value
 

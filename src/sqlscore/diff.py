@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .sqlast import Node, NodeKind, SqlAst
 
@@ -97,33 +98,41 @@ class _TreeIndex:
     """
 
     def __init__(self, root: Node, keys: dict[tuple, int]):
-        self.nodes: list[Node] = []
-        self.parent: list[int] = []
-        self.child_index: list[int] = []
-        self.children: list[list[int]] = []
-        self.bucket: list[str] = []
+        nodes: list[Node] = []
+        parent: list[int] = []
+        child_index: list[int] = []
+        children: list[list[int]] = []
+        bucket: list[str] = []
         stack = [(root, -1, 0, "")]
         while stack:
-            node, parent, child_index, bucket = stack.pop()
-            i = len(self.nodes)
-            self.nodes.append(node)
-            self.parent.append(parent)
-            self.child_index.append(child_index)
-            self.children.append([])
-            self.bucket.append(bucket)
-            if parent >= 0:
-                self.children[parent].append(i)
-            child_bucket = node.kind.value if node.kind in _CLAUSE_KINDS else bucket
-            stack.extend((node.children[c], i, c, child_bucket) for c in reversed(range(len(node.children))))
-        self.key = [0] * len(self.nodes)
-        self.size = [1] * len(self.nodes)
-        for i in reversed(range(len(self.nodes))):
-            node, kids = self.nodes[i], self.children[i]
-            child_keys = [self.key[c] for c in kids]
-            if _is_unordered(node):
-                child_keys.sort()
-            self.key[i] = keys.setdefault((node.kind, node.text, *child_keys), len(keys))
-            self.size[i] += sum(self.size[c] for c in kids)
+            node, up, index, clause = stack.pop()
+            i = len(nodes)
+            nodes.append(node)
+            parent.append(up)
+            child_index.append(index)
+            children.append([])
+            bucket.append(clause)
+            if up >= 0:
+                children[up].append(i)
+            kids = node.children
+            if kids:
+                if node.kind in _CLAUSE_KINDS:
+                    clause = node.kind.value
+                stack.extend(zip(reversed(kids), repeat(i), range(len(kids) - 1, -1, -1), repeat(clause)))
+        key = [0] * len(nodes)
+        size = [1] * len(nodes)
+        for i in reversed(range(len(nodes))):
+            node, kids = nodes[i], children[i]
+            if kids:
+                child_keys = list(map(key.__getitem__, kids))
+                if _is_unordered(node):
+                    child_keys.sort()
+                key[i] = keys.setdefault((node.kind, node.text, *child_keys), len(keys))
+                size[i] = kids[-1] + size[kids[-1]] - i  # the last child's subtree ends this one
+            else:
+                key[i] = keys.setdefault((node.kind, node.text), len(keys))
+        self.nodes, self.parent, self.child_index, self.children = nodes, parent, child_index, children
+        self.bucket, self.key, self.size = bucket, key, size
 
 
 def _dice(a: Counter, b: Counter) -> float:

@@ -17,9 +17,7 @@ literals.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .sqlast import Node, NodeKind, ParseError, SqlAst, from_items
 
@@ -44,31 +42,44 @@ UNSUPPORTED = {
 BARE_TIME_FUNCTIONS = {"current_timestamp", "current_date", "current_time"}
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_QUOTED_NAME_RE = re.compile(r'"[^"]*(?:""[^"]*)*"(?!")')  # a quote inside is doubled
 
-# The lexical grammar; alternatives are tried in order at each offset.  A
-# string closes on a quote that is not doubled: ``(?!')`` stops backtracking
-# from closing it on the first half of a ``''`` escape (Python 3.10 has no
-# possessive quantifiers).  ``unterminated`` matches only an opener whose
-# token could not be closed.
+# The lexical grammar.  Each match is any run of whitespace and comments,
+# then one token; alternatives are tried in order.  A string, and a name in
+# double quotes or backticks, closes on a quote that is not doubled: ``(?!')``
+# stops backtracking from closing it on the first half of a ``''`` escape
+# (Python 3.10 has no possessive quantifiers).  Brackets have no escape.
+# ``unterminated`` matches only an opener whose token could not be closed,
+# and ``bad`` any other character.  The token is optional, so trailing
+# whitespace and comments match without one and no match can fail (or
+# backtrack into the prefix).
 _TOKEN_RE = re.compile(
     r"""
-    (?P<skip>\s+|--[^\n]*|/\*.*?\*/)
+    (?:\s+|--[^\n]*|/\*.*?\*/)*
+    (?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)
     |(?P<string>'[^']*(?:''[^']*)*'(?!'))
-    |(?P<qident>"[^"]*"|`[^`]*`|\[[^\]]*\])
+    |(?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
     |(?P<unterminated>/\*|['"`[])
     |(?P<number>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
-    |(?P<word>[A-Za-z_][A-Za-z0-9_]*)
     |(?P<op><=|>=|!=|<>|\|\||[=<>+\-*/%])
     |(?P<punct>[(),.;])
+    |(?P<bad>.)
+    )?
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 _UNTERMINATED = {"/*": "block comment", "'": "string literal"}  # else a quoted identifier
 
+_RESERVED = KEYWORDS | UNSUPPORTED
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
+    """One token: a named tuple, so it unpacks and compares as ``(kind, value, pos)``.
+
+    ``pos`` is the offset in the source where the token's own text starts.
+    """
+
     kind: str  # kw | ident | qident | string | number | op | punct | eof
     value: str
     pos: int
@@ -76,40 +87,50 @@ class Token:
 
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
-    i, n = 0, len(sql)
-    while i < n:
-        m = _TOKEN_RE.match(sql, i)
-        if m is None:
-            raise ParseError(f"unexpected character {sql[i]!r}", i)
-        start, i = i, m.end()
-        kind, text = m.lastgroup, m.group()
-        if kind == "skip":
+    for m in _TOKEN_RE.finditer(sql):
+        kind = m.lastgroup
+        if kind is None:  # trailing whitespace and comments
             continue
-        if kind == "unterminated":
-            raise ParseError(f"unterminated {_UNTERMINATED.get(text, 'quoted identifier')}", start)
+        text, start = m.group(kind), m.start(kind)
         if kind == "word":
             text = text.lower()
-            kind = "kw" if text in KEYWORDS or text in UNSUPPORTED else "ident"
+            kind = "kw" if text in _RESERVED else "ident"
         elif kind == "string":
             text = text[1:-1].replace("''", "'")
         elif kind == "qident":
-            text = text[1:-1]
+            quote = text[0]
+            text = text[1:-1] if quote == "[" else text[1:-1].replace(quote * 2, quote)
         elif kind == "number":
             text = text.lower()
+        elif kind == "unterminated":
+            raise ParseError(f"unterminated {_UNTERMINATED.get(text, 'quoted identifier')}", start)
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", start)
         elif text == "<>":
             text = "!="
         tokens.append(Token(kind, text, start))
-    tokens.append(Token("eof", "", n))
+    tokens.append(Token("eof", "", len(sql)))
     return tokens
 
 
 _COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
+_PREDICATE_WORDS = {"not", "in", "like", "between", "is"}
+_ADDITIVE = {"+", "-", "||"}
+_MULTIPLICATIVE = {"*", "/", "%"}
 
 
 MAX_NESTING_DEPTH = 64
 
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    The hot productions read ``self.tokens[self.pos]`` once and dispatch on
+    its kind; they step ``pos`` past a token they have checked, which is
+    never eof.  A production that calls ``_deeper`` lowers ``depth`` again
+    only on return: a ParseError ends the whole parse.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -122,56 +143,41 @@ class _Parser:
         if self.depth > MAX_NESTING_DEPTH:
             raise self.error("statement nesting too deep")
 
-    @contextmanager
-    def _nested(self):
-        self._deeper()
-        try:
-            yield
-        finally:
-            self.depth -= 1
-
     # -- token helpers -----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        # advance() never moves past eof, and peek(1) is only asked at a NOT
-        return self.tokens[self.pos + offset]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "kw" and tok.value in words
 
     def accept_kw(self, *words: str) -> bool:
         if self.at_kw(*words):
-            self.advance()
+            self.pos += 1
             return True
         return False
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "kw" and tok.value == word:
-            return self.advance()
-        raise self.error(f"expected {word.upper()}")
+    def expect_kw(self, word: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok.kind != "kw" or tok.value != word:
+            raise self.error(f"expected {word.upper()}")
+        self.pos += 1
 
     def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "punct" and tok.value == ch
 
     def accept_punct(self, ch: str) -> bool:
         if self.at_punct(ch):
-            self.advance()
+            self.pos += 1
             return True
         return False
 
-    def expect_punct(self, ch: str) -> Token:
-        if self.at_punct(ch):
-            return self.advance()
-        raise self.error(f"expected {ch!r}")
+    def expect_punct(self, ch: str) -> None:
+        if not self.at_punct(ch):
+            raise self.error(f"expected {ch!r}")
+        self.pos += 1
 
     def error(self, message: str) -> ParseError:
         tok = self.peek()
@@ -180,24 +186,34 @@ class _Parser:
         detail = f"near {tok.value!r}" if tok.kind != "eof" else "at end of input"
         return ParseError(f"{message} {detail}", tok.pos)
 
+    def _comma_list(self, parse_item: Callable[[], Node]) -> list[Node]:
+        items = [parse_item()]
+        tok = self.tokens[self.pos]
+        while tok.kind == "punct" and tok.value == ",":
+            self.pos += 1
+            items.append(parse_item())
+            tok = self.tokens[self.pos]
+        return items
+
     # -- identifiers -------------------------------------------------------
 
     def identifier(self, what: str = "identifier") -> str:
         """A possibly-quoted name, normalized.
 
         Quoted names that are already lower-case plain identifiers lose
-        their quotes; anything else keeps them so case survives exactly.
+        their quotes; anything else keeps them so case survives exactly,
+        in double quotes with any ``"`` inside doubled.
         """
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "ident":
-            self.advance()
+            self.pos += 1
             return tok.value
         if tok.kind == "qident":
-            self.advance()
+            self.pos += 1
             name = tok.value
-            if _IDENT_RE.match(name) and name == name.lower() and name not in KEYWORDS and name not in UNSUPPORTED:
+            if _IDENT_RE.match(name) and name == name.lower() and name not in _RESERVED:
                 return name
-            return f'"{name}"'
+            return '"' + name.replace('"', '""') + '"'
         raise self.error(f"expected {what}")
 
     # -- statement ---------------------------------------------------------
@@ -218,57 +234,44 @@ class _Parser:
         return select.replace_children(tuple(ctes) + select.children)
 
     def parse_select_core(self) -> Node:
-        with self._nested():
-            self.expect_kw("select")
-            quantifier = ""
-            if self.accept_kw("distinct"):
-                quantifier = "distinct"
-            else:
-                self.accept_kw("all")
-            items = [self.parse_select_item()]
-            while self.accept_punct(","):
-                items.append(self.parse_select_item())
-            children: list[Node] = [Node(NodeKind.SELECT_LIST, quantifier, tuple(items))]
-
-            if self.accept_kw("from"):
-                children.append(self.parse_from_item())
-                while self.accept_punct(","):
-                    children.append(self.parse_from_item())
-            if self.accept_kw("where"):
-                children.append(Node(NodeKind.WHERE, "", (self.parse_expr(),)))
-            if self.at_kw("group"):
-                self.advance()
-                self.expect_kw("by")
-                keys = [self.parse_expr()]
-                while self.accept_punct(","):
-                    keys.append(self.parse_expr())
-                children.append(Node(NodeKind.GROUP_BY, "", tuple(keys)))
-            if self.at_kw("order"):
-                self.advance()
-                self.expect_kw("by")
-                keys = [self.parse_order_item()]
-                while self.accept_punct(","):
-                    keys.append(self.parse_order_item())
-                children.append(Node(NodeKind.ORDER_BY, "", tuple(keys)))
-            if self.accept_kw("limit"):
-                limits = [self.parse_expr()]
-                if self.accept_kw("offset"):
-                    limits.append(self.parse_expr())
-                children.append(Node(NodeKind.LIMIT, "", tuple(limits)))
-            return Node(NodeKind.STATEMENT, "", tuple(children))
+        self._deeper()
+        self.expect_kw("select")
+        quantifier = ""
+        if self.accept_kw("distinct"):
+            quantifier = "distinct"
+        else:
+            self.accept_kw("all")
+        children = [Node(NodeKind.SELECT_LIST, quantifier, tuple(self._comma_list(self.parse_select_item)))]
+        if self.accept_kw("from"):
+            children += self._comma_list(self.parse_from_item)
+        if self.accept_kw("where"):
+            children.append(Node(NodeKind.WHERE, "", (self.parse_expr(),)))
+        if self.accept_kw("group"):
+            self.expect_kw("by")
+            children.append(Node(NodeKind.GROUP_BY, "", tuple(self._comma_list(self.parse_expr))))
+        if self.accept_kw("order"):
+            self.expect_kw("by")
+            children.append(Node(NodeKind.ORDER_BY, "", tuple(self._comma_list(self.parse_order_item))))
+        if self.accept_kw("limit"):
+            limits = [self.parse_expr()]
+            if self.accept_kw("offset"):
+                limits.append(self.parse_expr())
+            children.append(Node(NodeKind.LIMIT, "", tuple(limits)))
+        self.depth -= 1
+        return Node(NodeKind.STATEMENT, "", tuple(children))
 
     def parse_select_item(self) -> Node:
-        if self.peek().kind == "op" and self.peek().value == "*":
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.value == "*":
+            self.pos += 1
             return Node(NodeKind.COLUMN_REF, "*")
         expr = self.parse_expr()
-        alias = None
-        if self.accept_kw("as"):
-            alias = self.identifier("alias name")
-        elif self.peek().kind in ("ident", "qident"):
-            alias = self.identifier()
-        if alias is not None:
-            return Node(NodeKind.ALIAS, alias, (expr,))
+        tok = self.tokens[self.pos]
+        if tok.kind == "kw" and tok.value == "as":
+            self.pos += 1
+            return Node(NodeKind.ALIAS, self.identifier("alias name"), (expr,))
+        if tok.kind == "ident" or tok.kind == "qident":
+            return Node(NodeKind.ALIAS, self.identifier(), (expr,))
         return expr
 
     def parse_order_item(self) -> Node:
@@ -326,9 +329,6 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def parse_expr(self) -> Node:
-        return self.parse_or()
-
     def _nary(self, op: str, parts: list[Node]) -> Node:
         flat: list[Node] = []
         for part in parts:
@@ -336,93 +336,105 @@ class _Parser:
                 flat.extend(part.children)
             else:
                 flat.append(part)
-        if len(flat) == 1:
-            return flat[0]
         return Node(NodeKind.OPERATOR, op, tuple(flat))
 
     def parse_or(self) -> Node:
         parts = [self.parse_and()]
-        while self.accept_kw("or"):
+        tok = self.tokens[self.pos]
+        while tok.kind == "kw" and tok.value == "or":
+            self.pos += 1
             parts.append(self.parse_and())
-        return self._nary("or", parts)
+            tok = self.tokens[self.pos]
+        return parts[0] if len(parts) == 1 else self._nary("or", parts)
+
+    parse_expr = parse_or
 
     def parse_and(self) -> Node:
         parts = [self.parse_not()]
-        while self.accept_kw("and"):
+        tok = self.tokens[self.pos]
+        while tok.kind == "kw" and tok.value == "and":
+            self.pos += 1
             parts.append(self.parse_not())
-        return self._nary("and", parts)
+            tok = self.tokens[self.pos]
+        return parts[0] if len(parts) == 1 else self._nary("and", parts)
 
     def parse_not(self) -> Node:
-        if self.accept_kw("not"):
-            with self._nested():
-                return Node(NodeKind.OPERATOR, "not", (self.parse_not(),))
+        tok = self.tokens[self.pos]
+        if tok.kind == "kw" and tok.value == "not":
+            self.pos += 1
+            self._deeper()
+            node = Node(NodeKind.OPERATOR, "not", (self.parse_not(),))
+            self.depth -= 1
+            return node
         return self.parse_predicate()
 
     def parse_predicate(self) -> Node:
         left = self.parse_additive()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value in _COMPARISONS:
-            self.advance()
-            right = self.parse_additive()
-            return Node(NodeKind.OPERATOR, tok.value, (left, right))
-        negated = False
-        if self.at_kw("not") and self.peek(1).kind == "kw" and self.peek(1).value in ("in", "like", "between"):
-            self.advance()
-            negated = True
-        if self.accept_kw("in"):
-            op = "not in" if negated else "in"
+        tok = self.tokens[self.pos]
+        if tok.kind == "op":
+            if tok.value not in _COMPARISONS:
+                return left
+            self.pos += 1
+            return Node(NodeKind.OPERATOR, tok.value, (left, self.parse_additive()))
+        if tok.kind != "kw" or tok.value not in _PREDICATE_WORDS:
+            return left
+        op = tok.value
+        if op == "not":
+            tok = self.tokens[self.pos + 1]
+            if tok.kind != "kw" or tok.value not in ("in", "like", "between"):
+                return left
+            self.pos += 1
+            op = "not " + tok.value
+        self.pos += 1
+        if op == "is":
+            negated = self.accept_kw("not")
+            self.expect_kw("null")
+            return Node(NodeKind.OPERATOR, "is not null" if negated else "is null", (left,))
+        if tok.value == "in":
             self.expect_punct("(")
             if self.at_kw("select", "with"):
                 sub = self.parse_select_core()
                 self.expect_punct(")")
                 return Node(NodeKind.OPERATOR, op, (left, sub))
-            with self._nested():
-                items = [self.parse_expr()]
-                while self.accept_punct(","):
-                    items.append(self.parse_expr())
+            self._deeper()
+            items = self._comma_list(self.parse_expr)
+            self.depth -= 1
             self.expect_punct(")")
             return Node(NodeKind.OPERATOR, op, (left, *items))
-        if self.accept_kw("like"):
-            op = "not like" if negated else "like"
+        if tok.value == "like":
             return Node(NodeKind.OPERATOR, op, (left, self.parse_additive()))
-        if self.accept_kw("between"):
-            op = "not between" if negated else "between"
-            low = self.parse_additive()
-            self.expect_kw("and")
-            high = self.parse_additive()
-            return Node(NodeKind.OPERATOR, op, (left, low, high))
-        if negated:
-            raise self.error("expected IN, LIKE or BETWEEN after NOT")
-        if self.accept_kw("is"):
-            negated = self.accept_kw("not")
-            self.expect_kw("null")
-            return Node(NodeKind.OPERATOR, "is not null" if negated else "is null", (left,))
-        return left
+        low = self.parse_additive()
+        self.expect_kw("and")
+        high = self.parse_additive()
+        return Node(NodeKind.OPERATOR, op, (left, low, high))
 
     def parse_additive(self) -> Node:
-        return self._left_chain(("+", "-", "||"), self.parse_multiplicative)
+        return self._left_chain(_ADDITIVE, self.parse_multiplicative)
 
     def parse_multiplicative(self) -> Node:
-        return self._left_chain(("*", "/", "%"), self.parse_unary)
+        return self._left_chain(_MULTIPLICATIVE, self.parse_unary)
 
-    def _left_chain(self, ops: tuple[str, ...], parse_operand: Callable[[], Node]) -> Node:
+    def _left_chain(self, ops: set[str], parse_operand: Callable[[], Node]) -> Node:
         # each fold deepens the left-deep tree by one level, so it counts
         # against the nesting limit until the chain ends
         left = parse_operand()
+        tok = self.tokens[self.pos]
         depth = self.depth
-        while self.peek().kind == "op" and self.peek().value in ops:
-            op = self.advance().value
+        while tok.kind == "op" and tok.value in ops:
+            self.pos += 1
             self._deeper()
-            left = Node(NodeKind.OPERATOR, op, (left, parse_operand()))
+            left = Node(NodeKind.OPERATOR, tok.value, (left, parse_operand()))
+            tok = self.tokens[self.pos]
         self.depth = depth
         return left
 
     def parse_unary(self) -> Node:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "op" and tok.value in ("+", "-"):
-            self.advance()
-            with self._nested():
-                operand = self.parse_unary()
+            self.pos += 1
+            self._deeper()
+            operand = self.parse_unary()
+            self.depth -= 1
             if tok.value == "+":
                 return operand
             if operand.kind is NodeKind.LITERAL and operand.text[:1].isdigit():
@@ -431,67 +443,72 @@ class _Parser:
         return self.parse_primary()
 
     def parse_primary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "string":
-            self.advance()
-            quoted = tok.value.replace("'", "''")
-            return Node(NodeKind.LITERAL, f"'{quoted}'")
-        if tok.kind == "number":
-            self.advance()
-            return Node(NodeKind.LITERAL, tok.value)
-        if self.accept_kw("null"):
-            return Node(NodeKind.LITERAL, "null")
-        if self.accept_kw("cast"):
-            self.expect_punct("(")
-            with self._nested():
-                value = self.parse_expr()
-            self.expect_kw("as")
-            type_name = self.identifier("type name")
-            self.expect_punct(")")
-            return Node(NodeKind.FUNCTION_CALL, "cast", (value, Node(NodeKind.LITERAL, type_name)))
-        if self.accept_punct("("):
-            with self._nested():
-                if self.at_kw("select", "with"):
-                    sub = self.parse_select_core()
-                    self.expect_punct(")")
-                    return sub
-                expr = self.parse_expr()
-                self.expect_punct(")")
-                return expr
-        if tok.kind in ("ident", "qident"):
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "ident" or kind == "qident":
             name = self.identifier()
-            if self.at_punct("("):
-                with self._nested():
-                    return self.parse_function_call(name)
+            nxt = self.tokens[self.pos]
+            if nxt.kind == "punct" and nxt.value == "(":
+                return self.parse_function_call(name)
             if name in BARE_TIME_FUNCTIONS:
                 return Node(NodeKind.FUNCTION_CALL, name)
-            if self.accept_punct("."):
-                nxt = self.peek()
+            if nxt.kind == "punct" and nxt.value == ".":
+                self.pos += 1
+                nxt = self.tokens[self.pos]
                 if nxt.kind == "op" and nxt.value == "*":
-                    self.advance()
+                    self.pos += 1
                     return Node(NodeKind.COLUMN_REF, f"{name}.*")
                 column = self.identifier("column name")
                 return Node(NodeKind.COLUMN_REF, f"{name}.{column}")
             return Node(NodeKind.COLUMN_REF, name)
+        if kind == "number":
+            self.pos += 1
+            return Node(NodeKind.LITERAL, tok.value)
+        if kind == "string":
+            self.pos += 1
+            quoted = tok.value.replace("'", "''")
+            return Node(NodeKind.LITERAL, f"'{quoted}'")
+        if kind == "kw":
+            if tok.value == "null":
+                self.pos += 1
+                return Node(NodeKind.LITERAL, "null")
+            if tok.value == "cast":
+                self.pos += 1
+                self.expect_punct("(")
+                self._deeper()
+                value = self.parse_expr()
+                self.depth -= 1
+                self.expect_kw("as")
+                type_name = self.identifier("type name")
+                self.expect_punct(")")
+                return Node(NodeKind.FUNCTION_CALL, "cast", (value, Node(NodeKind.LITERAL, type_name)))
+        elif kind == "punct" and tok.value == "(":
+            self.pos += 1
+            self._deeper()
+            expr = self.parse_select_core() if self.at_kw("select", "with") else self.parse_expr()
+            self.expect_punct(")")
+            self.depth -= 1
+            return expr
         raise self.error("expected expression")
 
     def parse_function_call(self, name: str) -> Node:
-        self.expect_punct("(")
-        if self.accept_punct(")"):
+        self._deeper()
+        self.pos += 1  # the "(" the caller saw
+        tok = self.tokens[self.pos]
+        if tok.kind == "punct" and tok.value == ")":
+            self.pos += 1
+            self.depth -= 1
             return Node(NodeKind.FUNCTION_CALL, name)
-        args: list[Node] = []
-        if self.peek().kind == "op" and self.peek().value == "*":
-            self.advance()
-            args.append(Node(NodeKind.COLUMN_REF, "*"))
+        if tok.kind == "op" and tok.value == "*":
+            self.pos += 1
+            args = [Node(NodeKind.COLUMN_REF, "*")]
         else:
             distinct = self.accept_kw("distinct")
-            first = self.parse_expr()
+            args = self._comma_list(self.parse_expr)
             if distinct:
-                first = Node(NodeKind.OPERATOR, "distinct", (first,))
-            args.append(first)
-            while self.accept_punct(","):
-                args.append(self.parse_expr())
+                args[0] = Node(NodeKind.OPERATOR, "distinct", (args[0],))
         self.expect_punct(")")
+        self.depth -= 1
         return Node(NodeKind.FUNCTION_CALL, name, tuple(args))
 
 
@@ -525,9 +542,10 @@ def _from_map(statement: Node) -> tuple[dict[str, str], dict[str, int]]:
 def split_qualified(text: str) -> tuple[str | None, str]:
     """Split a column-ref text into (qualifier, column); qualifier may be quoted."""
     if text.startswith('"'):
-        end = text.find('"', 1)
-        if end > 0 and text[end + 1 : end + 2] == ".":
-            return text[: end + 1], text[end + 2 :]
+        quoted = _QUOTED_NAME_RE.match(text)
+        end = quoted.end() if quoted else 0
+        if text[end : end + 1] == ".":
+            return text[:end], text[end + 1 :]
         return None, text
     head, sep, tail = text.partition(".")
     if sep:
@@ -554,40 +572,43 @@ def _sole_from_name(statement: Node, local: dict[str, str]) -> str | None:
     return None  # a join: several tables
 
 
-def _resolve_aliases(node: Node, env: dict[str, str]) -> Node:
+def _resolve_aliases(statement: Node, env: dict[str, str]) -> Node:
     """Drop table aliases that bind an unambiguous table; rewrite qualifiers.
 
     ``FROM t AS x ... x.a`` becomes ``FROM t ... a`` whenever ``t`` occurs
     exactly once in the scope; self-joins keep their aliases untouched.
+    Every subtree that needs no rewrite, the statement included, is
+    returned as the very same node.
     """
+    bindings, counts = _from_map(statement)
+    local = {a: t for a, t in bindings.items() if counts.get(t, 0) == 1}
+    scope = {**env, **local}
+    sole = _sole_from_name(statement, local)
 
-    if node.kind is NodeKind.STATEMENT:
-        bindings, counts = _from_map(node)
-        local = {a: t for a, t in bindings.items() if counts.get(t, 0) == 1}
-        scope = {**env, **local}
-        sole = _sole_from_name(node, local)
-
-        def rewrite(n: Node) -> Node:
-            if n.kind is NodeKind.STATEMENT and n is not node:
-                return _resolve_aliases(n, scope)
-            if n.kind is NodeKind.ALIAS and n.children and n.children[0].kind is NodeKind.TABLE_REF:
-                if n.text in local:
-                    return n.children[0]
+    def rewrite(n: Node) -> Node:
+        if n.kind is NodeKind.COLUMN_REF:
+            if "." not in n.text:
                 return n
-            if n.kind is NodeKind.COLUMN_REF and "." in n.text:
-                qualifier, column = split_qualified(n.text)
-                if qualifier is None:
-                    return n
-                qualifier = scope.get(qualifier, qualifier)
-                if qualifier == sole:
-                    return Node(NodeKind.COLUMN_REF, column)
-                return Node(NodeKind.COLUMN_REF, f"{qualifier}.{column}")
-            if not n.children:
+            qualifier, column = split_qualified(n.text)
+            if qualifier is None:
                 return n
-            return n.replace_children(tuple(rewrite(c) for c in n.children))
+            resolved = scope.get(qualifier, qualifier)
+            if resolved == sole:
+                return Node(NodeKind.COLUMN_REF, column)
+            if resolved == qualifier:
+                return n
+            return Node(NodeKind.COLUMN_REF, f"{resolved}.{column}")
+        if n.kind is NodeKind.STATEMENT:
+            return _resolve_aliases(n, scope)
+        if n.kind is NodeKind.ALIAS and n.children and n.children[0].kind is NodeKind.TABLE_REF:
+            if n.text in local:
+                return n.children[0]
+            return n
+        if not n.children:
+            return n
+        return n.map_children(rewrite)
 
-        return node.replace_children(tuple(rewrite(c) for c in node.children))
-    return node.replace_children(tuple(_resolve_aliases(c, env) for c in node.children))
+    return statement.map_children(rewrite)
 
 
 def parse(sql: str) -> SqlAst:

@@ -14,6 +14,7 @@ for it.
 
 from __future__ import annotations
 
+import math
 import sqlite3
 from collections import Counter, defaultdict
 from collections.abc import Iterator
@@ -60,10 +61,23 @@ class ConfigError(Exception):
     """The run cannot start: missing databases, empty corpus, bad options."""
 
 
+def valid_timeout(seconds: object) -> bool:
+    """True for a finite number of seconds above 0.  A NaN deadline never
+    passes, and one at or before the start interrupts every query."""
+    return isinstance(seconds, (int, float)) and 0 < seconds < math.inf
+
+
 @dataclass(frozen=True)
 class EvalOptions:
+    """Options of one run; a ``query_timeout_s`` that is not a finite number
+    of seconds above 0 raises ConfigError."""
+
     order_insensitive: bool = False
     query_timeout_s: float = DEFAULT_TIMEOUT_S
+
+    def __post_init__(self) -> None:
+        if not valid_timeout(self.query_timeout_s):
+            raise ConfigError(f"query_timeout_s must be a finite number of seconds above 0, got {self.query_timeout_s!r}")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Core AST types shared by the parser, renderer, diff and scoring layers.
 
-Trees are immutable: every transformation builds new nodes, so a parsed
-tree can be handed to several consumers (diff, anchoring, rendering).
+Trees are immutable: a transformation builds new nodes where it changes
+something and shares the untouched subtrees, so a parsed tree can be handed
+to several consumers (diff, anchoring, rendering).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from operator import is_
+from typing import Callable, Iterator
 
 
 class NodeKind(str, Enum):
@@ -56,6 +58,16 @@ class Node:
         return sum(1 for _ in self.walk())
 
     def replace_children(self, children: tuple["Node", ...]) -> "Node":
+        return Node(self.kind, self.text, children)
+
+    def map_children(self, fn: Callable[["Node"], "Node"]) -> "Node":
+        """This node with ``fn`` applied to each child.
+
+        Returns ``self`` itself when ``fn`` returned every child unchanged.
+        """
+        children = tuple(map(fn, self.children))
+        if all(map(is_, children, self.children)):
+            return self
         return Node(self.kind, self.text, children)
 
 

@@ -26,7 +26,13 @@ def test_datetime_now_argument_substituted_in_place():
 
 def test_statement_without_time_functions_unchanged():
     ast = parse("SELECT a FROM t")
-    assert rewrite_time_anchor(ast).root == ast.root
+    assert rewrite_time_anchor(ast).root is ast.root
+    # a rewrite rebuilds only the path to the time function
+    ast = parse("SELECT a, now() FROM t WHERE b = 1")
+    statement = rewrite_time_anchor(ast).root
+    assert statement is not ast.root
+    assert all(new is old for new, old in zip(statement.children[1:], ast.root.children[1:]))
+    assert statement.children[0].children[0] is ast.root.children[0].children[0]
 
 
 def test_plain_now_string_outside_time_functions_is_kept():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlscore import NodeKind, ParseError, parse, render, tokenize
+from sqlscore.parser import split_qualified
 
 from helpers import random_query
 
@@ -174,7 +175,7 @@ class TestRoundTrip:
 # character can still be drawn.
 SQL_FRAGMENTS = [
     "select", "SELECT", "from", "where", "not", "in", "as", "with", "having", "x", "t1", "_",
-    "'", "''", '"', "`", "[", "]", "--", "/*", "*/", "0", "7", ".", "e", "E",
+    "'", "''", '"', '""', "`", "``", "[", "]", "--", "/*", "*/", "0", "7", ".", "e", "E",
     "+", "-", "*", "/", "%", "=", "<", ">", "!", "|", "(", ")", ",", ";",
     " ", "\n", "\t", "\r", "\xa0", "　", "\x00", "\x0b", "\x1f", "\x85", "é",
 ]
@@ -197,6 +198,60 @@ def test_parse_arbitrary_text_never_crashes(text):
         assert ast.node_count >= 1
     except ParseError as exc:
         assert 0 <= exc.position <= len(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sql_text)
+def test_token_positions_point_at_their_text(text):
+    # a token's pos is where its own text starts, not where the whitespace
+    # or comments before it start
+    try:
+        tokens = tokenize(text)
+    except ParseError:
+        return
+    for tok in tokens:
+        if tok.kind in ("kw", "ident", "number", "op", "punct"):
+            source = text[tok.pos : tok.pos + len(tok.value)].lower()
+            assert source == tok.value or (tok.value, source) == ("!=", "<>")
+
+
+def test_token_is_an_immutable_named_tuple():
+    tok = tokenize("  a")[0]
+    assert tok._fields == ("kind", "value", "pos")
+    assert (tok.kind, tok.value, tok.pos) == tuple(tok) == ("ident", "a", 2)
+    with pytest.raises(AttributeError):
+        tok.pos = 0
+
+
+@pytest.mark.parametrize(
+    "sql, rendered",
+    [
+        ('SELECT "a""b" FROM t', 'SELECT "a""b" FROM t'),
+        ("SELECT `a``b`, [c\"d] FROM t", 'SELECT "a`b", "c""d" FROM t'),
+        ('SELECT x."a""b" FROM "t""u" AS x', 'SELECT "a""b" FROM "t""u"'),
+        ('SELECT "T""u".a, v.a FROM "T""u", v', 'SELECT "T""u".a, v.a FROM "T""u", v'),
+        ('SELECT """" FROM t', 'SELECT """" FROM t'),
+        ('SELECT "X"".y".a FROM t AS "X"".y"', "SELECT a FROM t"),
+    ],
+)
+def test_doubled_quotes_in_quoted_names(sql, rendered):
+    ast = parse(sql)
+    assert render(ast) == rendered
+    assert parse(render(ast)) == ast
+
+
+@pytest.mark.parametrize(
+    "text, parts",
+    [
+        ('"a"".b".c', ('"a"".b"', "c")),
+        ('"a"".b"', (None, '"a"".b"')),
+        ('"a"."b"', ('"a"', '"b"')),
+        ('t."a.b"', ("t", '"a.b"')),
+        ("c", (None, "c")),
+    ],
+)
+def test_split_qualified(text, parts):
+    assert split_qualified(text) == parts
 
 
 def test_tokenizer_positions_monotonic():
@@ -228,6 +283,9 @@ def test_tokenizer_positions_monotonic():
         ('"A b" [C]d `e`', [("qident", "A b", 0), ("qident", "C", 6), ("ident", "d", 9), ("qident", "e", 11), ("eof", "", 14)]),
         ("a<>b", [("ident", "a", 0), ("op", "!=", 1), ("ident", "b", 3), ("eof", "", 4)]),
         ("a!=b", [("ident", "a", 0), ("op", "!=", 1), ("ident", "b", 3), ("eof", "", 4)]),
+        ('"a""b" `c``d`', [("qident", 'a"b', 0), ("qident", "c`d", 7), ("eof", "", 13)]),
+        ('"""" [a""b]', [("qident", '"', 0), ("qident", 'a""b', 5), ("eof", "", 11)]),
+        ("  SELECT\n-- c\n\t/* d */A /**/,", [("kw", "select", 2), ("ident", "a", 22), ("punct", ",", 28), ("eof", "", 29)]),
     ],
 )
 def test_tokens_pinned(sql, tokens):
@@ -244,6 +302,8 @@ def test_tokens_pinned(sql, tokens):
         ("[a", "unterminated quoted identifier", 0),
         ("`a", "unterminated quoted identifier", 0),
         ('"a', "unterminated quoted identifier", 0),
+        ('x "a""', "unterminated quoted identifier", 2),
+        ("x `a``", "unterminated quoted identifier", 2),
         ("SELECT é", "unexpected character 'é'", 7),
         ("SELECT ٣1", "unexpected character '٣'", 7),
         ("a||b|c", "unexpected character '|'", 4),
@@ -253,4 +313,40 @@ def test_tokens_pinned(sql, tokens):
 def test_token_errors_pinned(sql, message, position):
     with pytest.raises(ParseError) as exc_info:
         tokenize(sql)
+    assert (exc_info.value.message, exc_info.value.position) == (message, position)
+
+
+_JOINS_65 = "SELECT a FROM t0 " + " ".join(f"JOIN t{i} ON 1" for i in range(1, 66))
+
+
+@pytest.mark.parametrize(
+    "sql, message, position",
+    [
+        ("SELECT a FROM t WHERE a NOT b", "trailing input after statement near 'not'", 24),
+        ("SELECT a FROM t WHERE a NOT = 1", "trailing input after statement near 'not'", 24),
+        ("SELECT a FROM t WHERE a IS 1", "expected NULL near '1'", 27),
+        ("SELECT a FROM t WHERE a IS NOT 1", "expected NULL near '1'", 31),
+        ("SELECT t. FROM t", "expected column name near 'from'", 10),
+        ("SELECT t.", "expected column name at end of input", 9),
+        ("SELECT CAST(a) FROM t", "expected AS near ')'", 13),
+        ("SELECT cast(a int) FROM t", "expected AS near 'int'", 14),
+        ("SELECT (a FROM t", "expected ')' near 'from'", 10),
+        ("SELECT (1", "expected ')' at end of input", 9),
+        ("SELECT f(1,", "expected expression at end of input", 11),
+        ("SELECT f(1, FROM t", "expected expression near 'from'", 12),
+        ("SELECT 1 AS", "expected alias name at end of input", 11),
+        ("SELECT 1 AS FROM t", "expected alias name near 'from'", 12),
+        ("SELECT 1 FROM t )", "trailing input after statement near ')'", 16),
+        ("SELECT 1 1", "trailing input after statement near '1'", 9),
+        ("SELECT 1 FROM t x y", "trailing input after statement near 'y'", 18),
+        ("SELECT " + "- " * 65 + "1", "statement nesting too deep near '-'", 135),
+        ("SELECT " + "NOT " * 65 + "1", "statement nesting too deep near 'not'", 263),
+        ("SELECT " + "(" * 65 + "1" + ")" * 65, "statement nesting too deep near '('", 71),
+        ("SELECT " + "1 + " * 65 + "1", "statement nesting too deep near '1'", 263),
+        (_JOINS_65, "statement nesting too deep near 't64'", 895),
+    ],
+)
+def test_parse_errors_pinned(sql, message, position):
+    with pytest.raises(ParseError) as exc_info:
+        parse(sql)
     assert (exc_info.value.message, exc_info.value.position) == (message, position)

@@ -300,6 +300,16 @@ class TestExecute:
         assert t.column_count == 1 and t.row_count == 1
         assert t.columns[0][0] == 1
 
+    def test_quoted_names_with_doubled_quotes(self, tmp_path):
+        db = tmp_path / "quotes.sqlite"
+        with sqlite3.connect(db) as conn:
+            conn.execute('CREATE TABLE "t""u" ("a""b" INTEGER, "c`d" TEXT)')
+            conn.execute("""INSERT INTO "t""u" VALUES (1, 'x')""")
+        conn.close()
+        t = execute('SELECT x."a""b", `c``d` FROM "t""u" AS x', db)
+        assert t.labels == ('a"b', "c`d")
+        assert t.columns == ((1,), ("x",))
+
     def test_sample_count_query(self, db_dir):
         t = execute(
             "SELECT count(*) FROM pre_ranking_filter_log WHERE task = 342111 AND filter_key = 'o_rta_filter'",

@@ -405,3 +405,13 @@ def test_constant_model_completes_with_low_scores(questions, db_dir):
     assert report.overall.count == len(questions)
     assert report.overall.f1 < 0.1
     assert report.overall.semantic < 0.5
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1], ids=["nan", "inf", "0", "-1"])
+def test_eval_options_refuse_bad_query_timeout(value):
+    # one check for the library and the CLI: NaN would run with no timeout
+    # and write NaN into the JSON report, 0 or less would interrupt every query
+    with pytest.raises(ConfigError, match="query_timeout_s must be a finite number of seconds above 0"):
+        EvalOptions(query_timeout_s=value)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(EvalOptions(), query_timeout_s=value)
