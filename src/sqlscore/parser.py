@@ -10,8 +10,8 @@ dropped (the tree keeps only precedence-relevant structure), ``<>``
 canonicalized to ``!=``, explicit ASC and ALL quantifiers removed, AND/OR
 chains flattened into n-ary nodes, and table aliases that bind an
 unambiguous table are resolved away (their qualifiers rewritten to the
-table name).  Case-folding never touches quoted identifiers or string
-literals.
+table name).  Case-folding lowers ASCII letters only, as SQLite does, and
+never touches quoted identifiers or string literals.
 """
 
 from __future__ import annotations
@@ -41,11 +41,18 @@ UNSUPPORTED = {
 # rendered without parentheses.
 BARE_TIME_FUNCTIONS = {"current_timestamp", "current_date", "current_time"}
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# An unquoted name, as in SQLite: an ASCII letter, "_" or any non-ASCII
+# character that is not whitespace, then any of those or an ASCII digit.
+# Each class lists what it leaves out: the rest of ASCII, and whitespace.
+_WORD = r"[^\x00-\x40\x5b-\x5e\x60\x7b-\x7f\s][^\x00-\x2f\x3a-\x40\x5b-\x5e\x60\x7b-\x7f\s]*"
+_IDENT_RE = re.compile(_WORD + r"\Z")
+# Only ASCII letters fold, because SQLite tells "é" from "É".
+_ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
 _QUOTED_NAME_RE = re.compile(r'"[^"]*(?:""[^"]*)*"(?!")')  # a quote inside is doubled
 
 # The lexical grammar.  Each match is any run of whitespace and comments,
-# then one token; alternatives are tried in order.  A string, and a name in
+# then one token; alternatives are tried in order, and ``tokenize`` tells
+# them apart by group number (``_GROUP_KINDS``).  A string, and a name in
 # double quotes or backticks, closes on a quote that is not doubled: ``(?!')``
 # stops backtracking from closing it on the first half of a ``''`` escape
 # (Python 3.10 has no possessive quantifiers).  Brackets have no escape.
@@ -56,7 +63,7 @@ _QUOTED_NAME_RE = re.compile(r'"[^"]*(?:""[^"]*)*"(?!")')  # a quote inside is d
 _TOKEN_RE = re.compile(
     r"""
     (?:\s+|--[^\n]*|/\*.*?\*/)*
-    (?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)
+    (?:(?P<word>""" + _WORD + r""")
     |(?P<string>'[^']*(?:''[^']*)*'(?!'))
     |(?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
     |(?P<unterminated>/\*|['"`[])
@@ -69,9 +76,13 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+_GROUP_KINDS = (None, "word", "string", "qident", "unterminated", "number", "op", "punct", "bad")
 _UNTERMINATED = {"/*": "block comment", "'": "string literal"}  # else a quoted identifier
 
 _RESERVED = KEYWORDS | UNSUPPORTED
+
+
+_new_tuple = tuple.__new__  # builds a Token without the Python-level __new__ of a named tuple
 
 
 class Token(NamedTuple):
@@ -88,27 +99,29 @@ class Token(NamedTuple):
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(sql):
-        kind = m.lastgroup
-        if kind is None:  # trailing whitespace and comments
+        group = m.lastindex  # an index into _GROUP_KINDS
+        if group is None:  # trailing whitespace and comments
             continue
-        text, start = m.group(kind), m.start(kind)
-        if kind == "word":
-            text = text.lower()
+        text, start = m.group(group), m.start(group)
+        kind = _GROUP_KINDS[group]
+        if group == 1:  # word
+            text = text.lower() if text.isascii() else text.translate(_ASCII_LOWER)
             kind = "kw" if text in _RESERVED else "ident"
-        elif kind == "string":
+        elif group > 5:  # op, punct or bad
+            if group == 8:
+                raise ParseError(f"unexpected character {text!r}", start)
+            if text == "<>":
+                text = "!="
+        elif group == 5:  # number
+            text = text.lower()
+        elif group == 2:  # string
             text = text[1:-1].replace("''", "'")
-        elif kind == "qident":
+        elif group == 3:  # qident
             quote = text[0]
             text = text[1:-1] if quote == "[" else text[1:-1].replace(quote * 2, quote)
-        elif kind == "number":
-            text = text.lower()
-        elif kind == "unterminated":
+        else:
             raise ParseError(f"unterminated {_UNTERMINATED.get(text, 'quoted identifier')}", start)
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", start)
-        elif text == "<>":
-            text = "!="
-        tokens.append(Token(kind, text, start))
+        tokens.append(_new_tuple(Token, (kind, text, start)))
     tokens.append(Token("eof", "", len(sql)))
     return tokens
 
@@ -117,6 +130,7 @@ _COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
 _PREDICATE_WORDS = {"not", "in", "like", "between", "is"}
 _ADDITIVE = {"+", "-", "||"}
 _MULTIPLICATIVE = {"*", "/", "%"}
+_ARITHMETIC = _ADDITIVE | _MULTIPLICATIVE
 
 
 MAX_NESTING_DEPTH = 64
@@ -135,6 +149,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.needs_resolution = False  # saw a qualified column or an aliased table
 
     def _deeper(self) -> None:
         # keeps degenerate inputs (thousands of parens, NOTs, signs, calls,
@@ -200,9 +215,10 @@ class _Parser:
     def identifier(self, what: str = "identifier") -> str:
         """A possibly-quoted name, normalized.
 
-        Quoted names that are already lower-case plain identifiers lose
-        their quotes; anything else keeps them so case survives exactly,
-        in double quotes with any ``"`` inside doubled.
+        A quoted name that the same name unquoted would give (a word with
+        no ASCII capital that is not a keyword) loses its quotes; anything
+        else keeps them so case survives exactly, in double quotes with any
+        ``"`` inside doubled.
         """
         tok = self.tokens[self.pos]
         if tok.kind == "ident":
@@ -211,7 +227,7 @@ class _Parser:
         if tok.kind == "qident":
             self.pos += 1
             name = tok.value
-            if _IDENT_RE.match(name) and name == name.lower() and name not in _RESERVED:
+            if _IDENT_RE.match(name) and name == name.translate(_ASCII_LOWER) and name not in _RESERVED:
                 return name
             return '"' + name.replace('"', '""') + '"'
         raise self.error(f"expected {what}")
@@ -324,6 +340,7 @@ class _Parser:
         elif self.peek().kind in ("ident", "qident"):
             alias = self.identifier()
         if alias is not None:
+            self.needs_resolution = True
             return Node(NodeKind.ALIAS, alias, (table,))
         return table
 
@@ -338,27 +355,32 @@ class _Parser:
                 flat.append(part)
         return Node(NodeKind.OPERATOR, op, tuple(flat))
 
-    def parse_or(self) -> Node:
-        parts = [self.parse_and()]
-        tok = self.tokens[self.pos]
-        while tok.kind == "kw" and tok.value == "or":
-            self.pos += 1
-            parts.append(self.parse_and())
-            tok = self.tokens[self.pos]
-        return parts[0] if len(parts) == 1 else self._nary("or", parts)
+    # Each production parses its first operand at the tightest level and
+    # enters a looser level only when that level's operator follows, so a
+    # bare operand costs parse_expr, parse_not and parse_primary.
 
-    parse_expr = parse_or
-
-    def parse_and(self) -> Node:
-        parts = [self.parse_not()]
+    def parse_expr(self) -> Node:
+        """OR of ANDs of NOT-level operands."""
+        left = self.parse_not()
         tok = self.tokens[self.pos]
-        while tok.kind == "kw" and tok.value == "and":
+        if tok.kind != "kw" or (tok.value != "and" and tok.value != "or"):
+            return left
+        disjuncts = []
+        while True:
+            conjuncts = [left]
+            while tok.kind == "kw" and tok.value == "and":
+                self.pos += 1
+                conjuncts.append(self.parse_not())
+                tok = self.tokens[self.pos]
+            disjuncts.append(conjuncts[0] if len(conjuncts) == 1 else self._nary("and", conjuncts))
+            if tok.kind != "kw" or tok.value != "or":
+                return disjuncts[0] if len(disjuncts) == 1 else self._nary("or", disjuncts)
             self.pos += 1
-            parts.append(self.parse_not())
+            left = self.parse_not()
             tok = self.tokens[self.pos]
-        return parts[0] if len(parts) == 1 else self._nary("and", parts)
 
     def parse_not(self) -> Node:
+        """NOT-prefixed predicate: a sum, then at most one comparison, IN, LIKE, BETWEEN or IS."""
         tok = self.tokens[self.pos]
         if tok.kind == "kw" and tok.value == "not":
             self.pos += 1
@@ -366,11 +388,11 @@ class _Parser:
             node = Node(NodeKind.OPERATOR, "not", (self.parse_not(),))
             self.depth -= 1
             return node
-        return self.parse_predicate()
-
-    def parse_predicate(self) -> Node:
-        left = self.parse_additive()
+        left = self.parse_primary()
         tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.value in _ARITHMETIC:
+            left = self._arithmetic(left)
+            tok = self.tokens[self.pos]
         if tok.kind == "op":
             if tok.value not in _COMPARISONS:
                 return left
@@ -409,15 +431,23 @@ class _Parser:
         return Node(NodeKind.OPERATOR, op, (left, low, high))
 
     def parse_additive(self) -> Node:
-        return self._left_chain(_ADDITIVE, self.parse_multiplicative)
+        left = self.parse_primary()
+        tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.value in _ARITHMETIC:
+            return self._arithmetic(left)
+        return left
+
+    def _arithmetic(self, left: Node) -> Node:
+        """``left``, a parsed unary, with the products and sums that follow it."""
+        left = self._left_chain(left, _MULTIPLICATIVE, self.parse_primary)
+        return self._left_chain(left, _ADDITIVE, self.parse_multiplicative)
 
     def parse_multiplicative(self) -> Node:
-        return self._left_chain(_MULTIPLICATIVE, self.parse_unary)
+        return self._left_chain(self.parse_primary(), _MULTIPLICATIVE, self.parse_primary)
 
-    def _left_chain(self, ops: set[str], parse_operand: Callable[[], Node]) -> Node:
+    def _left_chain(self, left: Node, ops: set[str], parse_operand: Callable[[], Node]) -> Node:
         # each fold deepens the left-deep tree by one level, so it counts
         # against the nesting limit until the chain ends
-        left = parse_operand()
         tok = self.tokens[self.pos]
         depth = self.depth
         while tok.kind == "op" and tok.value in ops:
@@ -428,21 +458,8 @@ class _Parser:
         self.depth = depth
         return left
 
-    def parse_unary(self) -> Node:
-        tok = self.tokens[self.pos]
-        if tok.kind == "op" and tok.value in ("+", "-"):
-            self.pos += 1
-            self._deeper()
-            operand = self.parse_unary()
-            self.depth -= 1
-            if tok.value == "+":
-                return operand
-            if operand.kind is NodeKind.LITERAL and operand.text[:1].isdigit():
-                return Node(NodeKind.LITERAL, "-" + operand.text)
-            return Node(NodeKind.OPERATOR, "neg", (operand,))
-        return self.parse_primary()
-
     def parse_primary(self) -> Node:
+        """An operand with its unary signs."""
         tok = self.tokens[self.pos]
         kind = tok.kind
         if kind == "ident" or kind == "qident":
@@ -454,6 +471,7 @@ class _Parser:
                 return Node(NodeKind.FUNCTION_CALL, name)
             if nxt.kind == "punct" and nxt.value == ".":
                 self.pos += 1
+                self.needs_resolution = True
                 nxt = self.tokens[self.pos]
                 if nxt.kind == "op" and nxt.value == "*":
                     self.pos += 1
@@ -489,6 +507,16 @@ class _Parser:
             self.expect_punct(")")
             self.depth -= 1
             return expr
+        elif kind == "op" and (tok.value == "-" or tok.value == "+"):
+            self.pos += 1
+            self._deeper()
+            operand = self.parse_primary()
+            self.depth -= 1
+            if tok.value == "+":
+                return operand
+            if operand.kind is NodeKind.LITERAL and operand.text[:1].isdigit():
+                return Node(NodeKind.LITERAL, "-" + operand.text)
+            return Node(NodeKind.OPERATOR, "neg", (operand,))
         raise self.error("expected expression")
 
     def parse_function_call(self, name: str) -> Node:
@@ -627,4 +655,4 @@ def parse(sql: str) -> SqlAst:
     parser.accept_punct(";")
     if parser.peek().kind != "eof":
         raise parser.error("multiple statements are not supported" if parser.at_kw("select", "with") else "trailing input after statement")
-    return SqlAst(_resolve_aliases(root, {}))
+    return SqlAst(_resolve_aliases(root, {}) if parser.needs_resolution else root)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import is_
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 
 class NodeKind(str, Enum):
@@ -30,8 +30,7 @@ class NodeKind(str, Enum):
     OPERATOR = "operator"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One AST node: a kind, its own token text, and ordered children.
 
     ``text`` holds the piece of the statement the node contributes itself:
@@ -39,6 +38,7 @@ class Node:
     rendered form of a literal (quotes included), the alias label, or the
     join type.  Structural nodes (statement, clauses) have empty text,
     except a select list which carries ``"distinct"`` when quantified.
+    A named tuple, like ``Token``: immutable, compared and hashed by value.
     """
 
     kind: NodeKind
@@ -108,11 +108,6 @@ def from_items(statement: Node) -> list[Node]:
     ]
 
 
-def accessed_tables(root: Node) -> set[str]:
-    """Names of every table reference in the tree, CTE references included."""
-    return {n.text for n in root.walk() if n.kind is NodeKind.TABLE_REF}
-
-
 def cte_names(root: Node) -> set[str]:
     """Names bound by WITH clauses anywhere in the tree."""
     return {n.text for n in root.walk() if n.kind is NodeKind.CTE}
@@ -120,4 +115,11 @@ def cte_names(root: Node) -> set[str]:
 
 def physical_tables(root: Node) -> set[str]:
     """Table references that do not resolve to a CTE defined in the tree."""
-    return accessed_tables(root) - cte_names(root)
+    tables: set[str] = set()
+    ctes: set[str] = set()
+    for n in root.walk():
+        if n.kind is NodeKind.TABLE_REF:
+            tables.add(n.text)
+        elif n.kind is NodeKind.CTE:
+            ctes.add(n.text)
+    return tables - ctes

@@ -288,6 +288,12 @@ def test_normalize_command(capsys):
     assert out.strip() == "SELECT a, b FROM t"
 
 
+def test_normalize_non_ascii_names(capsys):
+    code, out, _ = run_cli(capsys, "normalize", 'SELECT prénom, 名前, PRÉNOM, "prénom" FROM T')
+    assert code == 0
+    assert out.strip() == "SELECT prénom, 名前, prÉnom, prénom FROM t"
+
+
 def test_package_imports_without_site_packages():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -1,13 +1,18 @@
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlscore import NodeKind, ParseError, parse, render, tokenize
-from sqlscore.parser import split_qualified
+from sqlscore.parser import Token, split_qualified
+from sqlscore.sqlast import Node, physical_tables
 
 from helpers import random_query
+
+
+ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 
 
 def kinds_of(ast):
@@ -211,7 +216,7 @@ def test_token_positions_point_at_their_text(text):
         return
     for tok in tokens:
         if tok.kind in ("kw", "ident", "number", "op", "punct"):
-            source = text[tok.pos : tok.pos + len(tok.value)].lower()
+            source = text[tok.pos : tok.pos + len(tok.value)].translate(ASCII_LOWER)
             assert source == tok.value or (tok.value, source) == ("!=", "<>")
 
 
@@ -221,6 +226,26 @@ def test_token_is_an_immutable_named_tuple():
     assert (tok.kind, tok.value, tok.pos) == tuple(tok) == ("ident", "a", 2)
     with pytest.raises(AttributeError):
         tok.pos = 0
+
+
+def test_tokenize_returns_tokens():
+    tokens = tokenize("SELECT a, 'b', \"C\", 1.5 FROM t WHERE a <> 2;")
+    assert {type(tok) for tok in tokens} == {Token}
+
+
+def test_node_is_an_immutable_value():
+    node = Node(NodeKind.OPERATOR, "=", (Node(NodeKind.COLUMN_REF, "a"), Node(NodeKind.LITERAL, "'x'")))
+    with pytest.raises(AttributeError):
+        node.text = "!="
+    twin = Node(NodeKind.OPERATOR, "=", (Node(NodeKind.COLUMN_REF, "a"), Node(NodeKind.LITERAL, "'x'")))
+    assert twin == node and hash(twin) == hash(node) and twin is not node
+    assert Node(NodeKind.LITERAL, "a") != Node(NodeKind.COLUMN_REF, "a")
+    assert repr(node) == (
+        "Node(kind=<NodeKind.OPERATOR: 'operator'>, text='=', children=("
+        "Node(kind=<NodeKind.COLUMN_REF: 'column-ref'>, text='a', children=()), "
+        "Node(kind=<NodeKind.LITERAL: 'literal'>, text=\"'x'\", children=())))"
+    )
+    assert repr(Node(NodeKind.STATEMENT)) == "Node(kind=<NodeKind.STATEMENT: 'statement'>, text='', children=())"
 
 
 @pytest.mark.parametrize(
@@ -286,6 +311,19 @@ def test_tokenizer_positions_monotonic():
         ('"a""b" `c``d`', [("qident", 'a"b', 0), ("qident", "c`d", 7), ("eof", "", 13)]),
         ('"""" [a""b]', [("qident", '"', 0), ("qident", 'a""b', 5), ("eof", "", 11)]),
         ("  SELECT\n-- c\n\t/* d */A /**/,", [("kw", "select", 2), ("ident", "a", 22), ("punct", ",", 28), ("eof", "", 29)]),
+        ("SELECT é", [("kw", "select", 0), ("ident", "é", 7), ("eof", "", 8)]),
+        ("SELECT ٣1", [("kw", "select", 0), ("ident", "٣1", 7), ("eof", "", 9)]),
+        (
+            "SELECT prénom, 名前 FROM t",
+            [
+                ("kw", "select", 0), ("ident", "prénom", 7), ("punct", ",", 13), ("ident", "名前", 15),
+                ("kw", "from", 18), ("ident", "t", 23), ("eof", "", 24),
+            ],
+        ),
+        # only ASCII letters fold; a name takes non-ASCII characters and
+        # digits, but whitespace, U+00A0 included, ends it
+        ("PRÉNOM _É2 x·y🙂", [("ident", "prÉnom", 0), ("ident", "_É2", 7), ("ident", "x·y🙂", 11), ("eof", "", 15)]),
+        ("é\xa0É", [("ident", "é", 0), ("ident", "É", 2), ("eof", "", 3)]),
     ],
 )
 def test_tokens_pinned(sql, tokens):
@@ -304,8 +342,8 @@ def test_tokens_pinned(sql, tokens):
         ('"a', "unterminated quoted identifier", 0),
         ('x "a""', "unterminated quoted identifier", 2),
         ("x `a``", "unterminated quoted identifier", 2),
-        ("SELECT é", "unexpected character 'é'", 7),
-        ("SELECT ٣1", "unexpected character '٣'", 7),
+        ("SELECT a\x00", "unexpected character '\\x00'", 8),
+        ("SELECT a ? b", "unexpected character '?'", 9),
         ("a||b|c", "unexpected character '|'", 4),
         ("!", "unexpected character '!'", 0),
     ],
@@ -317,6 +355,7 @@ def test_token_errors_pinned(sql, message, position):
 
 
 _JOINS_65 = "SELECT a FROM t0 " + " ".join(f"JOIN t{i} ON 1" for i in range(1, 66))
+_MIXED_CHAINS = "SELECT " + "1 * " * 40 + "1" + " + 1" * 30  # 40 products, then 30 sums
 
 
 @pytest.mark.parametrize(
@@ -344,9 +383,103 @@ _JOINS_65 = "SELECT a FROM t0 " + " ".join(f"JOIN t{i} ON 1" for i in range(1, 6
         ("SELECT " + "(" * 65 + "1" + ")" * 65, "statement nesting too deep near '('", 71),
         ("SELECT " + "1 + " * 65 + "1", "statement nesting too deep near '1'", 263),
         (_JOINS_65, "statement nesting too deep near 't64'", 895),
+        (_MIXED_CHAINS + " * 1" * 34, "statement nesting too deep near '1'", 423),
+        ("SELECT " + "NOT " * 33 + " + ".join(["1"] * 32), "statement nesting too deep near '1'", 263),
+        ("SELECT " + "(" * 61 + "a IN (1, -(2))" + ")" * 61, "statement nesting too deep near '2'", 79),
+        ("SELECT " + "(" * 63 + "a IN (1, 2)" + ")" * 63, "statement nesting too deep near '1'", 76),
+        ("SELECT a = b = c", "trailing input after statement near '='", 13),
+        ("SELECT a FROM t WHERE a = b = c", "trailing input after statement near '='", 28),
     ],
 )
 def test_parse_errors_pinned(sql, message, position):
     with pytest.raises(ParseError) as exc_info:
         parse(sql)
     assert (exc_info.value.message, exc_info.value.position) == (message, position)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        # at or just under the limit that rows above cross: a chain gives
+        # its depth back when it ends, so a product and then a sum of 64
+        # terms each fit
+        _MIXED_CHAINS + " * 1" * 33,
+        "SELECT " + "1 * " * 63 + "1" + " + 1" * 63,
+        "SELECT " + "NOT " * 33 + " + ".join(["1"] * 31),
+        "SELECT " + "(" * 61 + "a IN (1, -2)" + ")" * 61,
+        "SELECT " + "(" * 62 + "a IN (1, 2)" + ")" * 62,
+    ],
+)
+def test_nesting_just_under_the_limit_parses(sql):
+    assert parse(sql).node_count > 1
+
+
+def shape(node):
+    """A node as an s-expression of its texts: ``(op child ...)``, a leaf as its text."""
+    if not node.children:
+        return node.text
+    return "(" + " ".join([node.text, *map(shape, node.children)]) + ")"
+
+
+@pytest.mark.parametrize(
+    "expr, tree",
+    [
+        ("a OR b AND NOT c = d + e * -f", "(or a (and b (not (= c (+ d (* e (neg f)))))))"),
+        ("NOT a IN (1, 2)", "(not (in a 1 2))"),
+        ("a BETWEEN 1 AND 2 AND b", "(and (between a 1 2) b)"),
+        ("a IS NOT NULL OR b LIKE 'x'", "(or (is not null a) (like b 'x'))"),
+        ("(a OR b) OR c", "(or a b c)"),
+        ("x || y + z", "(+ (|| x y) z)"),
+        ("a - b - c * d / e % f", "(- (- a b) (% (/ (* c d) e) f))"),
+        ("NOT NOT a < b", "(not (not (< a b)))"),
+        ("- - a * + b", "(* (neg (neg a)) b)"),
+        ("a NOT BETWEEN b + 1 AND c * 2 OR NOT d NOT LIKE e", "(or (not between a (+ b 1) (* c 2)) (not (not like d e)))"),
+    ],
+)
+def test_expression_trees_pinned(expr, tree):
+    (select_list,) = parse("SELECT " + expr).root.children
+    assert shape(select_list.children[0]) == tree
+
+
+def test_non_ascii_names_parse_as_column_refs():
+    assert parse("SELECT prénom, 名前 FROM t").root == Node(
+        NodeKind.STATEMENT,
+        "",
+        (
+            Node(NodeKind.SELECT_LIST, "", (Node(NodeKind.COLUMN_REF, "prénom"), Node(NodeKind.COLUMN_REF, "名前"))),
+            Node(NodeKind.TABLE_REF, "t"),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "sql, rendered",
+    [
+        ("SELECT PRÉNOM FROM T", "SELECT prÉnom FROM t"),
+        # a quoted name that an unquoted one would give loses its quotes
+        ('SELECT "prénom", "prÉnom", "PRÉNOM", "名前" FROM t', 'SELECT prénom, prÉnom, "PRÉNOM", 名前 FROM t'),
+        ("SELECT ÉTÉ.a FROM été, ÉTÉ", "SELECT ÉtÉ.a FROM été, ÉtÉ"),
+        ("SELECT x.prénom FROM t AS x", "SELECT prénom FROM t"),
+        # U+00A0 separates tokens, so the second name is an alias (SQLite
+        # would read one name)
+        ("SELECT a\xa0b FROM t", "SELECT a AS b FROM t"),
+    ],
+)
+def test_non_ascii_names_fold_only_ascii_letters(sql, rendered):
+    ast = parse(sql)
+    assert render(ast) == rendered
+    assert parse(render(ast)) == ast
+
+
+@pytest.mark.parametrize(
+    "sql, tables",
+    [
+        # a CTE that shadows a table name hides that table
+        ("WITH campaigns AS (SELECT 1 AS a) SELECT a FROM campaigns", set()),
+        ("WITH t AS (SELECT a FROM base) SELECT t.a FROM t JOIN u ON t.a = u.a", {"base", "u"}),
+        ("WITH t AS (SELECT a FROM u) SELECT a FROM t, u AS x WHERE a IN (SELECT b FROM v)", {"u", "v"}),
+        ("SELECT 1", set()),
+    ],
+)
+def test_physical_tables(sql, tables):
+    assert physical_tables(parse(sql).root) == tables

@@ -310,6 +310,21 @@ class TestExecute:
         assert t.labels == ('a"b', "c`d")
         assert t.columns == ((1,), ("x",))
 
+    def test_non_ascii_unquoted_names(self, tmp_path):
+        db = tmp_path / "names.sqlite"
+        with sqlite3.connect(db) as conn:
+            conn.execute('CREATE TABLE t (prénom TEXT, 名前 INTEGER, "É" INTEGER)')
+            conn.execute("INSERT INTO t VALUES ('x', 1, 2)")
+        conn.close()
+        t = execute("SELECT prénom, 名前, PRéNOM FROM t", db)
+        assert t.labels == ("prénom", "名前", "prénom")
+        assert t.columns == (("x",), (1,), ("x",))
+        assert execute("SELECT É FROM t", db).columns == ((2,),)
+        # SQLite folds only ASCII letters too: é does not name the column É
+        with pytest.raises(ExecutionError) as exc_info:
+            execute("SELECT é FROM t", db)
+        assert exc_info.value.stage == "engine"
+
     def test_sample_count_query(self, db_dir):
         t = execute(
             "SELECT count(*) FROM pre_ranking_filter_log WHERE task = 342111 AND filter_key = 'o_rta_filter'",
