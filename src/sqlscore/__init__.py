@@ -35,7 +35,7 @@ from .runner import (
     validate_corpus,
 )
 from .semantic import CorpusError, ScoreBreakdown, SemanticScore, semantic_score_from_asts, semantic_similarity
-from .sqlast import Node, NodeKind, ParseError, SqlAst
+from .sqlast import Node, NodeKind, ParseError
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "ResultTable",
     "ScoreBreakdown",
     "SemanticScore",
-    "SqlAst",
     "build_fixture_database",
     "category_counts",
     "cells_equal",

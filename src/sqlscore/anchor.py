@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from datetime import datetime
 
-from .sqlast import Node, NodeKind, SqlAst
+from .sqlast import Node, NodeKind
 
 DEFAULT_ANCHOR = datetime(2023, 1, 17, 0, 0, 0)
 
@@ -28,7 +28,7 @@ def _timestamp_literal(anchor: datetime) -> Node:
     return Node(NodeKind.LITERAL, f"'{anchor.strftime('%Y-%m-%d %H:%M:%S')}'")
 
 
-def rewrite_time_anchor(ast: SqlAst, anchor: str | datetime = DEFAULT_ANCHOR) -> SqlAst:
+def rewrite_time_anchor(ast: Node, anchor: str | datetime = DEFAULT_ANCHOR) -> Node:
     """Replace every current-time call with the anchor as a literal.
 
     ``now()`` and ``current_timestamp`` become a timestamp literal,
@@ -57,5 +57,4 @@ def rewrite_time_anchor(ast: SqlAst, anchor: str | datetime = DEFAULT_ANCHOR) ->
             return node
         return node.map_children(rewrite)
 
-    root = rewrite(ast.root)
-    return ast if root is ast.root else SqlAst(root)
+    return rewrite(ast)

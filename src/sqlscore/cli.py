@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from datetime import datetime
 from pathlib import Path
 
 from .adapters import DEFAULT_ADAPTER_TIMEOUT_S, AdapterError, get_predictions
@@ -31,10 +32,12 @@ EXIT_CONFIG = 2
 EXIT_CORPUS_ERRORS = 3
 
 
-def _resolve_anchor(value: str | None) -> str:
-    if value:
-        return value
-    return os.environ.get("BIS_ANCHOR") or DEFAULT_ANCHOR.isoformat()
+def _anchor(text: str) -> datetime:
+    """argparse type of a clock anchor: an ISO-8601 instant."""
+    try:
+        return parse_anchor(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid anchor: {exc}") from exc
 
 
 def _seconds(text: str) -> float:
@@ -54,11 +57,6 @@ def _fail(message: str) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    try:
-        anchor = parse_anchor(_resolve_anchor(args.anchor))
-    except ValueError as exc:
-        return _fail(f"invalid anchor: {exc}")
-
     if args.db is not None and not Path(args.db).is_file():
         return _fail(f"database not readable: {args.db}")
     try:
@@ -66,7 +64,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             semantic, result = semantic_similarity(args.truth, args.predicted), None
         else:
             options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
-            semantic, result = score_pair(args.truth, args.predicted, args.db, anchor, options)
+            semantic, result = score_pair(args.truth, args.predicted, args.db, args.anchor, options)
     except CorpusError as exc:
         return _fail(str(exc))
     print(f"semantic: {semantic.value:.3f}")
@@ -78,10 +76,6 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        anchor = parse_anchor(_resolve_anchor(args.anchor))
-    except ValueError as exc:
-        return _fail(f"invalid anchor: {exc}")
     if not Path(args.db_dir).is_dir():
         return _fail(f"database directory not found: {args.db_dir}")
     try:
@@ -98,7 +92,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     try:
         options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
-        report = evaluate(questions, predictions, args.db_dir, anchor, options)
+        report = evaluate(questions, predictions, args.db_dir, args.anchor, options)
     except ConfigError as exc:
         return _fail(str(exc))
 
@@ -119,17 +113,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        anchor = parse_anchor(_resolve_anchor(args.anchor))
-    except ValueError as exc:
-        return _fail(f"invalid anchor: {exc}")
     if not Path(args.db_dir).is_dir():
         return _fail(f"database directory not found: {args.db_dir}")
     try:
         questions = load_corpus(args.corpus)
     except CorpusLoadError as exc:
         return _fail(str(exc))
-    warnings = validate_corpus(questions, args.db_dir, anchor)
+    warnings = validate_corpus(questions, args.db_dir, args.anchor)
     if not warnings:
         print(f"corpus ok: {len(questions)} questions, no warnings")
         return EXIT_OK
@@ -154,6 +144,8 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a string default goes through the type only when the flag is absent
+    anchor = {"type": _anchor, "default": os.environ.get("BIS_ANCHOR") or DEFAULT_ANCHOR.isoformat()}
     parser = argparse.ArgumentParser(prog="sqlscore", description="Partial-credit scoring for NL2SQL predictions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -161,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("truth", help="ground-truth SQL")
     score.add_argument("predicted", help="predicted SQL")
     score.add_argument("--db", help="fixture database; adds result-similarity scores")
-    score.add_argument("--anchor", help=f"ISO-8601 clock anchor (default {DEFAULT_ANCHOR.isoformat()})")
+    score.add_argument("--anchor", **anchor, help=f"ISO-8601 clock anchor (default {DEFAULT_ANCHOR.isoformat()})")
     score.add_argument("--order-insensitive", action="store_true", help="sort column values before comparing")
     score.add_argument("--timeout-s", type=_seconds, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
     score.set_defaults(func=cmd_score)
@@ -170,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--corpus", required=True, help="question file (JSON array)")
     run.add_argument("--db-dir", required=True, help="directory with <db_id>.sqlite files")
     run.add_argument("--adapter", default="identity", help="identity | file:preds.jsonl | cmd:command | http(s)://url")
-    run.add_argument("--anchor", help="ISO-8601 clock anchor")
+    run.add_argument("--anchor", **anchor, help="ISO-8601 clock anchor")
     run.add_argument("--order-insensitive", action="store_true")
     run.add_argument("--timeout-s", type=_seconds, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
     run.add_argument("--adapter-timeout-s", type=_seconds, default=DEFAULT_ADAPTER_TIMEOUT_S, help="per-question adapter timeout")
@@ -182,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="check corpus and fixture-data health")
     validate.add_argument("--corpus", required=True)
     validate.add_argument("--db-dir", required=True)
-    validate.add_argument("--anchor")
+    validate.add_argument("--anchor", **anchor)
     validate.set_defaults(func=cmd_validate)
 
     fixtures = sub.add_parser("fixtures", help="write the built-in fixture corpus and databases")

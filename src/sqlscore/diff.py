@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 
-from .sqlast import Node, NodeKind, SqlAst
+from .sqlast import Node, NodeKind
 
 # Containers whose children are compared as sets rather than sequences.
 _UNORDERED_KINDS = {NodeKind.SELECT_LIST, NodeKind.GROUP_BY}
@@ -278,9 +278,9 @@ class _Matcher:
         return EditScript(tuple(ops))
 
 
-def diff(truth: SqlAst, predicted: SqlAst) -> EditScript:
+def diff(truth: Node, predicted: Node) -> EditScript:
     """Edit script covering every node of both trees exactly once."""
-    matcher = _Matcher(truth.root, predicted.root)
+    matcher = _Matcher(truth, predicted)
     matcher.anchor_exact()
     matcher.pair_remainder()
     return matcher.script()

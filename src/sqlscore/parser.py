@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from typing import Callable, NamedTuple
 
-from .sqlast import Node, NodeKind, ParseError, SqlAst, from_items
+from .sqlast import Node, NodeKind, ParseError, from_items
 
 KEYWORDS = {
     "select", "from", "where", "group", "by", "order", "limit", "offset",
@@ -42,27 +42,28 @@ UNSUPPORTED = {
 BARE_TIME_FUNCTIONS = {"current_timestamp", "current_date", "current_time"}
 
 # An unquoted name, as in SQLite: an ASCII letter, "_" or any non-ASCII
-# character that is not whitespace, then any of those or an ASCII digit.
-# Each class lists what it leaves out: the rest of ASCII, and whitespace.
-_WORD = r"[^\x00-\x40\x5b-\x5e\x60\x7b-\x7f\s][^\x00-\x2f\x3a-\x40\x5b-\x5e\x60\x7b-\x7f\s]*"
+# character (U+00A0 and U+3000 too), then any of those or an ASCII digit.
+# Each class lists what it leaves out: the rest of ASCII.
+_WORD = r"[^\x00-\x40\x5b-\x5e\x60\x7b-\x7f][^\x00-\x2f\x3a-\x40\x5b-\x5e\x60\x7b-\x7f]*"
 _IDENT_RE = re.compile(_WORD + r"\Z")
 # Only ASCII letters fold, because SQLite tells "é" from "É".
 _ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
 _QUOTED_NAME_RE = re.compile(r'"[^"]*(?:""[^"]*)*"(?!")')  # a quote inside is doubled
 
-# The lexical grammar.  Each match is any run of whitespace and comments,
-# then one token; alternatives are tried in order, and ``tokenize`` tells
-# them apart by group number (``_GROUP_KINDS``).  A string, and a name in
-# double quotes or backticks, closes on a quote that is not doubled: ``(?!')``
-# stops backtracking from closing it on the first half of a ``''`` escape
-# (Python 3.10 has no possessive quantifiers).  Brackets have no escape.
+# The lexical grammar.  Each match is any run of whitespace (the five ASCII
+# characters SQLite skips) and comments, then one token; alternatives are
+# tried in order, and ``tokenize`` tells them apart by group number
+# (``_GROUP_KINDS``).  A string, and a name in double quotes or backticks,
+# closes on a quote that is not doubled: ``(?!')`` stops backtracking from
+# closing it on the first half of a ``''`` escape (Python 3.10 has no
+# possessive quantifiers).  Brackets have no escape.
 # ``unterminated`` matches only an opener whose token could not be closed,
 # and ``bad`` any other character.  The token is optional, so trailing
 # whitespace and comments match without one and no match can fail (or
 # backtrack into the prefix).
 _TOKEN_RE = re.compile(
     r"""
-    (?:\s+|--[^\n]*|/\*.*?\*/)*
+    (?:[ \t\n\f\r]+|--[^\n]*|/\*.*?\*/)*
     (?:(?P<word>""" + _WORD + r""")
     |(?P<string>'[^']*(?:''[^']*)*'(?!'))
     |(?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
@@ -639,13 +640,13 @@ def _resolve_aliases(statement: Node, env: dict[str, str]) -> Node:
     return statement.map_children(rewrite)
 
 
-def parse(sql: str) -> SqlAst:
-    """Parse one SELECT statement into a normalized AST.
+def parse(sql: str) -> Node:
+    """Parse one SELECT statement into a normalized AST: its statement node.
 
     Raises ParseError for empty input, multiple statements, or anything
     outside the supported surface; never aborts the process.
     """
-    if not isinstance(sql, str) or not sql.strip():
+    if not isinstance(sql, str) or not sql.strip(" \t\n\f\r"):
         raise ParseError("empty SQL text", 0)
     tokens = tokenize(sql)
     parser = _Parser(tokens)
@@ -655,4 +656,4 @@ def parse(sql: str) -> SqlAst:
     parser.accept_punct(";")
     if parser.peek().kind != "eof":
         raise parser.error("multiple statements are not supported" if parser.at_kw("select", "with") else "trailing input after statement")
-    return SqlAst(_resolve_aliases(root, {}) if parser.needs_resolution else root)
+    return _resolve_aliases(root, {}) if parser.needs_resolution else root

@@ -8,7 +8,7 @@ where precedence demands them.  ``parse(render(ast))`` reproduces ``ast``.
 
 from __future__ import annotations
 
-from .sqlast import Node, NodeKind, SqlAst, from_items
+from .sqlast import Node, NodeKind, from_items
 from .parser import BARE_TIME_FUNCTIONS
 
 _PRECEDENCE = {
@@ -26,10 +26,9 @@ _PRECEDENCE = {
 _BINARY_ARITHMETIC = {"+", "-", "||", "*", "/", "%"}
 
 
-def render(ast: SqlAst | Node) -> str:
-    """Emit executable SQL for an AST produced by parse or a rewrite."""
-    root = ast.root if isinstance(ast, SqlAst) else ast
-    return _statement(root)
+def render(ast: Node) -> str:
+    """Emit executable SQL for a statement produced by parse or a rewrite."""
+    return _statement(ast)
 
 
 def render_expression(node: Node) -> str:

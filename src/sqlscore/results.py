@@ -26,7 +26,7 @@ from pathlib import Path
 from .anchor import DEFAULT_ANCHOR, rewrite_time_anchor
 from .parser import parse
 from .render import render
-from .sqlast import ParseError, SqlAst
+from .sqlast import Node, ParseError
 
 DEFAULT_TIMEOUT_S = 10.0
 DEFAULT_ROW_CAP = 100_000
@@ -129,7 +129,7 @@ def _sorted_column(column: tuple[Cell, ...]) -> list[Cell]:
     kinds = set(map(type, rest))
     if kinds <= {str}:
         rest.sort(key=str.rstrip)
-    elif kinds <= {int, float} and all(-_NATIVE_SORT_BOUND < c < _NATIVE_SORT_BOUND for c in rest):
+    elif kinds <= {int, float} and -_NATIVE_SORT_BOUND < min(rest) and max(rest) < _NATIVE_SORT_BOUND:
         rest.sort()
     else:
         return sorted(column, key=_sort_key)
@@ -234,7 +234,7 @@ def _open_readonly(db_path: str | Path) -> sqlite3.Connection:
 
 
 def execute(
-    query: str | SqlAst,
+    query: str | Node,
     db: str | Path | sqlite3.Connection,
     anchor: str | datetime = DEFAULT_ANCHOR,
     *,
@@ -243,18 +243,16 @@ def execute(
 ) -> ResultTable:
     """Anchor the clock, render and run a query read-only.
 
-    ``query`` is SQL text, which is parsed first, or an already parsed
-    ``SqlAst``.  The result is materialized fully; a timeout and a row cap
-    bound runaway predictions.  Raises ExecutionError on any failure.
+    ``query`` is SQL text, which is parsed first, or a statement already
+    parsed by ``parse``.  The result is materialized fully; a timeout and a
+    row cap bound runaway predictions.  Raises ExecutionError on any failure.
     """
-    if isinstance(query, SqlAst):
-        ast = query
-    else:
+    if not isinstance(query, Node):
         try:
-            ast = parse(query)
+            query = parse(query)
         except ParseError as exc:
             raise ExecutionError(f"query does not parse: {exc}", stage="parse") from exc
-    sql = render(rewrite_time_anchor(ast, anchor))
+    sql = render(rewrite_time_anchor(query, anchor))
 
     own_connection = not isinstance(db, sqlite3.Connection)
     conn = _open_readonly(db) if own_connection else db

@@ -21,6 +21,7 @@ from collections.abc import Iterator
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from typing import Any
@@ -43,7 +44,7 @@ from .results import (
     score_result_pair,
 )
 from .semantic import CorpusError, SemanticScore, invalid_prediction_score, semantic_score_from_asts
-from .sqlast import NodeKind, ParseError, SqlAst, physical_tables
+from .sqlast import Node, NodeKind, ParseError, physical_tables
 
 __all__ = [
     "ConfigError",
@@ -132,45 +133,57 @@ def _db_path(db_dir: Path, db_id: str) -> Path:
     return db_dir / f"{db_id}.sqlite"
 
 
+@dataclass(frozen=True)
+class Truth:
+    """A ground-truth query that parsed and executed: its statement and result."""
+
+    root: Node
+    table: ResultTable
+
+    @cached_property
+    def tables(self) -> frozenset[str]:
+        """The physical tables the truth reads."""
+        return frozenset(physical_tables(self.root))
+
+
 def _truth(
     sql: str,
     db: str | Path | sqlite3.Connection,
     anchor: datetime,
     options: EvalOptions,
-) -> tuple[SqlAst, ResultTable]:
+) -> Truth:
     """Parse and execute a ground-truth query.
 
     Raises CorpusError when it does not parse or execute.
     """
     try:
-        ast = parse(sql)
+        root = parse(sql)
     except ParseError as exc:
         raise CorpusError(f"truth query does not parse: {exc}") from exc
     try:
-        table = execute(ast, db, anchor, timeout_s=options.query_timeout_s)
+        table = execute(root, db, anchor, timeout_s=options.query_timeout_s)
     except ExecutionError as exc:
         raise CorpusError(f"truth query failed to execute: {exc}") from exc
-    return ast, table
+    return Truth(root, table)
 
 
 def _score_prediction(
-    truth: tuple[SqlAst, ResultTable],
+    truth: Truth,
     predicted_sql: str,
     db: str | Path | sqlite3.Connection,
     anchor: datetime,
     options: EvalOptions,
 ) -> tuple[SemanticScore, ResultScore]:
-    truth_ast, truth_table = truth
     try:
-        predicted_ast = parse(predicted_sql)
+        predicted = parse(predicted_sql)
     except ParseError:
         return invalid_prediction_score(), ResultScore.failure(VERDICT_INVALID)
-    semantic = semantic_score_from_asts(truth_ast, predicted_ast)
+    semantic = semantic_score_from_asts(truth.root, predicted)
     try:
-        predicted_table = execute(predicted_ast, db, anchor, timeout_s=options.query_timeout_s)
+        predicted_table = execute(predicted, db, anchor, timeout_s=options.query_timeout_s)
     except ExecutionError:
         return semantic, ResultScore.failure(VERDICT_EXECUTION_ERROR)
-    return semantic, score_result_pair(predicted_table, truth_table, options.order_insensitive)
+    return semantic, score_result_pair(predicted_table, truth.table, options.order_insensitive)
 
 
 def score_pair(
@@ -197,7 +210,7 @@ def _truths(
     conns: dict[str, sqlite3.Connection],
     anchor: datetime,
     options: EvalOptions,
-) -> Iterator[tuple[BenchmarkQuestion, tuple[SqlAst, ResultTable] | CorpusError]]:
+) -> Iterator[tuple[BenchmarkQuestion, Truth | CorpusError]]:
     """Each question with its truth, or the CorpusError it raised, in order.
 
     Each distinct (db_id, query) is parsed and executed once.  Its outcome is
@@ -205,7 +218,7 @@ def _truths(
     between questions when no truth is shared.
     """
     uses = Counter((q.db_id, q.query) for q in questions)
-    held: dict[tuple[str, str], tuple[SqlAst, ResultTable] | CorpusError] = {}
+    held: dict[tuple[str, str], Truth | CorpusError] = {}
     for q in questions:
         key = (q.db_id, q.query)
         outcome = held.pop(key, None)
@@ -222,7 +235,7 @@ def _truths(
 
 def _score_instance(
     question: BenchmarkQuestion,
-    truth: tuple[SqlAst, ResultTable] | CorpusError,
+    truth: Truth | CorpusError,
     predicted_sql: str,
     conn: sqlite3.Connection,
     anchor: datetime,
@@ -315,12 +328,11 @@ def _timestamp_columns(conn: sqlite3.Connection, table: str) -> list[str]:
     return names
 
 
-def _anchor_windows(truth_ast, instant: datetime, scratch: sqlite3.Connection) -> list[str]:
+def _anchor_windows(truth: Truth, instant: datetime, scratch: sqlite3.Connection) -> list[str]:
     """Boundary instants referenced relative to the anchor, as ISO text."""
-    anchored = rewrite_time_anchor(truth_ast, instant)
     anchor_literal = f"'{instant.strftime('%Y-%m-%d %H:%M:%S')}'"
     bounds: list[str] = []
-    for node in anchored.root.walk():
+    for node in rewrite_time_anchor(truth.root, instant).walk():
         if (
             node.kind is NodeKind.FUNCTION_CALL
             and node.text in TIME_VALUE_FUNCTIONS
@@ -340,20 +352,19 @@ def _anchor_windows(truth_ast, instant: datetime, scratch: sqlite3.Connection) -
 def _range_problems(
     conn: sqlite3.Connection,
     scratch: sqlite3.Connection,
-    truth_ast: SqlAst,
-    tables: frozenset,
+    truth: Truth,
     instant: datetime,
 ) -> list[str]:
     """Each read table whose timestamped data does not bracket the truth's
     anchor-relative window, as one message per table in name order."""
-    bounds = _anchor_windows(truth_ast, instant, scratch)
+    bounds = _anchor_windows(truth, instant, scratch)
     if not bounds:
         return []
     anchor_text = instant.strftime("%Y-%m-%d %H:%M:%S")
     window_start = min(bounds + [anchor_text])
     window_end = max(bounds + [anchor_text])
     problems: list[str] = []
-    for table_name in sorted(tables):
+    for table_name in sorted(truth.tables):
         ts_columns = _timestamp_columns(conn, table_name)
         if not ts_columns:
             continue
@@ -406,37 +417,35 @@ def validate_corpus(
         conns = _open_databases(stack, db_dir, present)
         scratch = stack.enter_context(closing(sqlite3.connect(":memory:")))
 
-        # distinct truths that executed, in first-use order: (ast, tables read, result)
-        distinct: dict[tuple[str, str], tuple[SqlAst, frozenset, ResultTable]] = {}
+        # distinct truths that executed, in first-use order
+        distinct: dict[tuple[str, str], Truth] = {}
         executed: list[tuple[BenchmarkQuestion, tuple[str, str]]] = []
         for q, truth in _truths([q for q in questions if q.db_id in present], conns, instant, EvalOptions()):
             if isinstance(truth, CorpusError):
                 warnings.append(f"question {q.id}: {truth}")
                 continue
-            ast, table = truth
-            if table.row_count == 0:
+            if truth.table.row_count == 0:
                 warnings.append(f"question {q.id}: truth result has zero rows")
             key = (q.db_id, q.query)
-            if key not in distinct:
-                distinct[key] = (ast, frozenset(physical_tables(ast.root)), table)
+            distinct.setdefault(key, truth)
             executed.append((q, key))
 
         # distinct queries over the same tables must not coincide on results
         scopes: dict[tuple[str, frozenset], list[tuple[str, str]]] = defaultdict(list)
-        for key, (_, tables, _) in distinct.items():
-            scopes[key[0], tables].append(key)
+        for key, truth in distinct.items():
+            scopes[key[0], truth.tables].append(key)
         coinciding: dict[tuple[str, str], list[tuple[str, str]]] = defaultdict(list)
         for keys in scopes.values():
             for key_a, key_b in combinations(keys, 2):
-                (ast_a, _, table_a), (ast_b, _, table_b) = distinct[key_a], distinct[key_b]
-                if ast_a.root != ast_b.root and table_a.column_count == table_b.column_count == len(match_columns(table_a, table_b)):
+                a, b = distinct[key_a], distinct[key_b]
+                if a.root != b.root and a.table.column_count == b.table.column_count == len(match_columns(a.table, b.table)):
                     coinciding[key_a].append(key_b)
                     coinciding[key_b].append(key_a)
         positions: dict[tuple[str, str], list[int]] = defaultdict(list)
         for i, (_, key) in enumerate(executed):
             positions[key].append(i)
         for i, (qa, key) in enumerate(executed):
-            tables = "/".join(sorted(distinct[key][1]))
+            tables = "/".join(sorted(distinct[key].tables))
             for j in sorted(j for other in coinciding[key] for j in positions[other] if j > i):
                 warnings.append(
                     f"questions {qa.id} and {executed[j][0].id}: distinct queries over "
@@ -449,7 +458,6 @@ def validate_corpus(
             if q.case_type not in _TIME_SENSITIVE_CASE_TYPES:
                 continue
             if key not in problems:
-                ast, tables, _ = distinct[key]
-                problems[key] = _range_problems(conns[q.db_id], scratch, ast, tables, instant)
+                problems[key] = _range_problems(conns[q.db_id], scratch, distinct[key], instant)
             warnings.extend(f"question {q.id}: {problem}" for problem in problems[key])
     return warnings

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .diff import EditOpKind, EditScript, diff
 from .parser import parse, split_qualified
 from .results import VERDICT_INVALID, VERDICT_SCORED
-from .sqlast import NodeKind, ParseError, SqlAst, cte_names
+from .sqlast import Node, NodeKind, ParseError, cte_names
 
 RULE_NORMAL = "normal"
 RULE_TABLE_MISMATCH = "table-mismatch"
@@ -121,9 +121,9 @@ def score_edit_script(script: EditScript, truth_ctes: set[str], pred_ctes: set[s
     return SemanticScore(value=1.0 - raw_ratio, verdict=VERDICT_SCORED, breakdown=breakdown)
 
 
-def semantic_score_from_asts(truth: SqlAst, predicted: SqlAst) -> SemanticScore:
+def semantic_score_from_asts(truth: Node, predicted: Node) -> SemanticScore:
     script = diff(truth, predicted)
-    return score_edit_script(script, cte_names(truth.root), cte_names(predicted.root))
+    return score_edit_script(script, cte_names(truth), cte_names(predicted))
 
 
 def invalid_prediction_score() -> SemanticScore:

@@ -1,13 +1,13 @@
 """Core AST types shared by the parser, renderer, diff and scoring layers.
 
-Trees are immutable: a transformation builds new nodes where it changes
-something and shares the untouched subtrees, so a parsed tree can be handed
-to several consumers (diff, anchoring, rendering).
+A parsed statement is its root ``Node``.  Trees are immutable: a
+transformation builds new nodes where it changes something and shares the
+untouched subtrees, so a parsed tree can be handed to several consumers
+(diff, anchoring, rendering).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import is_
 from typing import Callable, Iterator, NamedTuple
@@ -54,7 +54,7 @@ class Node(NamedTuple):
             stack.extend(reversed(node.children))
 
     @property
-    def size(self) -> int:
+    def node_count(self) -> int:
         return sum(1 for _ in self.walk())
 
     def replace_children(self, children: tuple["Node", ...]) -> "Node":
@@ -69,20 +69,6 @@ class Node(NamedTuple):
         if all(map(is_, children, self.children)):
             return self
         return Node(self.kind, self.text, children)
-
-
-@dataclass(frozen=True)
-class SqlAst:
-    """A normalized syntax tree for a single SELECT statement."""
-
-    root: Node
-
-    @property
-    def node_count(self) -> int:
-        return self.root.size
-
-    def walk(self) -> Iterator[Node]:
-        return self.root.walk()
 
 
 class ParseError(Exception):

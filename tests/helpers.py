@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from sqlscore import Node, NodeKind, ResultTable, SqlAst, parse
+from sqlscore import Node, NodeKind, ResultTable, parse
 from sqlscore.diff import _CLAUSE_KINDS  # clause buckets are part of the matcher contract
 
 # -- random query generation --------------------------------------------------
@@ -70,36 +70,36 @@ def _rebuild(node: Node, target: Node, replacement: Node | None) -> Node:
     return Node(node.kind, node.text, tuple(children))
 
 
-def swap_table(ast: SqlAst, new_name: str = "zz_other") -> SqlAst:
+def swap_table(ast: Node, new_name: str = "zz_other") -> Node:
     """Rename the first physical table reference."""
     from sqlscore.sqlast import cte_names
 
-    ctes = cte_names(ast.root)
-    target = next(n for n in ast.root.walk() if n.kind is NodeKind.TABLE_REF and n.text not in ctes)
-    return SqlAst(_rebuild(ast.root, target, Node(NodeKind.TABLE_REF, new_name)))
+    ctes = cte_names(ast)
+    target = next(n for n in ast.walk() if n.kind is NodeKind.TABLE_REF and n.text not in ctes)
+    return _rebuild(ast, target, Node(NodeKind.TABLE_REF, new_name))
 
 
-def _first_select_list(ast: SqlAst) -> Node:
-    return next(n for n in ast.root.walk() if n.kind is NodeKind.SELECT_LIST)
+def _first_select_list(ast: Node) -> Node:
+    return next(n for n in ast.walk() if n.kind is NodeKind.SELECT_LIST)
 
 
-def add_column_alias(ast: SqlAst, label: str = "extra_label") -> SqlAst:
+def add_column_alias(ast: Node, label: str = "extra_label") -> Node:
     """Wrap the first unaliased, non-star select item in an alias."""
     select_list = _first_select_list(ast)
     target = next(c for c in select_list.children if c.kind is not NodeKind.ALIAS and c.text != "*")
-    return SqlAst(_rebuild(ast.root, target, Node(NodeKind.ALIAS, label, (target,))))
+    return _rebuild(ast, target, Node(NodeKind.ALIAS, label, (target,)))
 
 
-def rename_column_alias(ast: SqlAst, label: str = "renamed_label") -> SqlAst:
-    target = next(n for n in ast.root.walk() if n.kind is NodeKind.ALIAS and n.children[0].kind is not NodeKind.TABLE_REF)
-    return SqlAst(_rebuild(ast.root, target, Node(NodeKind.ALIAS, label, target.children)))
+def rename_column_alias(ast: Node, label: str = "renamed_label") -> Node:
+    target = next(n for n in ast.walk() if n.kind is NodeKind.ALIAS and n.children[0].kind is not NodeKind.TABLE_REF)
+    return _rebuild(ast, target, Node(NodeKind.ALIAS, label, target.children))
 
 
-def drop_select_column(ast: SqlAst) -> SqlAst:
+def drop_select_column(ast: Node) -> Node:
     """Remove the first select-list item (the list must keep >= 1 item)."""
     select_list = _first_select_list(ast)
     assert len(select_list.children) >= 2
-    return SqlAst(_rebuild(ast.root, select_list.children[0], None))
+    return _rebuild(ast, select_list.children[0], None)
 
 
 # -- brute-force oracles --------------------------------------------------------
@@ -134,22 +134,22 @@ def _bucket_map(root: Node) -> dict[int, str]:
     return buckets
 
 
-def optimal_nonkeep_oracle(truth: SqlAst, predicted: SqlAst) -> int:
+def optimal_nonkeep_oracle(truth: Node, predicted: Node) -> int:
     """Minimum possible non-keep op count over all kind- and clause-respecting
     one-to-one node matchings.  Exponential; only for trees of ~12 nodes."""
     t_nodes = list(truth.walk())
     p_nodes = list(predicted.walk())
-    t_buckets = _bucket_map(truth.root)
-    p_buckets = _bucket_map(predicted.root)
+    t_buckets = _bucket_map(truth)
+    p_buckets = _bucket_map(predicted)
 
-    t_parent = {id(truth.root): None}
-    t_index = {id(truth.root): 0}
+    t_parent = {id(truth): None}
+    t_index = {id(truth): 0}
     for node in t_nodes:
         for i, child in enumerate(node.children):
             t_parent[id(child)] = node
             t_index[id(child)] = i
-    p_parent = {id(predicted.root): None}
-    p_index = {id(predicted.root): 0}
+    p_parent = {id(predicted): None}
+    p_index = {id(predicted): 0}
     for node in p_nodes:
         for i, child in enumerate(node.children):
             p_parent[id(child)] = node
@@ -211,5 +211,5 @@ def random_result_table(rng: random.Random, max_columns: int = 4, max_rows: int 
     return ResultTable(labels, tuple(columns))
 
 
-def parse_pair(truth_sql: str, predicted_sql: str) -> tuple[SqlAst, SqlAst]:
+def parse_pair(truth_sql: str, predicted_sql: str) -> tuple[Node, Node]:
     return parse(truth_sql), parse(predicted_sql)

@@ -26,7 +26,7 @@ from sqlscore import (
     semantic_similarity,
 )
 from sqlscore.cli import main as cli_main
-from sqlscore.sqlast import Node, SqlAst
+from sqlscore.sqlast import Node
 
 from helpers import (
     add_column_alias,
@@ -170,14 +170,14 @@ def test_05_matching_oracle_order_insensitive_trailing_whitespace():
     ok(5, "order-insensitive matching equals exhaustive oracle on trimmed text (200/200)")
 
 
-def _permute_select_list(ast: SqlAst) -> SqlAst:
+def _permute_select_list(ast: Node) -> Node:
     def rebuild(node: Node) -> Node:
         children = tuple(rebuild(c) for c in node.children)
         if node.kind is NodeKind.SELECT_LIST:
             children = tuple(reversed(children))
         return Node(node.kind, node.text, children)
 
-    return SqlAst(rebuild(ast.root))
+    return rebuild(ast)
 
 
 def test_06_tree_diff_properties(questions):

@@ -264,13 +264,35 @@ def test_malformed_corpus_exits_two(capsys, db_dir, tmp_path, command, defect):
     ids=["score", "run", "run-adapter"],
 )
 def test_bad_timeout_exits_two(capsys, argv, value):
+    assert_bad_option_exits_two(capsys, [*argv, value], f"got {value!r}")
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["score", "SELECT 1", "SELECT 1", "--anchor", "yesterday"], None),
+        (["run", "--corpus", "q.json", "--db-dir", "db", "--anchor", "yesterday"], None),
+        (["validate", "--corpus", "q.json", "--db-dir", "db", "--anchor", "yesterday"], None),
+        (["run", "--corpus", "q.json", "--db-dir", "db"], "yesterday"),
+    ],
+    ids=["score", "run", "validate", "env"],
+)
+def test_bad_anchor_exits_two(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("BIS_ANCHOR", raising=False)
+    else:
+        monkeypatch.setenv("BIS_ANCHOR", env)
+    assert_bad_option_exits_two(capsys, argv, "invalid anchor: Invalid isoformat string: 'yesterday'")
+
+
+def assert_bad_option_exits_two(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main([*argv, value])
+        main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
     assert [line for line in captured.err.splitlines() if "error:" in line] == [captured.err.splitlines()[-1]]
-    assert f"got {value!r}" in captured.err
+    assert message in captured.err
 
 
 class TestFixturesCommand:
@@ -297,7 +319,8 @@ def test_normalize_non_ascii_names(capsys):
 def test_package_imports_without_site_packages():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-S", "-c", "import sqlscore"], env=env, capture_output=True, text=True, timeout=60)
+    # a star import fails on a name that __all__ lists but the package lacks
+    proc = subprocess.run([sys.executable, "-S", "-c", "from sqlscore import *"], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sqlscore import EditOpKind, NodeKind, SqlAst, diff, parse
+from sqlscore import EditOpKind, NodeKind, diff, parse
 from sqlscore.fixtures import FIXTURE_QUESTIONS
 
 from helpers import optimal_nonkeep_oracle, random_query
@@ -33,9 +33,9 @@ class TestIdentity:
     def test_tree_that_reuses_a_node_object(self):
         # Nodes are immutable, so a hand-built tree may hold one object twice.
         truth = parse("SELECT a, a FROM t")
-        select_list, table = truth.root.children
+        select_list, table = truth.children
         a = select_list.children[0]
-        shared = SqlAst(truth.root.replace_children((select_list.replace_children((a, a)), table)))
+        shared = truth.replace_children((select_list.replace_children((a, a)), table))
         assert shared == truth
         for script in (diff(truth, shared), diff(shared, truth), diff(shared, shared)):
             assert script.counts() == {"keep": 5, "move": 0, "update": 0, "insert": 0, "delete": 0}

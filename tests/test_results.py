@@ -142,11 +142,13 @@ class TestMatchColumns:
 _BOUNDARY_POOL = [
     None, "", "b", "b ", "b\n", 3, 3.0, 5, 5.000000001,
     2**29 - 1, -(2**29 - 1), 2**29, -(2**29), 10**9, 10**9 + 1, 10**12, 10**12 + 1,
-    0.1 + 0.2, 0.3, 2**53, 2**53 + 1, float("inf"), True, b"x",
+    0.1 + 0.2, 0.3, 2**53, 2**53 + 1, -(2**53), -(2**53) - 1, 2**53 - 1, -(2**53 - 1),
+    float("inf"), True, b"x",
 ]  # fmt: skip
 # cells that are equal under cells_equal but differ as Python values
 _EQUAL_GROUPS = [
     ["b", "b ", "b\n"], [3, 3.0], [5, 5.000000001], [10**9, 10**9 + 1], [10**12, 10**12 + 1], [0.1 + 0.2, 0.3], [2**53, 2**53 + 1],
+    [-(2**53), -(2**53) - 1],
 ]  # fmt: skip
 
 
@@ -313,12 +315,12 @@ class TestExecute:
     def test_non_ascii_unquoted_names(self, tmp_path):
         db = tmp_path / "names.sqlite"
         with sqlite3.connect(db) as conn:
-            conn.execute('CREATE TABLE t (prénom TEXT, 名前 INTEGER, "É" INTEGER)')
-            conn.execute("INSERT INTO t VALUES ('x', 1, 2)")
+            conn.execute('CREATE TABLE t (prénom TEXT, 名前 INTEGER, "É" INTEGER, "a\xa0b" INTEGER)')
+            conn.execute("INSERT INTO t VALUES ('x', 1, 2, 3)")
         conn.close()
-        t = execute("SELECT prénom, 名前, PRéNOM FROM t", db)
-        assert t.labels == ("prénom", "名前", "prénom")
-        assert t.columns == (("x",), (1,), ("x",))
+        t = execute("SELECT prénom, 名前, PRéNOM, a\xa0b FROM t", db)
+        assert t.labels == ("prénom", "名前", "prénom", "a\xa0b")
+        assert t.columns == (("x",), (1,), ("x",), (3,))
         assert execute("SELECT É FROM t", db).columns == ((2,),)
         # SQLite folds only ASCII letters too: é does not name the column É
         with pytest.raises(ExecutionError) as exc_info:
