@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from typing import NamedTuple
 
 from .sqlast import Node, NodeKind
 
@@ -43,9 +44,8 @@ class EditOpKind(str, Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class EditOp:
-    """One classified edit.
+class EditOp(NamedTuple):
+    """One classified edit, a named tuple like ``Node``.
 
     keep/move/update reference a node in both trees; delete only the truth
     tree, insert only the predicted tree.
@@ -55,12 +55,6 @@ class EditOp:
     node_kind: NodeKind
     source: Node | None = None
     target: Node | None = None
-
-    @property
-    def node_text(self) -> str:
-        node = self.source if self.source is not None else self.target
-        assert node is not None
-        return node.text
 
 
 @dataclass(frozen=True)
@@ -77,9 +71,6 @@ class EditScript:
             out[op.kind.value] += 1
         return out
 
-    def non_keep_count(self) -> int:
-        return sum(1 for op in self.ops if op.kind is not EditOpKind.KEEP)
-
 
 def _is_unordered(node: Node) -> bool:
     if node.kind in _UNORDERED_KINDS:
@@ -92,12 +83,15 @@ class _TreeIndex:
 
     ``parent`` is -1 for the root.  ``key[i]`` is an int, equal for two
     subtrees exactly when they are equal up to the order of unordered nodes'
-    children: ``keys``, shared by both trees of one diff, interns
-    ``(kind, text, *child keys)`` with those child keys sorted.  The
-    descendants of ``i`` are the positions ``i + 1 .. i + size[i] - 1``.
+    children: the index's own ``keys`` table interns ``(kind, text, *child
+    keys)`` with those child keys sorted.  A predicted tree is indexed into a
+    copy of the truth's table, so one truth index serves any number of
+    diffs.  The descendants of ``i`` are the positions
+    ``i + 1 .. i + size[i] - 1``.
     """
 
-    def __init__(self, root: Node, keys: dict[tuple, int]):
+    def __init__(self, root: Node, keys: dict[tuple, int] | None = None):
+        keys = {} if keys is None else keys
         nodes: list[Node] = []
         parent: list[int] = []
         child_index: list[int] = []
@@ -132,7 +126,11 @@ class _TreeIndex:
             else:
                 key[i] = keys.setdefault((node.kind, node.text), len(keys))
         self.nodes, self.parent, self.child_index, self.children = nodes, parent, child_index, children
-        self.bucket, self.key, self.size = bucket, key, size
+        self.bucket, self.key, self.size, self.keys = bucket, key, size, keys
+
+    @property
+    def node_count(self) -> int:
+        return len(self.nodes)
 
 
 def _dice(a: Counter, b: Counter) -> float:
@@ -143,10 +141,9 @@ def _dice(a: Counter, b: Counter) -> float:
 class _Matcher:
     """Pairs truth and predicted positions; ``t2p``/``p2t`` hold -1 while unpaired."""
 
-    def __init__(self, truth: Node, predicted: Node):
-        keys: dict[tuple, int] = {}
-        self.t = _TreeIndex(truth, keys)
-        self.p = _TreeIndex(predicted, keys)
+    def __init__(self, truth: _TreeIndex, predicted: Node):
+        self.t = truth
+        self.p = _TreeIndex(predicted, dict(truth.keys))
         self.t2p = [-1] * len(self.t.nodes)
         self.p2t = [-1] * len(self.p.nodes)
 
@@ -265,22 +262,27 @@ class _Matcher:
             j = self.t2p[i]
             p_node = self.p.nodes[j] if j >= 0 else None
             if p_node is None:
-                ops.append(EditOp(EditOpKind.DELETE, t_node.kind, source=t_node))
+                kind = EditOpKind.DELETE
             elif t_node.text != p_node.text:
-                ops.append(EditOp(EditOpKind.UPDATE, t_node.kind, source=t_node, target=p_node))
+                kind = EditOpKind.UPDATE
             elif self._parents_paired(i, j) and self._same_position(i, j):
-                ops.append(EditOp(EditOpKind.KEEP, t_node.kind, source=t_node, target=p_node))
+                kind = EditOpKind.KEEP
             else:
-                ops.append(EditOp(EditOpKind.MOVE, t_node.kind, source=t_node, target=p_node))
+                kind = EditOpKind.MOVE
+            ops.append(EditOp(kind, t_node.kind, t_node, p_node))
         for j, p_node in enumerate(self.p.nodes):
             if self.p2t[j] < 0:
-                ops.append(EditOp(EditOpKind.INSERT, p_node.kind, target=p_node))
+                ops.append(EditOp(EditOpKind.INSERT, p_node.kind, None, p_node))
         return EditScript(tuple(ops))
 
 
-def diff(truth: Node, predicted: Node) -> EditScript:
-    """Edit script covering every node of both trees exactly once."""
-    matcher = _Matcher(truth, predicted)
+def diff(truth: Node | _TreeIndex, predicted: Node) -> EditScript:
+    """Edit script covering every node of both trees exactly once.
+
+    ``truth`` may be a tree or its ``_TreeIndex``, which is left unchanged
+    and can be passed to any number of diffs.
+    """
+    matcher = _Matcher(truth if isinstance(truth, _TreeIndex) else _TreeIndex(truth), predicted)
     matcher.anchor_exact()
     matcher.pair_remainder()
     return matcher.script()

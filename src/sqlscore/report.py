@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .results import DEFAULT_REL_TOL, DEFAULT_ROW_CAP
 from .runner import Aggregate, EvalReport, InstanceResult
@@ -18,20 +18,11 @@ from .semantic import ScoreBreakdown
 _BREAKDOWN_FIELDS = tuple(f.name for f in fields(ScoreBreakdown))
 
 
-def _aggregate_dict(aggregate: Aggregate) -> dict:
-    return {
-        "count": aggregate.count,
-        "semantic": aggregate.semantic,
-        "precision": aggregate.precision,
-        "recall": aggregate.recall,
-        "f1": aggregate.f1,
-    }
-
-
 def _instance_dict(r: InstanceResult) -> dict:
     """One instance's report fields, with ``semantic_breakdown`` left None:
-    only the JSON report writes it (see ``_instance_json``)."""
-    out = {
+    the JSON writers add it."""
+    semantic, result = r.semantic, r.result
+    return {
         "id": r.question_id,
         "db_id": r.db_id,
         "case_type": r.case_type,
@@ -39,34 +30,22 @@ def _instance_dict(r: InstanceResult) -> dict:
         "predicted_sql": r.predicted_sql,
         "excluded": r.excluded,
         "warning": r.warning,
-        "semantic": None,
-        "semantic_verdict": None,
+        "semantic": None if semantic is None else semantic.value,
+        "semantic_verdict": None if semantic is None else semantic.verdict,
         "semantic_breakdown": None,
-        "precision": None,
-        "recall": None,
-        "f1": None,
-        "result_verdict": None,
+        "precision": None if result is None else result.precision,
+        "recall": None if result is None else result.recall,
+        "f1": None if result is None else result.f1,
+        "result_verdict": None if result is None else result.verdict,
     }
-    if r.semantic is not None:
-        out["semantic"] = r.semantic.value
-        out["semantic_verdict"] = r.semantic.verdict
-    if r.result is not None:
-        out["precision"] = r.result.precision
-        out["recall"] = r.result.recall
-        out["f1"] = r.result.f1
-        out["result_verdict"] = r.result.verdict
-    return out
 
 
-def _instance_json(r: InstanceResult) -> dict:
-    out = _instance_dict(r)
-    if r.semantic is not None:
-        breakdown = r.semantic.breakdown
-        out["semantic_breakdown"] = {name: getattr(breakdown, name) for name in _BREAKDOWN_FIELDS}
-    return out
+def _breakdown_dict(r: InstanceResult) -> dict:
+    breakdown = r.semantic.breakdown
+    return {name: getattr(breakdown, name) for name in _BREAKDOWN_FIELDS}
 
 
-def report_to_dict(report: EvalReport) -> dict:
+def _head_dict(report: EvalReport) -> dict:
     return {
         "anchor": report.anchor.isoformat(),
         "options": {
@@ -76,17 +55,50 @@ def report_to_dict(report: EvalReport) -> dict:
             "numeric_rel_tol": DEFAULT_REL_TOL,
         },
         "summary": {
-            "overall": _aggregate_dict(report.overall),
-            "by_case_type": {k: _aggregate_dict(v) for k, v in report.by_case_type.items()},
-            "by_language": {k: _aggregate_dict(v) for k, v in report.by_language.items()},
+            "overall": asdict(report.overall),
+            "by_case_type": {k: asdict(v) for k, v in report.by_case_type.items()},
+            "by_language": {k: asdict(v) for k, v in report.by_language.items()},
         },
-        "instances": [_instance_json(r) for r in report.instances],
+    }
+
+
+def report_to_dict(report: EvalReport) -> dict:
+    return {
+        **_head_dict(report),
+        "instances": [
+            _instance_dict(r) if r.semantic is None else {**_instance_dict(r), "semantic_breakdown": _breakdown_dict(r)}
+            for r in report.instances
+        ],
         "corpus_errors": list(report.corpus_errors),
     }
 
 
+# An instance sits at depth 2 of the report and its breakdown at depth 3.
+# Their values are JSON scalars (question ids are, see ``load_corpus``), so
+# the C encoder writes each with the newline and indent that ``indent=2``
+# would put between its items.
+_encode_instance = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": ")).encode
+_encode_breakdown = json.JSONEncoder(ensure_ascii=False, separators=(",\n        ", ": ")).encode
+
+
+def _instance_text(r: InstanceResult) -> str:
+    text = _encode_instance(_instance_dict(r))
+    if r.semantic is not None:
+        # no encoded string holds a raw newline, so this finds the key itself
+        breakdown = _encode_breakdown(_breakdown_dict(r))
+        text = text.replace('\n      "semantic_breakdown": null,', f'\n      "semantic_breakdown": {{\n        {breakdown[1:-1]}\n      }},', 1)
+    return f"    {{\n      {text[1:-1]}\n    }}"
+
+
 def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
+    """Byte for byte ``json.dumps(report_to_dict(report), indent=2,
+    ensure_ascii=False) + "\\n"`` when every question id is a JSON scalar,
+    with the instances written by the C encoder, which ``indent`` turns off."""
+    head = json.dumps(_head_dict(report), indent=2, ensure_ascii=False)
+    errors = json.dumps({"corpus_errors": list(report.corpus_errors)}, indent=2, ensure_ascii=False)
+    instances = ",\n".join(map(_instance_text, report.instances))
+    instances = f"[\n{instances}\n  ]" if instances else "[]"
+    return f'{head[:-2]},\n  "instances": {instances},{errors[1:]}\n'
 
 
 _CSV_FIELDS = ["id", "db_id", "case_type", "language", "semantic", "precision", "recall", "f1", "semantic_verdict", "result_verdict", "excluded", "warning"]

@@ -29,6 +29,7 @@ from typing import Any
 from .adapters import Prediction
 from .anchor import DEFAULT_ANCHOR, TIME_VALUE_FUNCTIONS, parse_anchor, rewrite_time_anchor
 from .corpus import BenchmarkQuestion
+from .diff import _TreeIndex
 from .parser import parse
 from .render import render_expression
 from .results import (
@@ -145,6 +146,12 @@ class Truth:
         """The physical tables the truth reads."""
         return frozenset(physical_tables(self.root))
 
+    @cached_property
+    def index(self) -> _TreeIndex:
+        """The truth's diff index, built at its first scored prediction and
+        shared by the rest."""
+        return _TreeIndex(self.root)
+
 
 def _truth(
     sql: str,
@@ -178,7 +185,7 @@ def _score_prediction(
         predicted = parse(predicted_sql)
     except ParseError:
         return invalid_prediction_score(), ResultScore.failure(VERDICT_INVALID)
-    semantic = semantic_score_from_asts(truth.root, predicted)
+    semantic = semantic_score_from_asts(truth.index, predicted)
     try:
         predicted_table = execute(predicted, db, anchor, timeout_s=options.query_timeout_s)
     except ExecutionError:
@@ -315,9 +322,15 @@ def evaluate(
 # -- corpus validation --------------------------------------------------------
 
 
+def _quoted(name: str) -> str:
+    """A column name as an SQL identifier: in double quotes, any ``"`` doubled."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 def _timestamp_columns(conn: sqlite3.Connection, table: str) -> list[str]:
+    """Timestamp-like columns of ``table``, spelt as in ``physical_tables``, so valid SQL."""
     try:
-        info = conn.execute(f'PRAGMA table_info("{table}")').fetchall()
+        info = conn.execute(f"PRAGMA table_info({table})").fetchall()
     except sqlite3.Error:
         return []
     names = []
@@ -370,7 +383,8 @@ def _range_problems(
             continue
         mins, maxes = [], []
         for column in ts_columns:
-            row = conn.execute(f'SELECT min("{column}"), max("{column}") FROM "{table_name}"').fetchone()
+            quoted = _quoted(column)
+            row = conn.execute(f"SELECT min({quoted}), max({quoted}) FROM {table_name}").fetchone()
             if row and row[0] is not None:
                 mins.append(row[0])
                 maxes.append(row[1])

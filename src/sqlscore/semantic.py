@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diff import EditOpKind, EditScript, diff
+from .diff import EditOpKind, EditScript, _TreeIndex, diff
 from .parser import parse, split_qualified
 from .results import VERDICT_INVALID, VERDICT_SCORED
-from .sqlast import Node, NodeKind, ParseError, cte_names
+from .sqlast import Node, NodeKind, ParseError
 
 RULE_NORMAL = "normal"
 RULE_TABLE_MISMATCH = "table-mismatch"
@@ -52,35 +52,11 @@ class SemanticScore:
         assert 0.0 <= self.value <= 1.0
 
 
-def _table_edit_is_alias_like(op_kind: EditOpKind, source_text: str | None, target_text: str | None, truth_ctes: set[str], pred_ctes: set[str]) -> bool:
-    """A table reference that resolves to a CTE behaves like an alias.
-
-    Renaming a CTE (and the references to it) must not trip the
-    table-mismatch rule as long as the underlying tables are unchanged.
-    """
-    if op_kind is EditOpKind.DELETE:
-        return source_text in truth_ctes
-    if op_kind is EditOpKind.INSERT:
-        return target_text in pred_ctes
-    return source_text in truth_ctes and target_text in pred_ctes
-
-
-def _column_update_is_cte_requalification(source_text: str, target_text: str, truth_ctes: set[str], pred_ctes: set[str]) -> bool:
-    """True when only the qualifier changed and both sides name a CTE.
-
-    ``c1.total`` vs ``x.total`` after a CTE rename is alias noise, not a
-    column change.
-    """
-    source_qualifier, source_column = split_qualified(source_text)
-    target_qualifier, target_column = split_qualified(target_text)
-    return (
-        source_column == target_column
-        and source_qualifier in truth_ctes
-        and target_qualifier in pred_ctes
-    )
-
-
-def score_edit_script(script: EditScript, truth_ctes: set[str], pred_ctes: set[str]) -> SemanticScore:
+def score_edit_script(script: EditScript) -> SemanticScore:
+    """Score one edit script.  It covers every node of both trees once, so the
+    CTEs the truth binds are op sources and those the prediction binds op targets."""
+    truth_ctes = {op.source.text for op in script.ops if op.source is not None and op.source.kind is NodeKind.CTE}
+    pred_ctes = {op.target.text for op in script.ops if op.target is not None and op.target.kind is NodeKind.CTE}
     counts = script.counts()
     size_union = script.size_union
     diff_count = 0
@@ -89,21 +65,22 @@ def score_edit_script(script: EditScript, truth_ctes: set[str], pred_ctes: set[s
         if op.kind in (EditOpKind.KEEP, EditOpKind.MOVE):
             continue
         if op.node_kind is NodeKind.TABLE_REF:
-            source_text = op.source.text if op.source else None
-            target_text = op.target.text if op.target else None
-            if _table_edit_is_alias_like(op.kind, source_text, target_text, truth_ctes, pred_ctes):
+            # a reference to a CTE behaves like an alias: renaming a CTE does
+            # not change the tables read
+            if (op.source is None or op.source.text in truth_ctes) and (op.target is None or op.target.text in pred_ctes):
                 continue
             diff_count = size_union
             rule = RULE_TABLE_MISMATCH
             break
         if op.node_kind in (NodeKind.ALIAS, NodeKind.CTE):
             continue
-        if (
-            op.kind is EditOpKind.UPDATE
-            and op.node_kind is NodeKind.COLUMN_REF
-            and _column_update_is_cte_requalification(op.source.text, op.target.text, truth_ctes, pred_ctes)
-        ):
-            continue
+        if op.kind is EditOpKind.UPDATE and op.node_kind is NodeKind.COLUMN_REF:
+            # only the qualifier changed and both name a CTE, as ``c1.total``
+            # and ``x.total`` after a CTE rename: alias noise
+            source_qualifier, source_column = split_qualified(op.source.text)
+            target_qualifier, target_column = split_qualified(op.target.text)
+            if source_column == target_column and source_qualifier in truth_ctes and target_qualifier in pred_ctes:
+                continue
         diff_count += 1
 
     raw_ratio = min(diff_count, size_union) / size_union if size_union else 0.0
@@ -121,9 +98,9 @@ def score_edit_script(script: EditScript, truth_ctes: set[str], pred_ctes: set[s
     return SemanticScore(value=1.0 - raw_ratio, verdict=VERDICT_SCORED, breakdown=breakdown)
 
 
-def semantic_score_from_asts(truth: Node, predicted: Node) -> SemanticScore:
-    script = diff(truth, predicted)
-    return score_edit_script(script, cte_names(truth), cte_names(predicted))
+def semantic_score_from_asts(truth: Node | _TreeIndex, predicted: Node) -> SemanticScore:
+    """Statement similarity of two trees; ``truth`` may be its ``_TreeIndex``, as for ``diff``."""
+    return score_edit_script(diff(truth, predicted))
 
 
 def invalid_prediction_score() -> SemanticScore:

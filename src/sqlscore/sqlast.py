@@ -94,11 +94,6 @@ def from_items(statement: Node) -> list[Node]:
     ]
 
 
-def cte_names(root: Node) -> set[str]:
-    """Names bound by WITH clauses anywhere in the tree."""
-    return {n.text for n in root.walk() if n.kind is NodeKind.CTE}
-
-
 def physical_tables(root: Node) -> set[str]:
     """Table references that do not resolve to a CTE defined in the tree."""
     tables: set[str] = set()

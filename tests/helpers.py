@@ -72,9 +72,7 @@ def _rebuild(node: Node, target: Node, replacement: Node | None) -> Node:
 
 def swap_table(ast: Node, new_name: str = "zz_other") -> Node:
     """Rename the first physical table reference."""
-    from sqlscore.sqlast import cte_names
-
-    ctes = cte_names(ast)
+    ctes = {n.text for n in ast.walk() if n.kind is NodeKind.CTE}
     target = next(n for n in ast.walk() if n.kind is NodeKind.TABLE_REF and n.text not in ctes)
     return _rebuild(ast, target, Node(NodeKind.TABLE_REF, new_name))
 

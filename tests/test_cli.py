@@ -233,6 +233,19 @@ class TestValidate:
         assert code == 1
         assert "warning" in out
 
+    def test_names_with_quotes_warn_without_traceback(self, capsys, tmp_path):
+        conn = sqlite3.connect(tmp_path / "quoted.sqlite")
+        conn.execute('CREATE TABLE "t""u" (v INTEGER, "a""b" DATETIME)')
+        conn.execute("INSERT INTO \"t\"\"u\" VALUES (1, '2020-01-01 00:00:00')")
+        conn.commit()
+        conn.close()
+        query = """SELECT v FROM "t""u" WHERE "a""b" >= datetime('now', '-14 days')"""
+        corpus = tmp_path / "q.json"
+        corpus.write_text(json.dumps([{"db_id": "quoted", "query": query, "question": "q", "language": "en", "case_type": "time_period"}]), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "--corpus", str(corpus), "--db-dir", str(tmp_path))
+        assert code == 1 and err == ""
+        assert out.splitlines()[-1].startswith('warning: question 0: table "t""u" data range [2020-01-01 00:00:00, 2020-01-01 00:00:00]')
+
     def test_unreadable_corpus_exits_two(self, capsys, db_dir):
         code, _, err = run_cli(capsys, "validate", "--corpus", "/nonexistent/q.json", "--db-dir", str(db_dir))
         assert code == 2

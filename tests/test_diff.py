@@ -21,14 +21,14 @@ class TestIdentity:
     @pytest.mark.parametrize("sql", FIXTURE_QUERIES, ids=range(len(FIXTURE_QUERIES)))
     def test_fixture_query_against_itself_is_all_keep(self, sql):
         script = diff(parse(sql), parse(sql))
-        assert script.non_keep_count() == 0
+        assert script.size_union - script.counts()["keep"] == 0
         assert script.size_union == parse(sql).node_count
 
     def test_random_queries_against_themselves(self):
         for seed in range(30):
             sql = random_query(random.Random(seed))
             script = diff(parse(sql), parse(sql))
-            assert script.non_keep_count() == 0
+            assert script.size_union - script.counts()["keep"] == 0
 
     def test_tree_that_reuses_a_node_object(self):
         # Nodes are immutable, so a hand-built tree may hold one object twice.
@@ -113,7 +113,7 @@ class TestClassification:
     def test_deleted_column(self):
         script = diff(parse("SELECT a, b FROM t"), parse("SELECT b FROM t"))
         deletes = ops_by_kind(script)[EditOpKind.DELETE]
-        assert [(op.node_kind, op.node_text) for op in deletes] == [(NodeKind.COLUMN_REF, "a")]
+        assert [(op.node_kind, op.source.text) for op in deletes] == [(NodeKind.COLUMN_REF, "a")]
         assert script.counts()["insert"] == 0
 
     def test_literal_change_is_update(self):
@@ -145,7 +145,7 @@ class TestClassification:
         assert counts["delete"] >= 1
         assert counts["insert"] >= 1
         moved_or_kept = [op for op in script.ops if op.kind in (EditOpKind.KEEP, EditOpKind.MOVE)]
-        assert all(not (op.node_kind is NodeKind.COLUMN_REF and op.node_text == "b") for op in moved_or_kept)
+        assert all(not (op.node_kind is NodeKind.COLUMN_REF and op.source.text == "b") for op in moved_or_kept)
 
 
 class TestNearOptimality:
@@ -166,5 +166,5 @@ class TestNearOptimality:
         assert t_ast.node_count <= 12 and p_ast.node_count <= 12
         script = diff(t_ast, p_ast)
         optimum = optimal_nonkeep_oracle(t_ast, p_ast)
-        assert script.non_keep_count() <= optimum + 2
+        assert script.size_union - script.counts()["keep"] <= optimum + 2
 

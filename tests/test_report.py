@@ -1,0 +1,81 @@
+"""The JSON report writer against the generic ``indent=2`` dump of the same report."""
+
+import json
+from datetime import datetime
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sqlscore import EvalOptions, report_to_dict, report_to_json
+from sqlscore.results import ResultScore
+from sqlscore.runner import Aggregate, EvalReport, InstanceResult
+from sqlscore.semantic import ScoreBreakdown, SemanticScore
+
+_CHARACTERS = ['"', "\\", "\n", "\x00", "\u2028", "é", "名", "\U0001d518"]
+# text that a writer splicing the report by substring might mistake for its own seams
+_SEAMS = ["},\n      {", '\n      "semantic_breakdown": null,']
+_FLOATS = [-0.0, 1e-7, 0.1 + 0.2]
+
+texts = st.text(st.sampled_from(_CHARACTERS) | st.characters(), max_size=12) | st.sampled_from(_SEAMS)
+unit_floats = st.sampled_from(_FLOATS) | st.floats(0.0, 1.0)
+optional_floats = st.none() | unit_floats | st.floats()
+ids = st.none() | st.booleans() | st.integers() | st.floats() | texts
+
+breakdowns = st.builds(
+    ScoreBreakdown,
+    keeps=st.integers(0, 50),
+    moves=st.integers(0, 50),
+    updates=st.integers(0, 50),
+    inserts=st.integers(0, 50),
+    deletes=st.integers(0, 50),
+    size_union=st.integers(0, 250),
+    diff_count=st.integers(0, 250),
+    raw_ratio=unit_floats,
+    rule=texts,
+)
+semantics = st.none() | st.builds(SemanticScore, value=unit_floats, verdict=texts, breakdown=breakdowns)
+results = st.none() | st.builds(ResultScore, precision=unit_floats, recall=unit_floats, f1=unit_floats, verdict=texts)
+instances = st.builds(
+    InstanceResult,
+    question_id=ids,
+    db_id=texts,
+    case_type=texts,
+    language=texts,
+    predicted_sql=texts,
+    semantic=semantics,
+    result=results,
+    excluded=st.booleans(),
+    warning=st.none() | texts,
+)
+aggregates = st.builds(Aggregate, count=st.integers(0, 10**6), semantic=optional_floats, precision=optional_floats, recall=optional_floats, f1=optional_floats)
+reports = st.builds(
+    EvalReport,
+    anchor=st.datetimes(),
+    options=st.builds(EvalOptions, order_insensitive=st.booleans(), query_timeout_s=st.sampled_from([10.0, 0.5, 3])),
+    instances=st.lists(instances, max_size=4).map(tuple),
+    overall=aggregates,
+    by_case_type=st.dictionaries(texts, aggregates, max_size=3),
+    by_language=st.dictionaries(texts, aggregates, max_size=3),
+    corpus_errors=st.lists(texts, max_size=3).map(tuple),
+)
+
+_EMPTY = EvalReport(datetime(2023, 1, 17), EvalOptions(), (), Aggregate(0, None, None, None, None), {}, {}, ())
+_EXCLUDED = InstanceResult("q \U0001d518", "db", "time_period", "zh", 'SELECT "a""b"\n\\', None, None, True, "truth query does not parse:\x00é")
+_SCORED = InstanceResult(
+    -0.0,
+    "db",
+    "aggregation",
+    "en",
+    "SELECT 1",
+    SemanticScore(0.1 + 0.2, "scored", ScoreBreakdown(3, 0, 1, 0, 0, 4, 1, 1e-7, "normal")),
+    ResultScore(-0.0, 1e-7, 0.1 + 0.2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reports)
+@example(_EMPTY)
+@example(EvalReport(_EMPTY.anchor, _EMPTY.options, (_EXCLUDED, _SCORED), _EMPTY.overall, {"aggregation": _EMPTY.overall}, {"en": _EMPTY.overall}, ("question q: x",)))
+def test_json_report_matches_indented_dump(report):
+    assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
+

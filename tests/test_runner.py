@@ -1,22 +1,28 @@
 import dataclasses
+import random
 import sqlite3
 import sys
 
 import pytest
 
 from sqlscore import (
+    DEFAULT_ANCHOR,
     BenchmarkQuestion,
     ConfigError,
     EvalOptions,
     Prediction,
+    ResultTable,
     build_fixture_database,
     evaluate,
     get_predictions,
     report_to_json,
     validate_corpus,
 )
-from sqlscore import parser, runner
+from sqlscore import parse, parser, runner, semantic
 from sqlscore.results import VERDICT_EXECUTION_ERROR, VERDICT_INVALID
+from sqlscore.semantic import semantic_score_from_asts
+
+from helpers import add_column_alias, drop_select_column, random_query, swap_table
 
 
 def identity_predictions(questions):
@@ -273,6 +279,64 @@ class TestScoreSharing:
         assert [r.result.f1 for r in report.instances] == [1.0, 0.0, 1.0, 0.0]
 
 
+class TestPreparedTruth:
+    def test_prepared_truth_scores_like_a_fresh_diff(self):
+        rng = random.Random(0)
+        root = parse("WITH c AS (SELECT a, count(*) AS n FROM t WHERE b > 1 AND c = 'x' GROUP BY a) SELECT a, n FROM c ORDER BY n DESC")
+        predictions = [root, swap_table(root), add_column_alias(root), drop_select_column(root)]
+        predictions += [parse(random_query(rng)) for _ in range(40)]
+        predictions += [parse("WITH d AS (SELECT a, count(*) AS n FROM t WHERE c = 'x' AND b > 1 GROUP BY a) SELECT a, n AS m FROM d")]
+        rng.shuffle(predictions)
+        index = runner.Truth(root, ResultTable((), ())).index
+        keys = len(index.keys)
+        scores = [semantic_score_from_asts(index, p) for p in predictions]
+        assert scores == [semantic_score_from_asts(root, p) for p in predictions]
+        assert len(index.keys) == keys
+        assert {s.value for s in scores} > {0.0, 1.0}
+
+    def test_truth_and_validation_leave_the_index_unbuilt(self, questions, db_dir, monkeypatch):
+        def refusing(root):
+            raise AssertionError("a truth's diff index was built")
+
+        monkeypatch.setattr(runner, "_TreeIndex", refusing)
+        truth = runner._truth(questions[0].query, db_dir / f"{questions[0].db_id}.sqlite", DEFAULT_ANCHOR, EvalOptions())
+        assert "index" not in vars(truth)
+        assert validate_corpus(questions, db_dir) == []
+
+    def test_index_built_once_per_truth_with_a_scored_prediction(self, questions, db_dir, monkeypatch):
+        built = []
+        monkeypatch.setattr(runner, "_TreeIndex", lambda root, original=runner._TreeIndex: built.append(root) or original(root))
+        copies = tripled(questions)
+        predictions = [Prediction(c.id, p.sql) for c, p in zip(copies, mixed_predictions(questions) * 3)]
+        evaluate(copies, predictions, db_dir)
+        scored = {(c.db_id, c.query) for c, p in zip(copies, predictions) if p.sql != "not sql"}
+        assert len(built) == len(scored) < len(copies)
+
+
+def test_one_diff_per_distinct_parseable_triple(questions, db_dir, monkeypatch):
+    """The runner calls ``semantic_score_from_asts`` and ``semantic.diff`` once
+    per distinct scored triple, with arguments that report their node counts."""
+    calls: dict[str, list] = {"score": [], "diff": []}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name].append(args[0].node_count + args[1].node_count)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(runner, "semantic_score_from_asts", counting("score", runner.semantic_score_from_asts))
+    monkeypatch.setattr(semantic, "diff", counting("diff", semantic.diff))
+    copies = tripled(questions)
+    sqls = [[q.query, questions[j - 1].query, "SELECT 1", "not sql"][j % 4] for j, q in enumerate(questions)]
+    predictions = [Prediction(c.id, sql) for c, sql in zip(copies, sqls * 3)]
+    evaluate(copies, predictions, db_dir)
+    triples = {(c.db_id, c.query, p.sql) for c, p in zip(copies, predictions) if p.sql != "not sql"}
+    expected = sorted(parse(truth).node_count + parse(sql).node_count for _, truth, sql in triples)
+    assert sorted(calls["score"]) == sorted(calls["diff"]) == expected
+    assert len(expected) < len(copies)
+
+
 class TestSharedConnection:
     def test_failed_predictions_leave_connection_usable(self, questions, db_dir):
         q = next(q for q in questions if q.db_id == "benchmark_1")
@@ -380,6 +444,31 @@ class TestValidateCorpus:
     def test_missing_database_file_warns(self, questions, tmp_path):
         warnings = validate_corpus(questions, tmp_path)
         assert any("database file missing" in w for w in warnings)
+
+    def test_timestamp_column_with_a_quote_in_its_name(self, tmp_path):
+        conn = sqlite3.connect(tmp_path / "quoted.sqlite")
+        conn.execute('CREATE TABLE tt (v INTEGER, "a""b" DATETIME)')
+        conn.execute("INSERT INTO tt VALUES (1, '2020-01-01 00:00:00')")
+        conn.commit()
+        conn.close()
+        q = BenchmarkQuestion("quoted", """SELECT v FROM tt WHERE "a""b" >= datetime('now', '-14 days')""", "q", "en", "time_period", id="q")
+        assert validate_corpus([q], tmp_path) == [
+            "question q: truth result has zero rows",
+            "question q: table tt data range [2020-01-01 00:00:00, 2020-01-01 00:00:00] "
+            "does not bracket the anchor-relative window [2023-01-03 00:00:00, 2023-01-17 00:00:00]",
+        ]
+
+    def test_table_with_a_quote_in_its_name(self, tmp_path):
+        conn = sqlite3.connect(tmp_path / "quoted.sqlite")
+        conn.execute('CREATE TABLE "t""u" (v INTEGER, ts TEXT)')
+        conn.execute("INSERT INTO \"t\"\"u\" VALUES (1, '2023-01-10 00:00:00')")
+        conn.commit()
+        conn.close()
+        q = BenchmarkQuestion("quoted", """SELECT v FROM "t""u" WHERE ts >= datetime('now', '-14 days')""", "q", "en", "time_period", id="q")
+        assert validate_corpus([q], tmp_path) == [
+            'question q: table "t""u" data range [2023-01-10 00:00:00, 2023-01-10 00:00:00] '
+            "does not bracket the anchor-relative window [2023-01-03 00:00:00, 2023-01-17 00:00:00]",
+        ]
 
 
 def test_get_predictions_then_evaluate_round_trip(questions, db_dir):
