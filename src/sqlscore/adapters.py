@@ -19,15 +19,16 @@ from __future__ import annotations
 import http.client
 import json
 import shlex
-import sqlite3
 import subprocess
 import time
 import urllib.request
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .corpus import BenchmarkQuestion
+from .results import _open_readonly
 
 DEFAULT_ADAPTER_TIMEOUT_S = 60.0
 HTTP_RETRIES = 3
@@ -77,11 +78,8 @@ def _question_payload(question: BenchmarkQuestion) -> dict:
 def _schema_text(db_path: Path) -> str:
     if not db_path.is_file():
         return ""
-    conn = sqlite3.connect(f"file:{db_path}?mode=ro", uri=True)
-    try:
+    with closing(_open_readonly(db_path)) as conn:
         rows = conn.execute("SELECT sql FROM sqlite_master WHERE type = 'table' AND sql IS NOT NULL ORDER BY name").fetchall()
-    finally:
-        conn.close()
     return ";\n".join(r[0] for r in rows)
 
 

@@ -97,6 +97,11 @@ class Token(NamedTuple):
     pos: int
 
 
+def quote_identifier(name: str) -> str:
+    """``name`` as an SQL identifier: in double quotes, any ``"`` inside doubled."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 def tokenize(sql: str) -> list[Token]:
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(sql):
@@ -218,8 +223,7 @@ class _Parser:
 
         A quoted name that the same name unquoted would give (a word with
         no ASCII capital that is not a keyword) loses its quotes; anything
-        else keeps them so case survives exactly, in double quotes with any
-        ``"`` inside doubled.
+        else keeps them so case survives exactly, spelt by ``quote_identifier``.
         """
         tok = self.tokens[self.pos]
         if tok.kind == "ident":
@@ -230,7 +234,7 @@ class _Parser:
             name = tok.value
             if _IDENT_RE.match(name) and name == name.translate(_ASCII_LOWER) and name not in _RESERVED:
                 return name
-            return '"' + name.replace('"', '""') + '"'
+            return quote_identifier(name)
         raise self.error(f"expected {what}")
 
     # -- statement ---------------------------------------------------------

@@ -45,7 +45,7 @@ def _statement(node: Node) -> str:
 
     select_list = next(c for c in node.children if c.kind is NodeKind.SELECT_LIST)
     keyword = "SELECT DISTINCT" if select_list.text == "distinct" else "SELECT"
-    items = ", ".join(_select_item(c) for c in select_list.children)
+    items = ", ".join(_expr(c) for c in select_list.children)
     parts.append(f"{keyword} {items}")
 
     tables = from_items(node)
@@ -58,19 +58,13 @@ def _statement(node: Node) -> str:
         elif child.kind is NodeKind.GROUP_BY:
             parts.append("GROUP BY " + ", ".join(_expr(c) for c in child.children))
         elif child.kind is NodeKind.ORDER_BY:
-            parts.append("ORDER BY " + ", ".join(_order_item(c) for c in child.children))
+            parts.append("ORDER BY " + ", ".join(_expr(c) for c in child.children))
         elif child.kind is NodeKind.LIMIT:
             clause = "LIMIT " + _expr(child.children[0])
             if len(child.children) > 1:
                 clause += " OFFSET " + _expr(child.children[1])
             parts.append(clause)
     return " ".join(parts)
-
-
-def _select_item(node: Node) -> str:
-    if node.kind is NodeKind.ALIAS:
-        return f"{_expr(node.children[0])} AS {node.text}"
-    return _expr(node)
 
 
 def _from_item(node: Node) -> str:
@@ -92,12 +86,6 @@ def _from_item(node: Node) -> str:
     raise ValueError(f"not a from-item: {node.kind}")
 
 
-def _order_item(node: Node) -> str:
-    if node.kind is NodeKind.OPERATOR and node.text == "desc":
-        return _expr(node.children[0]) + " DESC"
-    return _expr(node)
-
-
 def _expr(node: Node, parent_prec: int = 0, right_operand: bool = False) -> str:
     if node.kind in (NodeKind.COLUMN_REF, NodeKind.TABLE_REF):
         return node.text
@@ -108,7 +96,6 @@ def _expr(node: Node, parent_prec: int = 0, right_operand: bool = False) -> str:
     if node.kind is NodeKind.FUNCTION_CALL:
         return _function_call(node)
     if node.kind is NodeKind.ALIAS:
-        # aliases only occur in select lists and FROM; treat defensively
         return f"{_expr(node.children[0])} AS {node.text}"
     if node.kind is NodeKind.OPERATOR:
         return _operator(node, parent_prec, right_operand)

@@ -266,11 +266,9 @@ def execute(
         if len(rows) > row_cap:
             raise ExecutionError(f"result exceeds row cap of {row_cap}", stage="row-cap")
         return ResultTable.from_rows(list(labels), rows)
-    except sqlite3.OperationalError as exc:
-        if "interrupted" in str(exc).lower():
-            raise ExecutionError(f"query timed out after {timeout_s}s", stage="timeout") from exc
-        raise ExecutionError(f"engine error: {exc}", stage="engine") from exc
     except sqlite3.Error as exc:
+        if isinstance(exc, sqlite3.OperationalError) and "interrupted" in str(exc).lower():
+            raise ExecutionError(f"query timed out after {timeout_s}s", stage="timeout") from exc
         raise ExecutionError(f"engine error: {exc}", stage="engine") from exc
     finally:
         cursor.close()  # a shared connection outlives this call; end the statement here

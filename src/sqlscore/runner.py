@@ -1,11 +1,11 @@
 """Score whole corpora: per-instance metrics, aggregation and corpus health.
 
-Instances are scored one at a time in question order, so a run is a pure
-function of (corpus, predictions, options) and reports are byte-identical
-across repeated runs.  Each distinct truth is parsed and executed once per
-run over one read-only connection per database, and each distinct
-(database, truth, prediction) triple is scored once per run: questions that
-share one are given the same scores.
+Instances are scored truth by truth: the questions that share a (database,
+truth query) pair are scored together, with the truth parsed and executed
+once over one read-only connection per database and each distinct predicted
+SQL scored once against it.  At most one prepared truth is alive at a time.
+Reports stay in question order, so a run is a pure function of (corpus,
+predictions, options) and reports are byte-identical across repeated runs.
 
 A defective ground-truth query is a corpus error: the instance is excluded
 from every mean and reported as a warning, instead of punishing the model
@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import sqlite3
-from collections import Counter, defaultdict
-from collections.abc import Iterator
+from collections import defaultdict
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from datetime import datetime
@@ -30,7 +29,7 @@ from .adapters import Prediction
 from .anchor import DEFAULT_ANCHOR, TIME_VALUE_FUNCTIONS, parse_anchor, rewrite_time_anchor
 from .corpus import BenchmarkQuestion
 from .diff import _TreeIndex
-from .parser import parse
+from .parser import parse, quote_identifier
 from .render import render_expression
 from .results import (
     DEFAULT_TIMEOUT_S,
@@ -212,66 +211,6 @@ def _open_databases(stack: ExitStack, db_dir: Path, db_ids) -> dict[str, sqlite3
     return {db_id: stack.enter_context(closing(_open_readonly(_db_path(db_dir, db_id)))) for db_id in sorted(db_ids)}
 
 
-def _truths(
-    questions: list[BenchmarkQuestion],
-    conns: dict[str, sqlite3.Connection],
-    anchor: datetime,
-    options: EvalOptions,
-) -> Iterator[tuple[BenchmarkQuestion, Truth | CorpusError]]:
-    """Each question with its truth, or the CorpusError it raised, in order.
-
-    Each distinct (db_id, query) is parsed and executed once.  Its outcome is
-    held only until the last question that uses it, so nothing is held
-    between questions when no truth is shared.
-    """
-    uses = Counter((q.db_id, q.query) for q in questions)
-    held: dict[tuple[str, str], Truth | CorpusError] = {}
-    for q in questions:
-        key = (q.db_id, q.query)
-        outcome = held.pop(key, None)
-        if outcome is None:
-            try:
-                outcome = _truth(q.query, conns[q.db_id], anchor, options)
-            except CorpusError as exc:
-                outcome = exc
-        uses[key] -= 1
-        if uses[key]:
-            held[key] = outcome
-        yield q, outcome
-
-
-def _score_instance(
-    question: BenchmarkQuestion,
-    truth: Truth | CorpusError,
-    predicted_sql: str,
-    conn: sqlite3.Connection,
-    anchor: datetime,
-    options: EvalOptions,
-    scores: dict[tuple[str, str, str], tuple[SemanticScore, ResultScore]],
-) -> InstanceResult:
-    """Score one question; ``scores`` holds the scores of each (db_id, truth
-    query, predicted SQL) seen so far in the run, and gains this one's."""
-    if isinstance(truth, CorpusError):
-        semantic, result, warning = None, None, str(truth)
-    else:
-        key = (question.db_id, question.query, predicted_sql)
-        if key not in scores:
-            scores[key] = _score_prediction(truth, predicted_sql, conn, anchor, options)
-        semantic, result = scores[key]
-        warning = None
-    return InstanceResult(
-        question_id=question.id,
-        db_id=question.db_id,
-        case_type=question.case_type,
-        language=question.language,
-        predicted_sql=predicted_sql,
-        semantic=semantic,
-        result=result,
-        excluded=warning is not None,
-        warning=warning,
-    )
-
-
 def evaluate(
     questions: list[BenchmarkQuestion],
     predictions: list[Prediction],
@@ -279,12 +218,20 @@ def evaluate(
     anchor: str | datetime = DEFAULT_ANCHOR,
     options: EvalOptions | None = None,
 ) -> EvalReport:
-    """Score every instance with both metrics and aggregate the results."""
+    """Score every instance with both metrics and aggregate the results.
+
+    Raises ConfigError when a question or prediction id is not a JSON scalar
+    (None, bool, int, float or str).
+    """
     options = options or EvalOptions()
     instant = parse_anchor(anchor)
     db_dir = Path(db_dir)
     if not questions:
         raise ConfigError("no questions to evaluate")
+    for kind, ids in (("question", [q.id for q in questions]), ("prediction", [p.question_id for p in predictions])):
+        for item_id in ids:
+            if not isinstance(item_id, (type(None), bool, int, float, str)):
+                raise ConfigError(f"{kind} id {item_id!r} is not a JSON scalar")
     if not db_dir.is_dir():
         raise ConfigError(f"database directory not found: {db_dir}")
     for db_id in sorted({q.db_id for q in questions}):
@@ -292,13 +239,27 @@ def evaluate(
             raise ConfigError(f"missing database file for db_id {db_id!r}: {_db_path(db_dir, db_id)}")
 
     by_id = {p.question_id: p.sql for p in predictions}
-    scores: dict[tuple[str, str, str], tuple[SemanticScore, ResultScore]] = {}
+    groups: dict[tuple[str, str], list[int]] = defaultdict(list)  # question positions by truth, in first-use order
+    for i, q in enumerate(questions):
+        groups[q.db_id, q.query].append(i)
+    instances: list[InstanceResult | None] = [None] * len(questions)
     with ExitStack() as stack:
         conns = _open_databases(stack, db_dir, {q.db_id for q in questions})
-        instances = [
-            _score_instance(q, truth, by_id.get(q.id, by_id.get(str(q.id), "")), conns[q.db_id], instant, options, scores)
-            for q, truth in _truths(questions, conns, instant, options)
-        ]
+        for (db_id, query), positions in groups.items():
+            try:
+                truth, warning = _truth(query, conns[db_id], instant, options), None
+            except CorpusError as exc:
+                truth, warning = None, str(exc)
+            scores: dict[str, tuple[SemanticScore | None, ResultScore | None]] = {}
+            for i in positions:
+                q = questions[i]
+                sql = by_id.get(q.id, by_id.get(str(q.id), ""))
+                if sql not in scores:
+                    scores[sql] = (None, None) if truth is None else _score_prediction(truth, sql, conns[db_id], instant, options)
+                semantic, result = scores[sql]
+                instances[i] = InstanceResult(
+                    q.id, db_id, q.case_type, q.language, sql, semantic, result, excluded=truth is None, warning=warning
+                )
 
     by_case: dict[str, Aggregate] = {}
     for case_type in sorted({r.case_type for r in instances}):
@@ -320,11 +281,6 @@ def evaluate(
 
 
 # -- corpus validation --------------------------------------------------------
-
-
-def _quoted(name: str) -> str:
-    """A column name as an SQL identifier: in double quotes, any ``"`` doubled."""
-    return '"' + name.replace('"', '""') + '"'
 
 
 def _timestamp_columns(conn: sqlite3.Connection, table: str) -> list[str]:
@@ -383,7 +339,7 @@ def _range_problems(
             continue
         mins, maxes = [], []
         for column in ts_columns:
-            quoted = _quoted(column)
+            quoted = quote_identifier(column)
             row = conn.execute(f"SELECT min({quoted}), max({quoted}) FROM {table_name}").fetchone()
             if row and row[0] is not None:
                 mins.append(row[0])
@@ -431,23 +387,32 @@ def validate_corpus(
         conns = _open_databases(stack, db_dir, present)
         scratch = stack.enter_context(closing(sqlite3.connect(":memory:")))
 
-        # distinct truths that executed, in first-use order
-        distinct: dict[tuple[str, str], Truth] = {}
+        # each distinct truth's outcome, in first-use order; every truth is
+        # held to the end for the pairwise check below
+        distinct: dict[tuple[str, str], Truth | CorpusError] = {}
         executed: list[tuple[BenchmarkQuestion, tuple[str, str]]] = []
-        for q, truth in _truths([q for q in questions if q.db_id in present], conns, instant, EvalOptions()):
+        for q in questions:
+            if q.db_id not in present:
+                continue
+            key = (q.db_id, q.query)
+            if key not in distinct:
+                try:
+                    distinct[key] = _truth(q.query, conns[q.db_id], instant, EvalOptions())
+                except CorpusError as exc:
+                    distinct[key] = exc
+            truth = distinct[key]
             if isinstance(truth, CorpusError):
                 warnings.append(f"question {q.id}: {truth}")
                 continue
             if truth.table.row_count == 0:
                 warnings.append(f"question {q.id}: truth result has zero rows")
-            key = (q.db_id, q.query)
-            distinct.setdefault(key, truth)
             executed.append((q, key))
 
         # distinct queries over the same tables must not coincide on results
         scopes: dict[tuple[str, frozenset], list[tuple[str, str]]] = defaultdict(list)
         for key, truth in distinct.items():
-            scopes[key[0], truth.tables].append(key)
+            if isinstance(truth, Truth):
+                scopes[key[0], truth.tables].append(key)
         coinciding: dict[tuple[str, str], list[tuple[str, str]]] = defaultdict(list)
         for keys in scopes.values():
             for key_a, key_b in combinations(keys, 2):

@@ -115,7 +115,7 @@ def semantic_similarity(query_true: str, query_predicted: str) -> SemanticScore:
     try:
         truth = parse(query_true)
     except ParseError as exc:
-        raise CorpusError(f"ground-truth query does not parse: {exc}") from exc
+        raise CorpusError(f"truth query does not parse: {exc}") from exc
     try:
         predicted = parse(query_predicted)
     except ParseError:

@@ -52,6 +52,12 @@ class TestScore:
         assert "semantic: 0.000" in out
         assert "f1: 0.000" in out
 
+    def test_unparseable_truth_same_error_with_and_without_db(self, capsys, db_dir):
+        without_db = run_cli(capsys, "score", "SELEC x", "SELECT 1")
+        with_db = run_cli(capsys, "score", "SELEC x", "SELECT 1", "--db", str(db_dir / "benchmark_1.sqlite"))
+        assert without_db == with_db
+        assert without_db[0] == 2 and without_db[2].startswith("error: truth query does not parse: ")
+
     def test_unreadable_database_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "score", "SELECT 1", "SELECT 1", "--db", "/nonexistent/x.sqlite")
         assert code == 2

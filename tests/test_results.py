@@ -2,6 +2,8 @@ import random
 import sqlite3
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlscore import ExecutionError, ResultTable, cells_equal, execute, match_columns, parse, results, score_result_pair
 from sqlscore.results import VERDICT_SCORED, _sort_key, _sorted_column
@@ -294,6 +296,70 @@ class TestScoreResultPair:
         relabeled = ResultTable(("p", "q"), truth.columns)
         score = score_result_pair(relabeled, truth)
         assert score.f1 == 1.0
+
+
+# -- relations between generated result tables --------------------------------
+
+# few text stems with varied trailing blanks, so equal cells of unequal text are common
+_texts = st.builds(str.__add__, st.sampled_from(["", "a", "b"]), st.sampled_from(["", " ", "  ", "\t"]))
+cells = st.none() | st.integers(-3, 3) | st.integers() | st.floats(allow_nan=False) | _texts
+
+
+@st.composite
+def result_tables(draw, min_columns=1):
+    """Tables of 0-6 rows whose cells mix ints, floats, text and NULLs."""
+    n_rows = draw(st.integers(0, 6))
+    columns = draw(st.lists(st.lists(cells, min_size=n_rows, max_size=n_rows), min_size=min_columns, max_size=6))
+    return table(*columns)
+
+
+def _scores(predicted: ResultTable, truth: ResultTable, order_insensitive: bool = False) -> tuple[float, float]:
+    score = score_result_pair(predicted, truth, order_insensitive)
+    return score.precision, score.recall
+
+
+_relations = settings(max_examples=40, deadline=None)
+modes = pytest.mark.parametrize("order_insensitive", [False, True])
+
+
+class TestResultRelations:
+    @modes
+    @_relations
+    @given(truth=result_tables(), data=st.data())
+    def test_permuted_columns_score_one(self, order_insensitive, truth, data):
+        order = data.draw(st.permutations(range(truth.column_count)))
+        assert _scores(table(*(truth.columns[i] for i in order)), truth, order_insensitive) == (1.0, 1.0)
+
+    @modes
+    @_relations
+    @given(truth=result_tables(), data=st.data())
+    def test_duplicated_column_costs_precision_only(self, order_insensitive, truth, data):
+        k = truth.column_count
+        copied = data.draw(st.integers(0, k - 1))
+        predicted = table(*truth.columns, truth.columns[copied])
+        assert _scores(predicted, truth, order_insensitive) == (k / (k + 1), 1.0)
+
+    @modes
+    @_relations
+    @given(truth=result_tables(min_columns=2), data=st.data())
+    def test_dropped_column_costs_recall_only(self, order_insensitive, truth, data):
+        k = truth.column_count
+        dropped = data.draw(st.integers(0, k - 1))
+        predicted = table(*(c for i, c in enumerate(truth.columns) if i != dropped))
+        assert _scores(predicted, truth, order_insensitive) == (1.0, (k - 1) / k)
+
+    @_relations
+    @given(truth=result_tables(), data=st.data())
+    def test_shuffled_rows_score_one_order_insensitive(self, truth, data):
+        rows = data.draw(st.permutations(list(zip(*truth.columns))))
+        predicted = ResultTable.from_rows(truth.labels, rows)
+        assert score_result_pair(predicted, truth, order_insensitive=True).f1 == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(cells, cells)
+    def test_cell_equality_is_symmetric_and_null_equals_only_null(self, a, b):
+        assert cells_equal(a, b) == cells_equal(b, a)
+        assert cells_equal(None, a) == cells_equal(a, None) == (a is None)
 
 
 class TestExecute:

@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import random
+import re
 import sqlite3
 import sys
+import weakref
 
 import pytest
 
@@ -148,6 +151,13 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="no questions"):
             evaluate([], [], db_dir)
 
+    @pytest.mark.parametrize("bad_id", [(1, 2), [1], {"a": 1}], ids=["tuple", "list", "dict"])
+    def test_id_that_is_not_a_json_scalar_is_config_error(self, questions, db_dir, bad_id):
+        with pytest.raises(ConfigError, match="question id " + re.escape(repr(bad_id))):
+            evaluate([dataclasses.replace(questions[0], id=bad_id)], [], db_dir)
+        with pytest.raises(ConfigError, match="prediction id " + re.escape(repr(bad_id))):
+            evaluate(questions, [Prediction(bad_id, "SELECT 1")], db_dir)
+
     def test_deterministic_reports(self, questions, db_dir):
         first = evaluate(questions, identity_predictions(questions), db_dir)
         second = evaluate(questions, identity_predictions(questions), db_dir)
@@ -228,6 +238,25 @@ class TestTruthSharing:
         assert len(report.corpus_errors) == 3
         assert [e.split(":")[0] for e in report.corpus_errors] == [f"question {c.id}" for c in copies]
         assert all("does not parse" in e for e in report.corpus_errors)
+
+    def test_at_most_one_prepared_truth_alive(self, questions, db_dir, monkeypatch):
+        """The copies interleave the truths, yet each prepared truth is
+        dropped once the next one has been prepared."""
+        prepared, alive = [], []
+
+        def tracking(*args, original=runner._truth):
+            if sum(ref() is not None for ref in prepared) > 1:
+                gc.collect()  # only a reference cycle could still hold them
+            alive.append(sum(ref() is not None for ref in prepared))
+            truth = original(*args)
+            prepared.append(weakref.ref(truth))
+            return truth
+
+        monkeypatch.setattr(runner, "_truth", tracking)
+        copies = tripled(questions)
+        evaluate(copies, [Prediction(c.id, p.sql) for c, p in zip(copies, mixed_predictions(questions) * 3)], db_dir)
+        assert len(prepared) == len({(q.db_id, q.query) for q in copies}) > 1
+        assert max(alive) <= 1
 
     def test_same_query_on_two_databases_runs_on_each(self, db_dir):
         query = "SELECT count(*) FROM campaigns"  # benchmark_2 has no such table
