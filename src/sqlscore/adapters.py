@@ -16,18 +16,14 @@ read, raises AdapterError.
 
 from __future__ import annotations
 
-import http.client
 import json
-import shlex
-import subprocess
 import time
-import urllib.request
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .corpus import BenchmarkQuestion
+from .corpus import BenchmarkQuestion, is_json_scalar
 from .results import _open_readonly
 
 DEFAULT_ADAPTER_TIMEOUT_S = 60.0
@@ -63,16 +59,15 @@ def parse_adapter_spec(spec: str) -> tuple[str, str]:
 
 
 def _question_payload(question: BenchmarkQuestion) -> dict:
-    payload = {
+    return {
         "id": question.id,
         "db_id": question.db_id,
         "query": question.query,
         "question": question.question,
         "language": question.language,
         "case_type": question.case_type,
+        **question.extra,
     }
-    payload.update(question.extra)
-    return payload
 
 
 def _schema_text(db_path: Path) -> str:
@@ -83,7 +78,7 @@ def _schema_text(db_path: Path) -> str:
     return ";\n".join(r[0] for r in rows)
 
 
-def _load_predictions_file(path: str) -> dict:
+def _load_predictions_file(path: str) -> dict[Any, tuple[str, int | None]]:
     by_id: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -100,13 +95,18 @@ def _load_predictions_file(path: str) -> dict:
             raise AdapterError(f"predictions file {path}, line {line_no}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or "id" not in record or "sql" not in record:
             raise AdapterError(f"predictions file {path}, line {line_no}: expected an object with 'id' and 'sql'")
-        if isinstance(record["id"], (list, dict)):
-            raise AdapterError(f"predictions file {path}, line {line_no}: 'id' must be a JSON scalar, not an array or an object")
-        by_id[record["id"]] = record
+        if not is_json_scalar(record["id"]):
+            raise AdapterError(f"predictions file {path}, line {line_no}: 'id' must be a JSON scalar, not {record['id']!r}")
+        sql, latency = record["sql"], record.get("latency_ms")
+        by_id[record["id"]] = (sql if isinstance(sql, str) else "", latency if type(latency) is int else None)
     return by_id
 
 
+# subprocess and the HTTP stack (ssl, socket, email, ...) load in the adapter that runs them, not at `import sqlscore`
 def _run_subprocess(command: str, payload: dict, timeout_s: float) -> str:
+    import shlex
+    import subprocess
+
     try:
         proc = subprocess.run(
             shlex.split(command),
@@ -125,6 +125,9 @@ def _run_subprocess(command: str, payload: dict, timeout_s: float) -> str:
 
 def _post_http(url: str, payload: dict, timeout_s: float, backoff_s: float) -> str | None:
     """Returns SQL text, or None when the endpoint stayed unreachable."""
+    import http.client
+    import urllib.request
+
     data = json.dumps(payload).encode("utf-8")
     for attempt in range(HTTP_RETRIES):
         try:
@@ -162,13 +165,7 @@ def get_predictions(
 
     if kind == "file":
         by_id = _load_predictions_file(value)
-        for q in questions:
-            record = by_id.get(q.id)
-            if record is None:
-                record = by_id.get(str(q.id), {})
-            latency = record.get("latency_ms")
-            predictions.append(Prediction(q.id, str(record.get("sql", "")), latency if isinstance(latency, int) else None))
-        return predictions
+        return [Prediction(q.id, *(by_id.get(q.id) or by_id.get(str(q.id), ("", None)))) for q in questions]
 
     schemas: dict[str, str] = {}
     obtained = 0

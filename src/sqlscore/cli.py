@@ -96,12 +96,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         return _fail(str(exc))
 
-    if args.report_json:
-        Path(args.report_json).write_text(report_to_json(report), encoding="utf-8")
-    if args.report_csv:
-        Path(args.report_csv).write_text(report_to_csv(report), encoding="utf-8")
-    if args.report_md:
-        Path(args.report_md).write_text(report_to_markdown(report), encoding="utf-8")
+    for path, write in ((args.report_json, report_to_json), (args.report_csv, report_to_csv), (args.report_md, report_to_markdown)):
+        if path:
+            try:
+                Path(path).write_text(write(report), encoding="utf-8")
+            except OSError as exc:
+                return _fail(f"cannot write report {path}: {exc.strerror or exc}")
 
     print(summary_text(report))
     if report.corpus_errors:
@@ -129,7 +129,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
-    corpus_path, db_dir = write_fixtures(args.out)
+    try:
+        corpus_path, db_dir = write_fixtures(args.out)
+    except OSError as exc:
+        return _fail(f"cannot write fixtures to {args.out}: {exc}")
     print(f"wrote corpus: {corpus_path}")
     print(f"wrote databases: {db_dir}")
     return EXIT_OK

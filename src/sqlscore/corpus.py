@@ -9,6 +9,7 @@ zero-based file position.  Unknown extra fields are preserved but ignored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -25,6 +26,7 @@ CASE_TYPES = (
     "language",
 )
 
+# the leading fields of BenchmarkQuestion, in its order: they are passed by position
 _REQUIRED_FIELDS = ("db_id", "query", "question", "language", "case_type")
 
 
@@ -43,6 +45,11 @@ class BenchmarkQuestion:
     extra: dict = field(default_factory=dict, compare=False)
 
 
+def is_json_scalar(value: object) -> bool:
+    """True for an id that strict JSON can carry: None, bool, int, finite float or str."""
+    return isinstance(value, (type(None), bool, int, str)) or (isinstance(value, float) and math.isfinite(value))
+
+
 def question_from_mapping(raw: dict, index: int) -> BenchmarkQuestion:
     for name in _REQUIRED_FIELDS:
         if name not in raw:
@@ -51,18 +58,10 @@ def question_from_mapping(raw: dict, index: int) -> BenchmarkQuestion:
             raise CorpusLoadError(f"instance {index}: field {name!r} must be a string")
     if raw["case_type"] not in CASE_TYPES:
         raise CorpusLoadError(f"instance {index}: unknown case_type {raw['case_type']!r}")
-    if isinstance(raw.get("id"), (list, dict)):
-        raise CorpusLoadError(f"instance {index}: 'id' must be a JSON scalar, not an array or an object")
+    if not is_json_scalar(raw.get("id")):
+        raise CorpusLoadError(f"instance {index}: 'id' must be a JSON scalar (null, boolean, finite number or string), not {raw['id']!r}")
     extra = {k: v for k, v in raw.items() if k not in _REQUIRED_FIELDS and k != "id"}
-    return BenchmarkQuestion(
-        db_id=raw["db_id"],
-        query=raw["query"],
-        question=raw["question"],
-        language=raw["language"],
-        case_type=raw["case_type"],
-        id=raw.get("id", index),
-        extra=extra,
-    )
+    return BenchmarkQuestion(*map(raw.__getitem__, _REQUIRED_FIELDS), id=raw.get("id", index), extra=extra)
 
 
 def load_corpus(path: str | Path) -> list[BenchmarkQuestion]:

@@ -27,7 +27,7 @@ from typing import Any
 
 from .adapters import Prediction
 from .anchor import DEFAULT_ANCHOR, TIME_VALUE_FUNCTIONS, parse_anchor, rewrite_time_anchor
-from .corpus import BenchmarkQuestion
+from .corpus import BenchmarkQuestion, is_json_scalar
 from .diff import _TreeIndex
 from .parser import parse, quote_identifier
 from .render import render_expression
@@ -221,7 +221,7 @@ def evaluate(
     """Score every instance with both metrics and aggregate the results.
 
     Raises ConfigError when a question or prediction id is not a JSON scalar
-    (None, bool, int, float or str).
+    (None, bool, int, finite float or str).
     """
     options = options or EvalOptions()
     instant = parse_anchor(anchor)
@@ -230,7 +230,7 @@ def evaluate(
         raise ConfigError("no questions to evaluate")
     for kind, ids in (("question", [q.id for q in questions]), ("prediction", [p.question_id for p in predictions])):
         for item_id in ids:
-            if not isinstance(item_id, (type(None), bool, int, float, str)):
+            if not is_json_scalar(item_id):
                 raise ConfigError(f"{kind} id {item_id!r} is not a JSON scalar")
     if not db_dir.is_dir():
         raise ConfigError(f"database directory not found: {db_dir}")

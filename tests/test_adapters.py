@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from sqlscore import AdapterError, evaluate, get_predictions, parse_adapter_spec
+from sqlscore import AdapterError, evaluate, get_predictions, parse_adapter_spec, report_to_dict
 from sqlscore.results import VERDICT_INVALID, VERDICT_SCORED
 
 
@@ -49,6 +49,30 @@ class TestFileAdapter:
             path.write_text('{"id": 0, "sql": "SELECT 1"}\n' + bad_line + "\n", encoding="utf-8")
             with pytest.raises(AdapterError, match=re.escape(f"{path}, line 2")):
                 get_predictions(questions, f"file:{path}")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_id_raises(self, questions, tmp_path, literal):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(f'{{"id": 0, "sql": "SELECT 1"}}\n{{"id": {literal}, "sql": "SELECT 1"}}\n', encoding="utf-8")
+        with pytest.raises(AdapterError, match=re.escape(f"{path}, line 2: 'id' must be a JSON scalar")):
+            get_predictions(questions, f"file:{path}")
+
+    def test_sql_that_is_not_a_string_becomes_empty_sql(self, questions, db_dir, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        records = [{"id": 0, "sql": "SELECT 1"}, {"id": 1, "sql": None}, {"id": 2, "sql": ["SELECT 1"]}, {"id": 3, "sql": 5}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        predictions = get_predictions(questions[:4], f"file:{path}")
+        assert [p.sql for p in predictions] == ["SELECT 1", "", "", ""]
+        instances = report_to_dict(evaluate(questions[:4], predictions, db_dir))["instances"]
+        assert [r["predicted_sql"] for r in instances] == ["SELECT 1", "", "", ""]
+        assert [r["result_verdict"] for r in instances[1:]] == [VERDICT_INVALID] * 3
+
+    def test_latency_that_is_not_an_integer_becomes_none(self, questions, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        latencies = [7, True, False, 2.5, "9"]
+        path.write_text("".join(json.dumps({"id": i, "sql": "SELECT 1", "latency_ms": ms}) + "\n" for i, ms in enumerate(latencies)), encoding="utf-8")
+        predictions = get_predictions(questions[:5], f"file:{path}")
+        assert [p.latency_ms for p in predictions] == [7, None, None, None, None]
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
     def test_unreadable_file_raises(self, questions, tmp_path, kind):
@@ -120,9 +144,8 @@ class _ConstantModel(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def constant_model_url():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ConstantModel)
+def _serve(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/predict"
@@ -132,10 +155,50 @@ def constant_model_url():
     assert not thread.is_alive()
 
 
+@pytest.fixture()
+def constant_model_url():
+    yield from _serve(_ConstantModel)
+
+
+# (status, body, declared Content-Length or None for the body's own length)
+_BAD_REPLIES = {
+    "body shorter than its Content-Length": (200, b'{"sql": "SELECT 1"}', 64),
+    "status 500": (500, b'{"sql": "SELECT 1"}', None),
+    "body not JSON": (200, b"SELECT 1", None),
+    "sql not a string": (200, b'{"sql": 5}', None),
+}
+
+
+@pytest.fixture(params=list(_BAD_REPLIES))
+def bad_reply_model(request, questions):
+    """URL of a model that answers SELECT 1, except to questions[1], which gets the bad reply."""
+    status, body, length = _BAD_REPLIES[request.param]
+
+    class Model(_ConstantModel):
+        def do_POST(self):
+            question = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["question"]
+            if question != questions[1].question:
+                return self.send_reply(200, b'{"sql": "SELECT 1"}', None)
+            self.send_reply(status, body, length)
+
+        def send_reply(self, status, body, length):
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(length or len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    yield from _serve(Model)
+
+
 class TestHttpAdapter:
     def test_constant_model(self, questions, db_dir, constant_model_url):
         predictions = get_predictions(questions[:4], constant_model_url, db_dir=db_dir)
         assert [p.sql for p in predictions] == ["SELECT 1"] * 4
+
+    def test_bad_reply_degrades_that_question_only(self, questions, db_dir, bad_reply_model):
+        predictions = get_predictions(questions[:4], bad_reply_model, db_dir=db_dir, timeout_s=5, backoff_s=0.01)
+        assert [p.sql for p in predictions] == ["SELECT 1", "", "SELECT 1", "SELECT 1"]
 
     def test_unreachable_endpoint_raises_after_retries(self, questions):
         with pytest.raises(AdapterError, match="no predictions"):

@@ -218,6 +218,15 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(missing) in err
 
+    @pytest.mark.parametrize("flag", ["--report-json", "--report-csv", "--report-md"])
+    def test_unwritable_report_exits_two(self, capsys, corpus_path, db_dir, tmp_path, flag):
+        report = tmp_path / "missing-dir" / "report"
+        code, out, err = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), flag, str(report))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(report) in err
+
 
 class TestValidate:
     def test_clean_fixtures_exit_zero(self, capsys, corpus_path, db_dir):
@@ -322,6 +331,15 @@ class TestFixturesCommand:
         assert (tmp_path / "fx" / "db" / "benchmark_1.sqlite").is_file()
         assert (tmp_path / "fx" / "db" / "benchmark_2.sqlite").is_file()
 
+    def test_out_that_is_a_file_exits_two(self, capsys, tmp_path):
+        out_path = tmp_path / "taken"
+        out_path.write_text("", encoding="utf-8")
+        code, out, err = run_cli(capsys, "fixtures", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out_path) in err
+
 
 def test_normalize_command(capsys):
     code, out, _ = run_cli(capsys, "normalize", "select A ,b from T")
@@ -341,6 +359,20 @@ def test_package_imports_without_site_packages():
     # a star import fails on a name that __all__ lists but the package lacks
     proc = subprocess.run([sys.executable, "-S", "-c", "from sqlscore import *"], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_file_adapter_run_loads_no_http_or_subprocess_module(corpus_path, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text('{"id": 0, "sql": "SELECT 1"}\n', encoding="utf-8")
+    script = (
+        "import sys, sqlscore, sqlscore.cli\n"
+        f"sqlscore.get_predictions(sqlscore.load_corpus({str(corpus_path)!r}), {'file:' + str(predictions)!r})\n"
+        "print(sorted({'http', 'http.client', 'urllib.request', 'ssl', 'email', 'socket', 'subprocess', 'shlex'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_package_imports_only_the_standard_library():

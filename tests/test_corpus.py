@@ -71,6 +71,14 @@ def test_non_scalar_id_names_instance(tmp_path, bad_id):
         load_corpus(write_corpus(tmp_path, payload))
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_id_names_instance(tmp_path, literal):
+    path = write_corpus(tmp_path, [SAMPLE_INSTANCE, dict(SAMPLE_INSTANCE, id="placeholder")])
+    path.write_text(path.read_text(encoding="utf-8").replace('"placeholder"', literal), encoding="utf-8")
+    with pytest.raises(CorpusLoadError, match=r"instance 1: 'id' must be a JSON scalar"):
+        load_corpus(path)
+
+
 def test_file_not_utf8(tmp_path):
     path = tmp_path / "questions.json"
     path.write_bytes(json.dumps([SAMPLE_INSTANCE]).encode("utf-8").replace(b"rta", b"rt\xff"))

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import random
 import re
 import sqlite3
@@ -153,6 +154,14 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("bad_id", [(1, 2), [1], {"a": 1}], ids=["tuple", "list", "dict"])
     def test_id_that_is_not_a_json_scalar_is_config_error(self, questions, db_dir, bad_id):
+        with pytest.raises(ConfigError, match="question id " + re.escape(repr(bad_id))):
+            evaluate([dataclasses.replace(questions[0], id=bad_id)], [], db_dir)
+        with pytest.raises(ConfigError, match="prediction id " + re.escape(repr(bad_id))):
+            evaluate(questions, [Prediction(bad_id, "SELECT 1")], db_dir)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_id_is_config_error(self, questions, db_dir, literal):
+        bad_id = json.loads(literal)
         with pytest.raises(ConfigError, match="question id " + re.escape(repr(bad_id))):
             evaluate([dataclasses.replace(questions[0], id=bad_id)], [], db_dir)
         with pytest.raises(ConfigError, match="prediction id " + re.escape(repr(bad_id))):
