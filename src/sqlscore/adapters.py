@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .corpus import BenchmarkQuestion, is_json_scalar
+from .corpus import BenchmarkQuestion, id_key, is_json_scalar
 from .results import _open_readonly
 
 DEFAULT_ADAPTER_TIMEOUT_S = 60.0
@@ -50,11 +50,6 @@ def parse_adapter_spec(spec: str) -> tuple[str, str]:
         return "cmd", spec[len("cmd:") :]
     if spec.startswith(("http://", "https://")):
         return "http", spec
-    if spec.startswith("http:"):
-        url = spec[len("http:") :]
-        if not url.startswith(("http://", "https://")):
-            raise ValueError(f"adapter spec {spec!r} has no URL scheme; expected http:http(s)://... or http(s)://...")
-        return "http", url
     raise ValueError(f"unknown adapter spec {spec!r}; expected identity, file:..., cmd:... or http(s)://...")
 
 
@@ -78,7 +73,7 @@ def _schema_text(db_path: Path) -> str:
     return ";\n".join(r[0] for r in rows)
 
 
-def _load_predictions_file(path: str) -> dict[Any, tuple[str, int | None]]:
+def _load_predictions_file(path: str) -> dict[tuple[bool, Any], tuple[str, int | None]]:
     by_id: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -98,7 +93,7 @@ def _load_predictions_file(path: str) -> dict[Any, tuple[str, int | None]]:
         if not is_json_scalar(record["id"]):
             raise AdapterError(f"predictions file {path}, line {line_no}: 'id' must be a JSON scalar, not {record['id']!r}")
         sql, latency = record["sql"], record.get("latency_ms")
-        by_id[record["id"]] = (sql if isinstance(sql, str) else "", latency if type(latency) is int else None)
+        by_id[id_key(record["id"])] = (sql if isinstance(sql, str) else "", latency if type(latency) is int else None)
     return by_id
 
 
@@ -165,7 +160,7 @@ def get_predictions(
 
     if kind == "file":
         by_id = _load_predictions_file(value)
-        return [Prediction(q.id, *(by_id.get(q.id) or by_id.get(str(q.id), ("", None)))) for q in questions]
+        return [Prediction(q.id, *(by_id.get(id_key(q.id)) or by_id.get(id_key(str(q.id)), ("", None)))) for q in questions]
 
     schemas: dict[str, str] = {}
     obtained = 0

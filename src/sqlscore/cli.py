@@ -85,6 +85,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not questions:
         return _fail(f"no questions in corpus file {args.corpus}")
 
+    reports = ((args.report_json, report_to_json), (args.report_csv, report_to_csv), (args.report_md, report_to_markdown))
+    for path, _ in reports:
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            return _fail(f"cannot write report {path}: " + ("it is a directory" if Path(path).is_dir() else f"no directory {Path(path).parent}"))
     try:
         predictions = get_predictions(questions, args.adapter, db_dir=args.db_dir, timeout_s=args.adapter_timeout_s)
     except (AdapterError, ValueError) as exc:
@@ -96,7 +100,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         return _fail(str(exc))
 
-    for path, write in ((args.report_json, report_to_json), (args.report_csv, report_to_csv), (args.report_md, report_to_markdown)):
+    for path, write in reports:
         if path:
             try:
                 Path(path).write_text(write(report), encoding="utf-8")

@@ -50,6 +50,11 @@ def is_json_scalar(value: object) -> bool:
     return isinstance(value, (type(None), bool, int, str)) or (isinstance(value, float) and math.isfinite(value))
 
 
+def id_key(value: object) -> tuple[bool, object]:
+    """An id as a dict key: JSON ``true`` and ``1`` are different ids, though Python's ``True == 1``."""
+    return type(value) is bool, value
+
+
 def question_from_mapping(raw: dict, index: int) -> BenchmarkQuestion:
     for name in _REQUIRED_FIELDS:
         if name not in raw:
@@ -82,9 +87,10 @@ def load_corpus(path: str | Path) -> list[BenchmarkQuestion]:
         if not isinstance(item, dict):
             raise CorpusLoadError(f"instance {index}: expected a JSON object")
         question = question_from_mapping(item, index)
-        if question.id in seen_ids:
+        key = id_key(question.id)
+        if key in seen_ids:
             raise CorpusLoadError(f"instance {index}: duplicate id {question.id!r}")
-        seen_ids.add(question.id)
+        seen_ids.add(key)
         questions.append(question)
     return questions
 

@@ -1,9 +1,11 @@
 """Score whole corpora: per-instance metrics, aggregation and corpus health.
 
-Instances are scored truth by truth: the questions that share a (database,
-truth query) pair are scored together, with the truth parsed and executed
-once over one read-only connection per database and each distinct predicted
-SQL scored once against it.  At most one prepared truth is alive at a time.
+One truth pass serves ``evaluate`` and ``validate_corpus``: the questions
+that share a (database, truth query) pair form one group, and its truth is
+parsed and executed once over one read-only connection per database.
+``evaluate`` scores each distinct predicted SQL of a group once against it
+and holds at most one prepared truth at a time; ``validate_corpus`` runs its
+checks once per truth and orders the warnings by question.
 Reports stay in question order, so a run is a pure function of (corpus,
 predictions, options) and reports are byte-identical across repeated runs.
 
@@ -21,13 +23,14 @@ from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
-from itertools import combinations
+from itertools import product
+from operator import itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .adapters import Prediction
 from .anchor import DEFAULT_ANCHOR, TIME_VALUE_FUNCTIONS, parse_anchor, rewrite_time_anchor
-from .corpus import BenchmarkQuestion, is_json_scalar
+from .corpus import BenchmarkQuestion, id_key, is_json_scalar
 from .diff import _TreeIndex
 from .parser import parse, quote_identifier
 from .render import render_expression
@@ -43,7 +46,7 @@ from .results import (
     match_columns,
     score_result_pair,
 )
-from .semantic import CorpusError, SemanticScore, invalid_prediction_score, semantic_score_from_asts
+from .semantic import CorpusError, SemanticScore, invalid_prediction_score, parse_truth, semantic_score_from_asts
 from .sqlast import Node, NodeKind, ParseError, physical_tables
 
 __all__ = [
@@ -162,10 +165,7 @@ def _truth(
 
     Raises CorpusError when it does not parse or execute.
     """
-    try:
-        root = parse(sql)
-    except ParseError as exc:
-        raise CorpusError(f"truth query does not parse: {exc}") from exc
+    root = parse_truth(sql)
     try:
         table = execute(root, db, anchor, timeout_s=options.query_timeout_s)
     except ExecutionError as exc:
@@ -211,6 +211,27 @@ def _open_databases(stack: ExitStack, db_dir: Path, db_ids) -> dict[str, sqlite3
     return {db_id: stack.enter_context(closing(_open_readonly(_db_path(db_dir, db_id)))) for db_id in sorted(db_ids)}
 
 
+def _prepared_truths(
+    questions: list[BenchmarkQuestion],
+    conns: dict[str, sqlite3.Connection],
+    instant: datetime,
+    options: EvalOptions,
+) -> Iterator[tuple[list[int], Truth | CorpusError]]:
+    """Each distinct (database, truth query) whose database is open, in
+    first-use order: the positions of its questions, and its Truth or the
+    CorpusError that preparing it raised."""
+    groups: dict[tuple[str, str], list[int]] = defaultdict(list)
+    for i, q in enumerate(questions):
+        if q.db_id in conns:
+            groups[q.db_id, q.query].append(i)
+    for (db_id, query), positions in groups.items():
+        try:
+            truth = _truth(query, conns[db_id], instant, options)
+        except CorpusError as exc:
+            truth = exc
+        yield positions, truth
+
+
 def evaluate(
     questions: list[BenchmarkQuestion],
     predictions: list[Prediction],
@@ -238,27 +259,21 @@ def evaluate(
         if not _db_path(db_dir, db_id).is_file():
             raise ConfigError(f"missing database file for db_id {db_id!r}: {_db_path(db_dir, db_id)}")
 
-    by_id = {p.question_id: p.sql for p in predictions}
-    groups: dict[tuple[str, str], list[int]] = defaultdict(list)  # question positions by truth, in first-use order
-    for i, q in enumerate(questions):
-        groups[q.db_id, q.query].append(i)
+    by_id = {id_key(p.question_id): p.sql for p in predictions}
     instances: list[InstanceResult | None] = [None] * len(questions)
     with ExitStack() as stack:
         conns = _open_databases(stack, db_dir, {q.db_id for q in questions})
-        for (db_id, query), positions in groups.items():
-            try:
-                truth, warning = _truth(query, conns[db_id], instant, options), None
-            except CorpusError as exc:
-                truth, warning = None, str(exc)
+        for positions, truth in _prepared_truths(questions, conns, instant, options):
+            failed = isinstance(truth, CorpusError)
             scores: dict[str, tuple[SemanticScore | None, ResultScore | None]] = {}
             for i in positions:
                 q = questions[i]
-                sql = by_id.get(q.id, by_id.get(str(q.id), ""))
+                sql = by_id.get(id_key(q.id), by_id.get(id_key(str(q.id)), ""))
                 if sql not in scores:
-                    scores[sql] = (None, None) if truth is None else _score_prediction(truth, sql, conns[db_id], instant, options)
+                    scores[sql] = (None, None) if failed else _score_prediction(truth, sql, conns[q.db_id], instant, options)
                 semantic, result = scores[sql]
                 instances[i] = InstanceResult(
-                    q.id, db_id, q.case_type, q.language, sql, semantic, result, excluded=truth is None, warning=warning
+                    q.id, q.db_id, q.case_type, q.language, sql, semantic, result, excluded=failed, warning=str(truth) if failed else None
                 )
 
     by_case: dict[str, Aggregate] = {}
@@ -371,72 +386,42 @@ def validate_corpus(
     of degenerate fixture data), and timestamped tables whose data range
     does not bracket the anchor-relative windows of time-period questions.
     Each check runs once per distinct truth and warns once per question.
+    Missing databases come first; then each check's warnings follow in
+    question order: corpus errors and zero rows, coinciding pairs by
+    (first, second) question, range problems.
     """
     instant = parse_anchor(anchor)
     db_dir = Path(db_dir)
-    warnings: list[str] = []
-
-    present = set()
-    for db_id in sorted({q.db_id for q in questions}):
-        if _db_path(db_dir, db_id).is_file():
-            present.add(db_id)
-        else:
-            warnings.append(f"db {db_id}: database file missing: {_db_path(db_dir, db_id)}")
-
+    db_ids = {q.db_id for q in questions}
+    missing = sorted(db_id for db_id in db_ids if not _db_path(db_dir, db_id).is_file())
+    # (sort key, message): key (0, i) corpus error or zero rows, (1, i, j) a
+    # coinciding pair, (2, i) a range problem, for question positions i < j
+    keyed: list[tuple[tuple[int, ...], str]] = []
     with ExitStack() as stack:
-        conns = _open_databases(stack, db_dir, present)
+        conns = _open_databases(stack, db_dir, db_ids.difference(missing))
         scratch = stack.enter_context(closing(sqlite3.connect(":memory:")))
-
-        # each distinct truth's outcome, in first-use order; every truth is
-        # held to the end for the pairwise check below
-        distinct: dict[tuple[str, str], Truth | CorpusError] = {}
-        executed: list[tuple[BenchmarkQuestion, tuple[str, str]]] = []
-        for q in questions:
-            if q.db_id not in present:
-                continue
-            key = (q.db_id, q.query)
-            if key not in distinct:
-                try:
-                    distinct[key] = _truth(q.query, conns[q.db_id], instant, EvalOptions())
-                except CorpusError as exc:
-                    distinct[key] = exc
-            truth = distinct[key]
+        scopes: dict[tuple[str, frozenset], list[tuple[list[int], Truth]]] = defaultdict(list)
+        for positions, truth in _prepared_truths(questions, conns, instant, EvalOptions()):
+            db_id = questions[positions[0]].db_id
             if isinstance(truth, CorpusError):
-                warnings.append(f"question {q.id}: {truth}")
+                keyed.extend(((0, i), f"question {questions[i].id}: {truth}") for i in positions)
                 continue
             if truth.table.row_count == 0:
-                warnings.append(f"question {q.id}: truth result has zero rows")
-            executed.append((q, key))
+                keyed.extend(((0, i), f"question {questions[i].id}: truth result has zero rows") for i in positions)
 
-        # distinct queries over the same tables must not coincide on results
-        scopes: dict[tuple[str, frozenset], list[tuple[str, str]]] = defaultdict(list)
-        for key, truth in distinct.items():
-            if isinstance(truth, Truth):
-                scopes[key[0], truth.tables].append(key)
-        coinciding: dict[tuple[str, str], list[tuple[str, str]]] = defaultdict(list)
-        for keys in scopes.values():
-            for key_a, key_b in combinations(keys, 2):
-                a, b = distinct[key_a], distinct[key_b]
-                if a.root != b.root and a.table.column_count == b.table.column_count == len(match_columns(a.table, b.table)):
-                    coinciding[key_a].append(key_b)
-                    coinciding[key_b].append(key_a)
-        positions: dict[tuple[str, str], list[int]] = defaultdict(list)
-        for i, (_, key) in enumerate(executed):
-            positions[key].append(i)
-        for i, (qa, key) in enumerate(executed):
-            tables = "/".join(sorted(distinct[key].tables))
-            for j in sorted(j for other in coinciding[key] for j in positions[other] if j > i):
-                warnings.append(
-                    f"questions {qa.id} and {executed[j][0].id}: distinct queries over "
-                    f"{tables} produce identical results (degenerate fixture data)"
-                )
+            # distinct queries over the same tables must not coincide on results
+            earlier = scopes[db_id, truth.tables]
+            for other_positions, other in earlier:
+                if other.root != truth.root and other.table.column_count == truth.table.column_count == len(match_columns(other.table, truth.table)):
+                    message = f"distinct queries over {'/'.join(sorted(truth.tables))} produce identical results (degenerate fixture data)"
+                    for i, j in map(sorted, product(other_positions, positions)):
+                        keyed.append(((1, i, j), f"questions {questions[i].id} and {questions[j].id}: {message}"))
+            earlier.append((positions, truth))
 
-        # anchor-relative windows must fall inside the fixture data range
-        problems: dict[tuple[str, str], list[str]] = {}
-        for q, key in executed:
-            if q.case_type not in _TIME_SENSITIVE_CASE_TYPES:
-                continue
-            if key not in problems:
-                problems[key] = _range_problems(conns[q.db_id], scratch, distinct[key], instant)
-            warnings.extend(f"question {q.id}: {problem}" for problem in problems[key])
-    return warnings
+            # anchor-relative windows must fall inside the fixture data range
+            timed = [i for i in positions if questions[i].case_type in _TIME_SENSITIVE_CASE_TYPES]
+            if timed:
+                problems = _range_problems(conns[db_id], scratch, truth, instant)
+                keyed.extend(((2, i), f"question {questions[i].id}: {problem}") for i in timed for problem in problems)
+    keyed.sort(key=itemgetter(0))
+    return [f"db {db_id}: database file missing: {_db_path(db_dir, db_id)}" for db_id in missing] + [m for _, m in keyed]

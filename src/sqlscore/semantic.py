@@ -103,6 +103,14 @@ def semantic_score_from_asts(truth: Node | _TreeIndex, predicted: Node) -> Seman
     return score_edit_script(diff(truth, predicted))
 
 
+def parse_truth(sql: str) -> Node:
+    """Parse a ground-truth query; raises CorpusError when it does not parse."""
+    try:
+        return parse(sql)
+    except ParseError as exc:
+        raise CorpusError(f"truth query does not parse: {exc}") from exc
+
+
 def invalid_prediction_score() -> SemanticScore:
     return SemanticScore(value=0.0, verdict=VERDICT_INVALID, breakdown=ScoreBreakdown())
 
@@ -112,10 +120,7 @@ def semantic_similarity(query_true: str, query_predicted: str) -> SemanticScore:
 
     The score is directional: (truth, predicted) is not symmetrized.
     """
-    try:
-        truth = parse(query_true)
-    except ParseError as exc:
-        raise CorpusError(f"truth query does not parse: {exc}") from exc
+    truth = parse_truth(query_true)
     try:
         predicted = parse(query_predicted)
     except ParseError:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -15,8 +16,7 @@ def test_spec_parsing():
     assert parse_adapter_spec("file:preds.jsonl") == ("file", "preds.jsonl")
     assert parse_adapter_spec("cmd:python model.py") == ("cmd", "python model.py")
     assert parse_adapter_spec("http://host:1234/predict") == ("http", "http://host:1234/predict")
-    assert parse_adapter_spec("http:https://host/predict") == ("http", "https://host/predict")
-    for bad in ("carrier-pigeon:coop", "http:host:8000/p"):
+    for bad in ("carrier-pigeon:coop", "http:host:8000/p", "http:https://host/predict"):
         with pytest.raises(ValueError):
             parse_adapter_spec(bad)
 
@@ -56,6 +56,12 @@ class TestFileAdapter:
         path.write_text(f'{{"id": 0, "sql": "SELECT 1"}}\n{{"id": {literal}, "sql": "SELECT 1"}}\n', encoding="utf-8")
         with pytest.raises(AdapterError, match=re.escape(f"{path}, line 2: 'id' must be a JSON scalar")):
             get_predictions(questions, f"file:{path}")
+
+    def test_bool_id_is_not_the_int_id(self, questions, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"id": true, "sql": "SELECT 42"}\n{"id": 1, "sql": "SELECT 1"}\n', encoding="utf-8")
+        corpus = [dataclasses.replace(questions[0], id=True), questions[1], questions[2]]
+        assert [p.sql for p in get_predictions(corpus, f"file:{path}")] == ["SELECT 42", "SELECT 1", ""]
 
     def test_sql_that_is_not_a_string_becomes_empty_sql(self, questions, db_dir, tmp_path):
         path = tmp_path / "preds.jsonl"

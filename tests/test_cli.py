@@ -221,11 +221,27 @@ class TestRun:
     @pytest.mark.parametrize("flag", ["--report-json", "--report-csv", "--report-md"])
     def test_unwritable_report_exits_two(self, capsys, corpus_path, db_dir, tmp_path, flag):
         report = tmp_path / "missing-dir" / "report"
-        code, out, err = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), flag, str(report))
+        adapter, marker = marker_model(tmp_path)
+        code, out, err = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), "--adapter", adapter, flag, str(report))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(report) in err
+        assert not marker.exists()  # refused before the model was called
+
+    def test_report_path_that_is_a_directory_exits_two(self, capsys, corpus_path, db_dir, tmp_path):
+        adapter, marker = marker_model(tmp_path)
+        code, out, err = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), "--adapter", adapter, "--report-md", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write report {tmp_path}: it is a directory\n"
+        assert not marker.exists()
+
+
+def marker_model(tmp_path: Path) -> tuple[str, Path]:
+    """A ``cmd:`` adapter that creates a marker file when it is called."""
+    marker, script = tmp_path / "model-called", tmp_path / "model.py"
+    script.write_text(f"import pathlib\npathlib.Path({str(marker)!r}).touch()\nprint('SELECT 1')\n", encoding="utf-8")
+    return f"cmd:{sys.executable} {script}", marker
 
 
 class TestValidate:

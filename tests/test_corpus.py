@@ -64,6 +64,13 @@ def test_duplicate_ids_rejected(tmp_path):
         load_corpus(write_corpus(tmp_path, payload))
 
 
+def test_bool_and_int_ids_are_different_ids(tmp_path):
+    payload = [dict(SAMPLE_INSTANCE, id=i) for i in (1, True, 0, False)]
+    assert json.dumps([q.id for q in load_corpus(write_corpus(tmp_path, payload))]) == "[1, true, 0, false]"
+    with pytest.raises(CorpusLoadError, match="instance 1: duplicate id True"):
+        load_corpus(write_corpus(tmp_path, [dict(SAMPLE_INSTANCE, id=True)] * 2))
+
+
 @pytest.mark.parametrize("bad_id", [[1], {"n": 1}], ids=["array", "object"])
 def test_non_scalar_id_names_instance(tmp_path, bad_id):
     payload = [SAMPLE_INSTANCE, dict(SAMPLE_INSTANCE, id=bad_id)]

@@ -167,6 +167,11 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="prediction id " + re.escape(repr(bad_id))):
             evaluate(questions, [Prediction(bad_id, "SELECT 1")], db_dir)
 
+    def test_bool_and_int_ids_get_their_own_predictions(self, questions, db_dir):
+        corpus = [dataclasses.replace(questions[0], id=True), dataclasses.replace(questions[1], id=1)]
+        report = evaluate(corpus, [Prediction(True, "SELECT 42"), Prediction(1, questions[1].query)], db_dir)
+        assert [r.predicted_sql for r in report.instances] == ["SELECT 42", questions[1].query]
+
     def test_deterministic_reports(self, questions, db_dir):
         first = evaluate(questions, identity_predictions(questions), db_dir)
         second = evaluate(questions, identity_predictions(questions), db_dir)
@@ -426,8 +431,53 @@ class TestValidateCorpus:
 
     def test_each_truth_parsed_once(self, questions, db_dir, monkeypatch):
         calls = count_parse_calls(monkeypatch)
-        assert validate_corpus(questions, db_dir) == []
-        assert len(calls) == len(questions)
+        for corpus in (questions, tripled(questions)):
+            calls.clear()
+            assert validate_corpus(corpus, db_dir) == []
+            assert len(calls) == len(questions) == len({(q.db_id, q.query) for q in corpus})
+
+    def test_warning_order_on_a_shuffled_corpus_with_shared_truths(self, tmp_path):
+        """Missing databases first, then per question: corpus errors and zero
+        rows, coinciding pairs in (i, j) order, range problems."""
+        db_dir = tmp_path / "db"
+        for db_id in ("benchmark_1", "benchmark_2"):
+            build_fixture_database(db_id, db_dir / f"{db_id}.sqlite")
+        conn = sqlite3.connect(db_dir / "benchmark_2.sqlite")
+        conn.execute("DELETE FROM system_metrics WHERE ts < '2023-01-06 00:00:00'")
+        conn.commit()
+        conn.close()
+        window = "SELECT ts FROM system_metrics WHERE ts >= datetime('now', '-14 days')"
+        count, top = "SELECT count(*) FROM campaigns", "SELECT max(campaign_id) FROM campaigns"
+        spec = [
+            ("window1", "benchmark_2", window, "time_period"),
+            ("count1", "benchmark_1", count, "aggregation"),
+            ("gone", "nowhere", "SELECT 1", "aggregation"),
+            ("bad1", "benchmark_1", "SELECT count(*", "aggregation"),
+            ("top", "benchmark_1", top, "aggregation"),
+            ("zero1", "benchmark_1", "SELECT campaign_id FROM campaigns WHERE 0", "filtering"),
+            ("window2", "benchmark_2", window, "time_period"),
+            ("count2", "benchmark_1", count, "aggregation"),
+            ("bad2", "benchmark_1", "SELECT count(*", "aggregation"),
+            ("zero2", "benchmark_1", "SELECT campaign_id FROM campaigns WHERE 0", "filtering"),
+        ]
+        corpus = [BenchmarkQuestion(db_id, query, "q", "en", case_type, id=qid) for qid, db_id, query, case_type in spec]
+        parse_error = "truth query does not parse: expected ')' at end of input (at offset 14)"
+        coincide = "distinct queries over campaigns produce identical results (degenerate fixture data)"
+        bracket = (
+            "table system_metrics data range [2023-01-06 00:00:00, 2023-01-17 00:00:00] "
+            "does not bracket the anchor-relative window [2023-01-03 00:00:00, 2023-01-17 00:00:00]"
+        )
+        assert validate_corpus(corpus, db_dir) == [
+            f"db nowhere: database file missing: {db_dir / 'nowhere.sqlite'}",
+            f"question bad1: {parse_error}",
+            "question zero1: truth result has zero rows",
+            f"question bad2: {parse_error}",
+            "question zero2: truth result has zero rows",
+            f"questions count1 and top: {coincide}",
+            f"questions top and count2: {coincide}",
+            f"question window1: {bracket}",
+            f"question window2: {bracket}",
+        ]
 
     def test_truncated_query_warns(self, questions, db_dir):
         broken = BenchmarkQuestion("benchmark_1", "SELECT count(*", "q", "en", "filtering", id="trunc")
