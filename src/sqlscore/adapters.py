@@ -28,6 +28,7 @@ from .results import _open_readonly
 
 DEFAULT_ADAPTER_TIMEOUT_S = 60.0
 HTTP_RETRIES = 3
+HTTP_BACKOFF_S = 0.5  # the wait before the first retry; it doubles before each later one
 
 
 class AdapterError(Exception):
@@ -118,7 +119,7 @@ def _run_subprocess(command: str, payload: dict, timeout_s: float) -> str:
     return proc.stdout.strip()
 
 
-def _post_http(url: str, payload: dict, timeout_s: float, backoff_s: float) -> str | None:
+def _post_http(url: str, payload: dict, timeout_s: float) -> str | None:
     """Returns SQL text, or None when the endpoint stayed unreachable."""
     import http.client
     import urllib.request
@@ -135,7 +136,7 @@ def _post_http(url: str, payload: dict, timeout_s: float, backoff_s: float) -> s
             # OSError covers URLError, HTTPError (non-2xx status), timeouts and
             # resets; ValueError covers malformed URLs and bodies that are not JSON
             if attempt + 1 < HTTP_RETRIES:
-                time.sleep(backoff_s * (2**attempt))
+                time.sleep(HTTP_BACKOFF_S * (2**attempt))
     return None
 
 
@@ -145,38 +146,34 @@ def get_predictions(
     *,
     db_dir: str | Path | None = None,
     timeout_s: float = DEFAULT_ADAPTER_TIMEOUT_S,
-    backoff_s: float = 0.5,
 ) -> list[Prediction]:
-    """One Prediction per question, in question order.
+    """One Prediction per question, in question order; a file's entry goes to
+    the question whose id equals its own as a JSON value.
 
     Raises AdapterError only when the adapter configuration is unusable or
     when not a single prediction could be obtained.
     """
     kind, value = parse_adapter_spec(adapter)
-    predictions: list[Prediction] = []
-
     if kind == "identity":
         return [Prediction(q.id, q.query) for q in questions]
 
     if kind == "file":
         by_id = _load_predictions_file(value)
-        return [Prediction(q.id, *(by_id.get(id_key(q.id)) or by_id.get(id_key(str(q.id)), ("", None)))) for q in questions]
-
-    schemas: dict[str, str] = {}
-    obtained = 0
-    for q in questions:
-        started = time.monotonic()
-        if kind == "cmd":
-            sql = _run_subprocess(value, _question_payload(q), timeout_s)
-        else:
-            if q.db_id not in schemas:
-                schemas[q.db_id] = _schema_text(Path(db_dir) / f"{q.db_id}.sqlite") if db_dir else ""
-            reply = _post_http(value, {"question": q.question, "db_id": q.db_id, "schema": schemas[q.db_id]}, timeout_s, backoff_s)
-            sql = reply if reply is not None else ""
-        elapsed_ms = int((time.monotonic() - started) * 1000)
-        if sql:
-            obtained += 1
-        predictions.append(Prediction(q.id, sql, elapsed_ms))
-    if questions and obtained == 0:
+        predictions = [Prediction(q.id, *by_id.get(id_key(q.id), ("", None))) for q in questions]
+    else:
+        predictions = []
+        schemas: dict[str, str] = {}
+        for q in questions:
+            started = time.monotonic()
+            if kind == "cmd":
+                sql = _run_subprocess(value, _question_payload(q), timeout_s)
+            else:
+                if q.db_id not in schemas:
+                    schemas[q.db_id] = _schema_text(Path(db_dir) / f"{q.db_id}.sqlite") if db_dir else ""
+                reply = _post_http(value, {"question": q.question, "db_id": q.db_id, "schema": schemas[q.db_id]}, timeout_s)
+                sql = reply if reply is not None else ""
+            elapsed_ms = int((time.monotonic() - started) * 1000)
+            predictions.append(Prediction(q.id, sql, elapsed_ms))
+    if questions and not any(p.sql for p in predictions):
         raise AdapterError(f"adapter {adapter!r} produced no predictions for any of the {len(questions)} questions")
     return predictions

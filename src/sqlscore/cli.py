@@ -22,7 +22,7 @@ from .parser import parse
 from .render import render
 from .report import report_to_csv, report_to_json, report_to_markdown, summary_text
 from .results import DEFAULT_TIMEOUT_S
-from .runner import ConfigError, EvalOptions, evaluate, score_pair, valid_timeout, validate_corpus
+from .runner import ConfigError, EvalOptions, evaluate, missing_databases, score_pair, valid_timeout, validate_corpus
 from .semantic import CorpusError, semantic_similarity
 from .sqlast import ParseError
 
@@ -84,6 +84,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     if not questions:
         return _fail(f"no questions in corpus file {args.corpus}")
+    for db_id, path in missing_databases(questions, args.db_dir).items():
+        return _fail(f"missing database file for db_id {db_id!r}: {path}")  # before any model call
 
     reports = ((args.report_json, report_to_json), (args.report_csv, report_to_csv), (args.report_md, report_to_markdown))
     for path, _ in reports:

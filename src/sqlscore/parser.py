@@ -548,30 +548,6 @@ class _Parser:
 # -- normalization: table alias resolution ----------------------------------
 
 
-def _from_map(statement: Node) -> tuple[dict[str, str], dict[str, int]]:
-    """Alias bindings and underlying-name occurrence counts for one scope."""
-
-    bindings: dict[str, str] = {}
-    counts: dict[str, int] = {}
-
-    def visit(item: Node) -> None:
-        if item.kind is NodeKind.TABLE_REF:
-            counts[item.text] = counts.get(item.text, 0) + 1
-        elif item.kind is NodeKind.ALIAS and item.children[0].kind is NodeKind.TABLE_REF:
-            table = item.children[0].text
-            counts[table] = counts.get(table, 0) + 1
-            bindings[item.text] = table
-        elif item.kind is NodeKind.JOIN:
-            visit(item.children[0])
-            visit(item.children[1])
-        # derived tables stay opaque
-
-    for child in statement.children:
-        if child.kind in (NodeKind.TABLE_REF, NodeKind.JOIN, NodeKind.ALIAS):
-            visit(child)
-    return bindings, counts
-
-
 def split_qualified(text: str) -> tuple[str | None, str]:
     """Split a column-ref text into (qualifier, column); qualifier may be quoted."""
     if text.startswith('"'):
@@ -586,23 +562,22 @@ def split_qualified(text: str) -> tuple[str | None, str]:
     return None, text
 
 
-def _sole_from_name(statement: Node, local: dict[str, str]) -> str | None:
-    """The one name a lone from-item answers to, if the scope has exactly one.
-
-    Qualifiers naming it are redundant and get elided; scopes with joins or
-    several from-items keep every qualifier.
-    """
-    items = from_items(statement)
-    if len(items) != 1:
-        return None
-    item = items[0]
-    if item.kind is NodeKind.TABLE_REF:
-        return item.text
-    if item.kind is NodeKind.ALIAS:
-        if item.children[0].kind is NodeKind.TABLE_REF:
-            return local.get(item.text, item.text)
-        return item.text
-    return None  # a join: several tables
+def _unambiguous_aliases(items: list[Node]) -> dict[str, str]:
+    """Alias -> table for each aliased table that occurs once among ``items``,
+    one scope's FROM items; derived tables stay opaque."""
+    bindings: dict[str, str] = {}
+    counts: dict[str, int] = {}
+    stack = items[::-1]
+    while stack:  # in FROM-clause order, so a repeated alias binds its last table
+        item = stack.pop()
+        if item.kind is NodeKind.JOIN:
+            stack += item.children[1::-1]  # the two sides; the ON condition binds nothing
+        elif item.kind is NodeKind.TABLE_REF:
+            counts[item.text] = counts.get(item.text, 0) + 1
+        elif item.children[0].kind is NodeKind.TABLE_REF:
+            bindings[item.text] = table = item.children[0].text
+            counts[table] = counts.get(table, 0) + 1
+    return {alias: table for alias, table in bindings.items() if counts[table] == 1}
 
 
 def _resolve_aliases(statement: Node, env: dict[str, str]) -> Node:
@@ -613,10 +588,12 @@ def _resolve_aliases(statement: Node, env: dict[str, str]) -> Node:
     Every subtree that needs no rewrite, the statement included, is
     returned as the very same node.
     """
-    bindings, counts = _from_map(statement)
-    local = {a: t for a, t in bindings.items() if counts.get(t, 0) == 1}
+    items = from_items(statement)
+    local = _unambiguous_aliases(items)
     scope = {**env, **local}
-    sole = _sole_from_name(statement, local)
+    # qualifiers naming a lone FROM item that is not a join are redundant and get elided
+    lone = len(items) == 1 and items[0].kind is not NodeKind.JOIN
+    sole = local.get(items[0].text, items[0].text) if lone else None
 
     def rewrite(n: Node) -> Node:
         if n.kind is NodeKind.COLUMN_REF:
@@ -633,10 +610,8 @@ def _resolve_aliases(statement: Node, env: dict[str, str]) -> Node:
             return Node(NodeKind.COLUMN_REF, f"{resolved}.{column}")
         if n.kind is NodeKind.STATEMENT:
             return _resolve_aliases(n, scope)
-        if n.kind is NodeKind.ALIAS and n.children and n.children[0].kind is NodeKind.TABLE_REF:
-            if n.text in local:
-                return n.children[0]
-            return n
+        if n.kind is NodeKind.ALIAS and n.text in local and n.children[0].kind is NodeKind.TABLE_REF:
+            return n.children[0]
         if not n.children:
             return n
         return n.map_children(rewrite)

@@ -239,13 +239,12 @@ def execute(
     anchor: str | datetime = DEFAULT_ANCHOR,
     *,
     timeout_s: float = DEFAULT_TIMEOUT_S,
-    row_cap: int = DEFAULT_ROW_CAP,
 ) -> ResultTable:
     """Anchor the clock, render and run a query read-only.
 
     ``query`` is SQL text, which is parsed first, or a statement already
-    parsed by ``parse``.  The result is materialized fully; a timeout and a
-    row cap bound runaway predictions.  Raises ExecutionError on any failure.
+    parsed by ``parse``.  The result is materialized fully; a timeout and
+    ``DEFAULT_ROW_CAP`` bound runaway predictions.  Raises ExecutionError on any failure.
     """
     if not isinstance(query, Node):
         try:
@@ -262,9 +261,9 @@ def execute(
     try:
         cursor.execute(sql)
         labels = tuple(d[0] for d in cursor.description) if cursor.description else ()
-        rows = cursor.fetchmany(row_cap + 1)
-        if len(rows) > row_cap:
-            raise ExecutionError(f"result exceeds row cap of {row_cap}", stage="row-cap")
+        rows = cursor.fetchmany(DEFAULT_ROW_CAP + 1)
+        if len(rows) > DEFAULT_ROW_CAP:
+            raise ExecutionError(f"result exceeds row cap of {DEFAULT_ROW_CAP}", stage="row-cap")
         return ResultTable.from_rows(list(labels), rows)
     except sqlite3.Error as exc:
         if isinstance(exc, sqlite3.OperationalError) and "interrupted" in str(exc).lower():

@@ -136,6 +136,13 @@ def _db_path(db_dir: Path, db_id: str) -> Path:
     return db_dir / f"{db_id}.sqlite"
 
 
+def missing_databases(questions: list[BenchmarkQuestion], db_dir: str | Path) -> dict[str, Path]:
+    """Each db_id of ``questions`` whose database file is not in ``db_dir``,
+    in name order, with the path it was looked for at."""
+    paths = {db_id: _db_path(Path(db_dir), db_id) for db_id in sorted({q.db_id for q in questions})}
+    return {db_id: path for db_id, path in paths.items() if not path.is_file()}
+
+
 @dataclass(frozen=True)
 class Truth:
     """A ground-truth query that parsed and executed: its statement and result."""
@@ -241,8 +248,10 @@ def evaluate(
 ) -> EvalReport:
     """Score every instance with both metrics and aggregate the results.
 
-    Raises ConfigError when a question or prediction id is not a JSON scalar
-    (None, bool, int, finite float or str).
+    A question gets the prediction whose id equals its own as a JSON value
+    (``1``, ``"1"`` and ``True`` are three ids), else the empty SQL.  Raises
+    ConfigError when a question or prediction id is not a JSON scalar (None,
+    bool, int, finite float or str).
     """
     options = options or EvalOptions()
     instant = parse_anchor(anchor)
@@ -255,9 +264,8 @@ def evaluate(
                 raise ConfigError(f"{kind} id {item_id!r} is not a JSON scalar")
     if not db_dir.is_dir():
         raise ConfigError(f"database directory not found: {db_dir}")
-    for db_id in sorted({q.db_id for q in questions}):
-        if not _db_path(db_dir, db_id).is_file():
-            raise ConfigError(f"missing database file for db_id {db_id!r}: {_db_path(db_dir, db_id)}")
+    for db_id, path in missing_databases(questions, db_dir).items():
+        raise ConfigError(f"missing database file for db_id {db_id!r}: {path}")
 
     by_id = {id_key(p.question_id): p.sql for p in predictions}
     instances: list[InstanceResult | None] = [None] * len(questions)
@@ -268,7 +276,7 @@ def evaluate(
             scores: dict[str, tuple[SemanticScore | None, ResultScore | None]] = {}
             for i in positions:
                 q = questions[i]
-                sql = by_id.get(id_key(q.id), by_id.get(id_key(str(q.id)), ""))
+                sql = by_id.get(id_key(q.id), "")
                 if sql not in scores:
                     scores[sql] = (None, None) if failed else _score_prediction(truth, sql, conns[q.db_id], instant, options)
                 semantic, result = scores[sql]
@@ -392,13 +400,12 @@ def validate_corpus(
     """
     instant = parse_anchor(anchor)
     db_dir = Path(db_dir)
-    db_ids = {q.db_id for q in questions}
-    missing = sorted(db_id for db_id in db_ids if not _db_path(db_dir, db_id).is_file())
+    missing = missing_databases(questions, db_dir)
     # (sort key, message): key (0, i) corpus error or zero rows, (1, i, j) a
     # coinciding pair, (2, i) a range problem, for question positions i < j
     keyed: list[tuple[tuple[int, ...], str]] = []
     with ExitStack() as stack:
-        conns = _open_databases(stack, db_dir, db_ids.difference(missing))
+        conns = _open_databases(stack, db_dir, {q.db_id for q in questions}.difference(missing))
         scratch = stack.enter_context(closing(sqlite3.connect(":memory:")))
         scopes: dict[tuple[str, frozenset], list[tuple[list[int], Truth]]] = defaultdict(list)
         for positions, truth in _prepared_truths(questions, conns, instant, EvalOptions()):
@@ -424,4 +431,4 @@ def validate_corpus(
                 problems = _range_problems(conns[db_id], scratch, truth, instant)
                 keyed.extend(((2, i), f"question {questions[i].id}: {problem}") for i in timed for problem in problems)
     keyed.sort(key=itemgetter(0))
-    return [f"db {db_id}: database file missing: {_db_path(db_dir, db_id)}" for db_id in missing] + [m for _, m in keyed]
+    return [f"db {db_id}: database file missing: {path}" for db_id, path in missing.items()] + [m for _, m in keyed]

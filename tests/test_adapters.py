@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from sqlscore import AdapterError, evaluate, get_predictions, parse_adapter_spec, report_to_dict
+from sqlscore import AdapterError, adapters, evaluate, get_predictions, parse_adapter_spec, report_to_dict
 from sqlscore.results import VERDICT_INVALID, VERDICT_SCORED
 
 
@@ -62,6 +62,19 @@ class TestFileAdapter:
         path.write_text('{"id": true, "sql": "SELECT 42"}\n{"id": 1, "sql": "SELECT 1"}\n', encoding="utf-8")
         corpus = [dataclasses.replace(questions[0], id=True), questions[1], questions[2]]
         assert [p.sql for p in get_predictions(corpus, f"file:{path}")] == ["SELECT 42", "SELECT 1", ""]
+
+    def test_ids_match_exactly_as_json_values(self, questions, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        records = [{"id": "1", "sql": "SELECT 1"}, {"id": 2, "sql": "SELECT 2"}, {"id": "true", "sql": "SELECT 3"}, {"id": "x", "sql": "SELECT 4"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        corpus = [dataclasses.replace(q, id=i) for q, i in zip(questions, [1, "2", True, "x"])]
+        assert [p.sql for p in get_predictions(corpus, f"file:{path}")] == ["", "", "", "SELECT 4"]
+
+    def test_file_that_matches_no_question_raises(self, questions, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text("".join(json.dumps({"id": str(q.id), "sql": q.query}) + "\n" for q in questions), encoding="utf-8")
+        with pytest.raises(AdapterError, match=f"produced no predictions for any of the {len(questions)} questions"):
+            get_predictions(questions, f"file:{path}")
 
     def test_sql_that_is_not_a_string_becomes_empty_sql(self, questions, db_dir, tmp_path):
         path = tmp_path / "preds.jsonl"
@@ -202,10 +215,12 @@ class TestHttpAdapter:
         predictions = get_predictions(questions[:4], constant_model_url, db_dir=db_dir)
         assert [p.sql for p in predictions] == ["SELECT 1"] * 4
 
-    def test_bad_reply_degrades_that_question_only(self, questions, db_dir, bad_reply_model):
-        predictions = get_predictions(questions[:4], bad_reply_model, db_dir=db_dir, timeout_s=5, backoff_s=0.01)
+    def test_bad_reply_degrades_that_question_only(self, questions, db_dir, bad_reply_model, monkeypatch):
+        monkeypatch.setattr(adapters, "HTTP_BACKOFF_S", 0.01)
+        predictions = get_predictions(questions[:4], bad_reply_model, db_dir=db_dir, timeout_s=5)
         assert [p.sql for p in predictions] == ["SELECT 1", "", "SELECT 1", "SELECT 1"]
 
-    def test_unreachable_endpoint_raises_after_retries(self, questions):
+    def test_unreachable_endpoint_raises_after_retries(self, questions, monkeypatch):
+        monkeypatch.setattr(adapters, "HTTP_BACKOFF_S", 0.01)
         with pytest.raises(AdapterError, match="no predictions"):
-            get_predictions(questions[:2], "http://127.0.0.1:1/predict", timeout_s=0.2, backoff_s=0.01)
+            get_predictions(questions[:2], "http://127.0.0.1:1/predict", timeout_s=0.2)

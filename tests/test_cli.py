@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 import sqlite3
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sqlscore import DEFAULT_ANCHOR, EvalOptions, NodeKind, Prediction, evaluate, parse, render, score_pair
+from sqlscore import DEFAULT_ANCHOR, ConfigError, EvalOptions, NodeKind, Prediction, evaluate, parse, render, score_pair
 from sqlscore.cli import main
 
 from helpers import add_column_alias, drop_select_column, rename_column_alias
@@ -227,6 +228,19 @@ class TestRun:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(report) in err
+        assert not marker.exists()  # refused before the model was called
+
+    def test_missing_database_exits_two_before_the_adapter_runs(self, capsys, corpus_path, db_dir, questions, tmp_path):
+        partial = tmp_path / "db"
+        shutil.copytree(db_dir, partial)
+        (partial / "benchmark_2.sqlite").unlink()
+        adapter, marker = marker_model(tmp_path)
+        code, out, err = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(partial), "--adapter", adapter)
+        assert (code, out) == (2, "")
+        with pytest.raises(ConfigError) as exc_info:
+            evaluate(questions, [], partial)
+        assert err == f"error: {exc_info.value}\n"
+        assert str(partial / "benchmark_2.sqlite") in err
         assert not marker.exists()  # refused before the model was called
 
     def test_report_path_that_is_a_directory_exits_two(self, capsys, corpus_path, db_dir, tmp_path):

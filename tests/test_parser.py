@@ -128,6 +128,25 @@ class TestNormalization:
     def test_table_alias_resolved_away(self):
         assert render(parse("SELECT x.a, x.b FROM t AS x WHERE x.c = 1")) == "SELECT a, b FROM t WHERE c = 1"
 
+    @pytest.mark.parametrize(
+        "sql, normalized",
+        [
+            # several FROM items: qualifiers stay, spelt with the table name
+            ("SELECT x.a, u.b FROM t AS x, u WHERE x.c = u.c", "SELECT t.a, u.b FROM t, u WHERE t.c = u.c"),
+            ("SELECT x.a FROM t AS x JOIN u ON x.k = u.k", "SELECT t.a FROM t JOIN u ON t.k = u.k"),
+            # a lone derived table keeps its alias; qualifiers naming it go
+            ("SELECT d.a FROM (SELECT a FROM t) AS d", "SELECT a FROM (SELECT a FROM t) AS d"),
+            # a correlated reference resolves through the enclosing scope
+            (
+                "SELECT x.a FROM t AS x WHERE x.b IN (SELECT y.b FROM u AS y WHERE y.c = x.c)",
+                "SELECT a FROM t WHERE b IN (SELECT b FROM u WHERE c = t.c)",
+            ),
+            ('SELECT "Q".a FROM t AS "Q"', "SELECT a FROM t"),
+        ],
+    )
+    def test_alias_resolution_by_scope(self, sql, normalized):
+        assert render(parse(sql)) == normalized
+
     def test_self_join_aliases_kept(self):
         sql = "SELECT x.a, y.a FROM t AS x JOIN t AS y ON x.id = y.id"
         assert render(parse(sql)) == sql
@@ -163,6 +182,11 @@ class TestRoundTrip:
             "SELECT t.a, u.b FROM t, u WHERE t.k = u.k ORDER BY t.a DESC LIMIT 5 OFFSET 1",
             "SELECT -a, a - -5, -(a + b) FROM t",
             "SELECT a || 'suffix' FROM t WHERE b LIKE '%x%'",
+            "SELECT * FROM t",
+            "SELECT t.* FROM t JOIN u ON t.k = u.k",
+            "SELECT NULL",
+            "SELECT a FROM t WHERE NOT a = 1",
+            "SELECT current_timestamp",
         ],
     )
     def test_surface_round_trip(self, sql):
@@ -391,6 +415,7 @@ _MIXED_CHAINS = "SELECT " + "1 * " * 40 + "1" + " + 1" * 30  # 40 products, then
         ("SELECT " + "(" * 61 + "a IN (1, -(2))" + ")" * 61, "statement nesting too deep near '2'", 79),
         ("SELECT " + "(" * 63 + "a IN (1, 2)" + ")" * 63, "statement nesting too deep near '1'", 76),
         ("SELECT a = b = c", "trailing input after statement near '='", 13),
+        ("SELECT a FROM t CROSS JOIN u ON 1", "CROSS JOIN takes no ON clause near 'on'", 29),
         # text is empty only when SQLite would skip all of it
         ("\xa0", "expected SELECT or WITH near '\\xa0'", 0),
         (" \x0b ", "unexpected character '\\x0b'", 1),

@@ -422,26 +422,27 @@ class TestExecute:
             execute("SELECT 1", tmp_path / "nope.sqlite")
         assert exc_info.value.stage == "database"
 
-    def test_row_cap(self, db_dir):
+    def test_row_cap(self, db_dir, monkeypatch):
+        monkeypatch.setattr(results, "DEFAULT_ROW_CAP", 100)
         cross = "SELECT a.value FROM metric_log_real AS a CROSS JOIN metric_log_real AS b"
         db = db_dir / "benchmark_1.sqlite"
         with pytest.raises(ExecutionError) as exc_info:
-            execute(cross, db, row_cap=100)
+            execute(cross, db)
         assert exc_info.value.stage == "row-cap"
-        assert execute(f"{cross} LIMIT 100", db, row_cap=100).row_count == 100
+        assert execute(f"{cross} LIMIT 100", db).row_count == 100
         with pytest.raises(ExecutionError) as exc_info:
-            execute(f"{cross} LIMIT 101", db, row_cap=100)
+            execute(f"{cross} LIMIT 101", db)
         assert exc_info.value.stage == "row-cap"
         assert str(exc_info.value) == "result exceeds row cap of 100"
 
-    def test_timeout(self, db_dir):
+    def test_timeout(self, db_dir, monkeypatch):
+        monkeypatch.setattr(results, "DEFAULT_ROW_CAP", 10**9)
         with pytest.raises(ExecutionError) as exc_info:
             execute(
                 "SELECT count(*) FROM metric_log_real AS a CROSS JOIN metric_log_real AS b "
                 "CROSS JOIN metric_log_real AS c CROSS JOIN metric_log_real AS d",
                 db_dir / "benchmark_1.sqlite",
                 timeout_s=0.05,
-                row_cap=10**9,
             )
         assert exc_info.value.stage == "timeout"
 

@@ -172,6 +172,12 @@ class TestEvaluate:
         report = evaluate(corpus, [Prediction(True, "SELECT 42"), Prediction(1, questions[1].query)], db_dir)
         assert [r.predicted_sql for r in report.instances] == ["SELECT 42", questions[1].query]
 
+    def test_ids_match_exactly_as_json_values(self, questions, db_dir):
+        corpus = [dataclasses.replace(q, id=i) for q, i in zip(questions, [1, "2", True, "x"])]
+        predictions = [Prediction("1", "SELECT 1"), Prediction(2, "SELECT 2"), Prediction("true", "SELECT 3"), Prediction("x", "SELECT 4")]
+        report = evaluate(corpus, predictions, db_dir)
+        assert [r.predicted_sql for r in report.instances] == ["", "", "", "SELECT 4"]
+
     def test_deterministic_reports(self, questions, db_dir):
         first = evaluate(questions, identity_predictions(questions), db_dir)
         second = evaluate(questions, identity_predictions(questions), db_dir)
