@@ -119,8 +119,9 @@ def _run_subprocess(command: str, payload: dict, timeout_s: float) -> str:
     return proc.stdout.strip()
 
 
-def _post_http(url: str, payload: dict, timeout_s: float) -> str | None:
-    """Returns SQL text, or None when the endpoint stayed unreachable."""
+def _post_http(url: str, payload: dict, timeout_s: float) -> str:
+    """Returns SQL text, or "" when the endpoint stayed unreachable or its
+    reply held no SQL string."""
     import http.client
     import urllib.request
 
@@ -137,7 +138,7 @@ def _post_http(url: str, payload: dict, timeout_s: float) -> str | None:
             # resets; ValueError covers malformed URLs and bodies that are not JSON
             if attempt + 1 < HTTP_RETRIES:
                 time.sleep(HTTP_BACKOFF_S * (2**attempt))
-    return None
+    return ""
 
 
 def get_predictions(
@@ -170,8 +171,7 @@ def get_predictions(
             else:
                 if q.db_id not in schemas:
                     schemas[q.db_id] = _schema_text(Path(db_dir) / f"{q.db_id}.sqlite") if db_dir else ""
-                reply = _post_http(value, {"question": q.question, "db_id": q.db_id, "schema": schemas[q.db_id]}, timeout_s)
-                sql = reply if reply is not None else ""
+                sql = _post_http(value, {"question": q.question, "db_id": q.db_id, "schema": schemas[q.db_id]}, timeout_s)
             elapsed_ms = int((time.monotonic() - started) * 1000)
             predictions.append(Prediction(q.id, sql, elapsed_ms))
     if questions and not any(p.sql for p in predictions):

@@ -57,15 +57,13 @@ def _fail(message: str) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    if args.db is not None and not Path(args.db).is_file():
-        return _fail(f"database not readable: {args.db}")
     try:
         if args.db is None:
             semantic, result = semantic_similarity(args.truth, args.predicted), None
         else:
             options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
             semantic, result = score_pair(args.truth, args.predicted, args.db, args.anchor, options)
-    except CorpusError as exc:
+    except (ConfigError, CorpusError) as exc:
         return _fail(str(exc))
     print(f"semantic: {semantic.value:.3f}")
     if result is not None:

@@ -564,20 +564,24 @@ def split_qualified(text: str) -> tuple[str | None, str]:
 
 def _unambiguous_aliases(items: list[Node]) -> dict[str, str]:
     """Alias -> table for each aliased table that occurs once among ``items``,
-    one scope's FROM items; derived tables stay opaque."""
+    one scope's FROM items, under a name no other item binds; derived tables
+    stay opaque."""
     bindings: dict[str, str] = {}
-    counts: dict[str, int] = {}
-    stack = items[::-1]
-    while stack:  # in FROM-clause order, so a repeated alias binds its last table
+    tables: dict[str, int] = {}
+    names: dict[str, int] = {}
+    stack = list(items)
+    while stack:
         item = stack.pop()
         if item.kind is NodeKind.JOIN:
-            stack += item.children[1::-1]  # the two sides; the ON condition binds nothing
-        elif item.kind is NodeKind.TABLE_REF:
-            counts[item.text] = counts.get(item.text, 0) + 1
+            stack += item.children[:2]  # the two sides; the ON condition binds nothing
+            continue
+        names[item.text] = names.get(item.text, 0) + 1
+        if item.kind is NodeKind.TABLE_REF:
+            tables[item.text] = tables.get(item.text, 0) + 1
         elif item.children[0].kind is NodeKind.TABLE_REF:
             bindings[item.text] = table = item.children[0].text
-            counts[table] = counts.get(table, 0) + 1
-    return {alias: table for alias, table in bindings.items() if counts[table] == 1}
+            tables[table] = tables.get(table, 0) + 1
+    return {alias: table for alias, table in bindings.items() if names[alias] == tables[table] == 1}
 
 
 def _resolve_aliases(statement: Node, env: dict[str, str]) -> Node:

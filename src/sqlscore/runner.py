@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from .adapters import Prediction
-from .anchor import DEFAULT_ANCHOR, TIME_VALUE_FUNCTIONS, parse_anchor, rewrite_time_anchor
+from .anchor import DEFAULT_ANCHOR, TIME_VALUE_FUNCTIONS, _timestamp_literal, parse_anchor, rewrite_time_anchor
 from .corpus import BenchmarkQuestion, id_key, is_json_scalar
 from .diff import _TreeIndex
 from .parser import parse, quote_identifier
@@ -164,7 +164,7 @@ class Truth:
 
 def _truth(
     sql: str,
-    db: str | Path | sqlite3.Connection,
+    db: sqlite3.Connection,
     anchor: datetime,
     options: EvalOptions,
 ) -> Truth:
@@ -183,7 +183,7 @@ def _truth(
 def _score_prediction(
     truth: Truth,
     predicted_sql: str,
-    db: str | Path | sqlite3.Connection,
+    db: sqlite3.Connection,
     anchor: datetime,
     options: EvalOptions,
 ) -> tuple[SemanticScore, ResultScore]:
@@ -206,11 +206,16 @@ def score_pair(
     anchor: datetime,
     options: EvalOptions,
 ) -> tuple[SemanticScore, ResultScore]:
-    """Statement and result similarity of one prediction, parsing each query once.
+    """Statement and result similarity of one prediction, parsing each query
+    once and running both over one read-only connection.
 
-    Raises CorpusError when the truth query does not parse or execute.
+    Raises ConfigError when the database file is missing, and CorpusError
+    when the truth query does not parse or execute.
     """
-    return _score_prediction(_truth(truth_sql, db_path, anchor, options), predicted_sql, db_path, anchor, options)
+    if not Path(db_path).is_file():
+        raise ConfigError(f"database file not found: {db_path}")
+    with closing(_open_readonly(db_path)) as db:
+        return _score_prediction(_truth(truth_sql, db, anchor, options), predicted_sql, db, anchor, options)
 
 
 def _open_databases(stack: ExitStack, db_dir: Path, db_ids) -> dict[str, sqlite3.Connection]:
@@ -320,27 +325,6 @@ def _timestamp_columns(conn: sqlite3.Connection, table: str) -> list[str]:
     return names
 
 
-def _anchor_windows(truth: Truth, instant: datetime, scratch: sqlite3.Connection) -> list[str]:
-    """Boundary instants referenced relative to the anchor, as ISO text."""
-    anchor_literal = f"'{instant.strftime('%Y-%m-%d %H:%M:%S')}'"
-    bounds: list[str] = []
-    for node in rewrite_time_anchor(truth.root, instant).walk():
-        if (
-            node.kind is NodeKind.FUNCTION_CALL
-            and node.text in TIME_VALUE_FUNCTIONS
-            and node.children
-            and node.children[0].kind is NodeKind.LITERAL
-            and node.children[0].text == anchor_literal
-        ):
-            try:
-                value = scratch.execute(f"SELECT {render_expression(node)}").fetchone()[0]
-            except sqlite3.Error:
-                continue
-            if isinstance(value, str):
-                bounds.append(value)
-    return bounds
-
-
 def _range_problems(
     conn: sqlite3.Connection,
     scratch: sqlite3.Connection,
@@ -348,30 +332,41 @@ def _range_problems(
     instant: datetime,
 ) -> list[str]:
     """Each read table whose timestamped data does not bracket the truth's
-    anchor-relative window, as one message per table in name order."""
-    bounds = _anchor_windows(truth, instant, scratch)
+    anchor-relative window, as one message per table in name order.
+
+    A bound is a date/time call whose first argument is the anchor,
+    evaluated on ``scratch``, away from the data.  SQLite compares the data
+    range with the window in its own type order, as the truth's ``WHERE``
+    does, so values of any type get a message.
+    """
+    anchor = _timestamp_literal(instant)
+    bounds: list[str] = []
+    for node in rewrite_time_anchor(truth.root, instant).walk():
+        if node.kind is NodeKind.FUNCTION_CALL and node.text in TIME_VALUE_FUNCTIONS and node.children[:1] == (anchor,):
+            try:
+                value = scratch.execute(f"SELECT {render_expression(node)}").fetchone()[0]
+            except sqlite3.Error:
+                continue
+            if isinstance(value, str):
+                bounds.append(value)
     if not bounds:
         return []
-    anchor_text = instant.strftime("%Y-%m-%d %H:%M:%S")
-    window_start = min(bounds + [anchor_text])
-    window_end = max(bounds + [anchor_text])
+    bounds.append(anchor.text.strip("'"))
+    window_start, window_end = min(bounds), max(bounds)
     problems: list[str] = []
     for table_name in sorted(truth.tables):
         ts_columns = _timestamp_columns(conn, table_name)
         if not ts_columns:
             continue
-        mins, maxes = [], []
-        for column in ts_columns:
-            quoted = quote_identifier(column)
-            row = conn.execute(f"SELECT min({quoted}), max({quoted}) FROM {table_name}").fetchone()
-            if row and row[0] is not None:
-                mins.append(row[0])
-                maxes.append(row[1])
-        if not mins:
+        terms = [f"SELECT {quote_identifier(column)} AS v FROM {table_name}" for column in ts_columns]
+        # SQLite refuses a compound SELECT of more than 500 terms; a table has up to 2,000 columns
+        values = " UNION ALL ".join(f"SELECT v FROM ({' UNION ALL '.join(terms[i : i + 500])})" for i in range(0, len(terms), 500))
+        brackets, data_min, data_max = conn.execute(
+            f"SELECT min(v) <= ? AND max(v) >= ?, min(v), max(v) FROM ({values})", (window_start, window_end)
+        ).fetchone()
+        if data_min is None:
             problems.append(f"table {table_name} has no timestamped rows")
-            continue
-        data_min, data_max = min(mins), max(maxes)
-        if data_min > window_start or data_max < window_end:
+        elif not brackets:
             problems.append(
                 f"table {table_name} data range [{data_min}, {data_max}] "
                 f"does not bracket the anchor-relative window [{window_start}, {window_end}]"

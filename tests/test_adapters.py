@@ -165,7 +165,7 @@ class _ConstantModel(BaseHTTPRequestHandler):
 
 def _serve(handler):
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/predict"
     server.shutdown()

@@ -123,6 +123,12 @@ class TestRun:
         assert code == 2
         assert "/nonexistent/dbs" in err
 
+    def test_timeout_reaches_the_json_report(self, capsys, corpus_path, db_dir, tmp_path):
+        report_json = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), "--timeout-s", "2.5", "--report-json", str(report_json))
+        assert code == 0
+        assert json.loads(report_json.read_text(encoding="utf-8"))["options"]["query_timeout_s"] == 2.5
+
     def test_empty_corpus_exits_two(self, capsys, db_dir, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("[]", encoding="utf-8")
@@ -291,9 +297,30 @@ class TestValidate:
         assert code == 1 and err == ""
         assert out.splitlines()[-1].startswith('warning: question 0: table "t""u" data range [2020-01-01 00:00:00, 2020-01-01 00:00:00]')
 
+    def test_integer_epochs_warn_without_traceback(self, capsys, tmp_path):
+        conn = sqlite3.connect(tmp_path / "epochs.sqlite")
+        conn.execute("CREATE TABLE log (ts INTEGER)")
+        conn.execute("INSERT INTO log VALUES (1673308800)")
+        conn.commit()
+        conn.close()
+        query = "SELECT count(*) FROM log WHERE ts >= unixepoch(datetime('now', '-7 days'))"
+        corpus = tmp_path / "q.json"
+        corpus.write_text(json.dumps([{"db_id": "epochs", "query": query, "question": "q", "language": "en", "case_type": "time_period"}]), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "--corpus", str(corpus), "--db-dir", str(tmp_path))
+        assert code == 1 and err == ""
+        assert out.splitlines() == [
+            "warning: question 0: table log data range [1673308800, 1673308800] "
+            "does not bracket the anchor-relative window [2023-01-10 00:00:00, 2023-01-17 00:00:00]"
+        ]
+
     def test_unreadable_corpus_exits_two(self, capsys, db_dir):
         code, _, err = run_cli(capsys, "validate", "--corpus", "/nonexistent/q.json", "--db-dir", str(db_dir))
         assert code == 2
+
+    def test_missing_db_dir_exits_two(self, capsys, corpus_path):
+        code, _, err = run_cli(capsys, "validate", "--corpus", str(corpus_path), "--db-dir", "/nonexistent/dbs")
+        assert code == 2
+        assert "/nonexistent/dbs" in err
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

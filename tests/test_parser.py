@@ -1,4 +1,5 @@
 import random
+import sqlite3
 import string
 
 import pytest
@@ -149,6 +150,23 @@ class TestNormalization:
 
     def test_self_join_aliases_kept(self):
         sql = "SELECT x.a, y.a FROM t AS x JOIN t AS y ON x.id = y.id"
+        assert render(parse(sql)) == sql
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT x.a FROM t AS x, u AS x",
+            "SELECT u.a FROM t AS u, u",
+            "SELECT x.a FROM t AS x JOIN u AS x ON 1",
+            "SELECT x.a FROM t AS x, (SELECT a FROM u) AS x",
+        ],
+    )
+    def test_name_bound_twice_in_one_scope_stays_unresolved(self, sql):
+        # SQLite refuses each of these; resolving the name would make it one that runs
+        conn = sqlite3.connect(":memory:")
+        conn.executescript("CREATE TABLE t (a, k); CREATE TABLE u (a, k)")
+        with pytest.raises(sqlite3.OperationalError, match="ambiguous"):
+            conn.execute(sql)
         assert render(parse(sql)) == sql
 
     def test_and_chains_flattened(self):

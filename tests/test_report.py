@@ -6,7 +6,7 @@ from datetime import datetime
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlscore import EvalOptions, report_to_dict, report_to_json
+from sqlscore import EvalOptions, report_to_dict, report_to_json, report_to_markdown
 from sqlscore.results import ResultScore
 from sqlscore.runner import Aggregate, EvalReport, InstanceResult
 from sqlscore.semantic import ScoreBreakdown, SemanticScore
@@ -79,3 +79,8 @@ _SCORED = InstanceResult(
 def test_json_report_matches_indented_dump(report):
     assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2, ensure_ascii=False) + "\n"
 
+
+def test_markdown_lists_corpus_errors_last():
+    assert "## Corpus errors" not in report_to_markdown(_EMPTY)
+    report = EvalReport(_EMPTY.anchor, _EMPTY.options, (_EXCLUDED,), _EMPTY.overall, {}, {}, ("question a: x", "question b: y"))
+    assert report_to_markdown(report).endswith("\n\n## Corpus errors\n\n- question a: x\n- question b: y\n")

@@ -20,9 +20,10 @@ from sqlscore import (
     evaluate,
     get_predictions,
     report_to_json,
+    score_pair,
     validate_corpus,
 )
-from sqlscore import parse, parser, runner, semantic
+from sqlscore import parse, parser, results, runner, semantic
 from sqlscore.results import VERDICT_EXECUTION_ERROR, VERDICT_INVALID
 from sqlscore.semantic import semantic_score_from_asts
 
@@ -563,6 +564,69 @@ class TestValidateCorpus:
             'question q: table "t""u" data range [2023-01-10 00:00:00, 2023-01-10 00:00:00] '
             "does not bracket the anchor-relative window [2023-01-03 00:00:00, 2023-01-17 00:00:00]",
         ]
+
+
+    @pytest.mark.parametrize(
+        "columns, rows, where, expected",
+        [
+            # integer epochs: SQLite orders every number before every text
+            (
+                "ts INTEGER",
+                [(1673308800,), (1673913600,)],
+                "ts >= unixepoch(datetime('now', '-7 days'))",
+                "table log data range [1673308800, 1673913600] does not bracket the anchor-relative window [2023-01-10 00:00:00, 2023-01-17 00:00:00]",
+            ),
+            ("ts", [(1673308800,), ("2023-01-20 00:00:00",)], "ts >= datetime('now', '-7 days')", None),
+            (
+                "a_ts INTEGER, b_ts TEXT",
+                [(1673308800, "2023-01-12 00:00:00")],
+                "b_ts >= datetime('now', '-7 days')",
+                "table log data range [1673308800, 2023-01-12 00:00:00] does not bracket the anchor-relative window [2023-01-10 00:00:00, 2023-01-17 00:00:00]",
+            ),
+            ("ts TEXT, v INTEGER", [(None, 1)], "ts >= datetime('now', '-7 days')", "table log has no timestamped rows"),
+            # no anchored bound: the anchor is not strftime's first argument
+            ("ts TEXT", [("2020-01-01 00:00:00",)], "strftime('%Y', ts) = strftime('%Y', 'now')", None),
+            ("v TEXT", [("2020-01-01 00:00:00",)], "v >= datetime('now', '-7 days')", None),
+            # more timestamp columns than one compound SELECT may hold
+            (
+                ", ".join(f"c{i}_ts TEXT" for i in range(600)),
+                [tuple(f"2023-01-{1 + i % 12:02d} 00:00:00" for i in range(600))],
+                "c0_ts >= datetime('now', '-7 days')",
+                "table log data range [2023-01-01 00:00:00, 2023-01-12 00:00:00] does not bracket the anchor-relative window [2023-01-10 00:00:00, 2023-01-17 00:00:00]",
+            ),
+        ],
+        ids=["epochs", "mixed types in one column", "mixed types across columns", "null only", "no anchored bound", "no timestamp column", "600 columns"],
+    )
+    def test_data_range_in_sqlite_order(self, tmp_path, columns, rows, where, expected):
+        conn = sqlite3.connect(tmp_path / "d.sqlite")
+        conn.execute(f"CREATE TABLE log ({columns})")
+        conn.executemany(f"INSERT INTO log VALUES ({', '.join('?' * len(rows[0]))})", rows)
+        conn.commit()
+        conn.close()
+        q = BenchmarkQuestion("d", f"SELECT count(*) FROM log WHERE {where}", "q", "en", "time_period", id="q")
+        assert validate_corpus([q], tmp_path) == ([f"question q: {expected}"] if expected else [])
+
+
+class TestScorePair:
+    def test_missing_database_is_config_error(self, tmp_path):
+        missing = tmp_path / "missing.sqlite"
+        with pytest.raises(ConfigError, match=re.escape(str(missing))):
+            score_pair("SELECT 1", "SELECT 1", missing, DEFAULT_ANCHOR, EvalOptions())
+
+    def test_truth_and_prediction_share_one_connection(self, db_dir, monkeypatch):
+        opened = []
+
+        def counting(path):
+            opened.append(path)
+            return original(path)
+
+        original = results._open_readonly
+        monkeypatch.setattr(results, "_open_readonly", counting)
+        monkeypatch.setattr(runner, "_open_readonly", counting)
+        sql = "SELECT name FROM campaigns"
+        semantic, result = score_pair(sql, sql, db_dir / "benchmark_1.sqlite", DEFAULT_ANCHOR, EvalOptions())
+        assert semantic.value == result.f1 == 1.0
+        assert opened == [db_dir / "benchmark_1.sqlite"]
 
 
 def test_get_predictions_then_evaluate_round_trip(questions, db_dir):
