@@ -10,8 +10,9 @@ Any NL2SQL model can be hooked up through one of four adapters:
 
 Adapter failures (timeout, non-zero exit, bad response) degrade to an
 empty-SQL prediction that scores as invalid, never an aborted run; only an
-adapter that produced nothing at all, or a predictions file that cannot be
-read, raises AdapterError.
+unusable configuration (an unknown spec, a command that cannot be split, a
+predictions file that cannot be read) or an adapter that produced nothing
+at all raises AdapterError.
 """
 
 from __future__ import annotations
@@ -99,13 +100,12 @@ def _load_predictions_file(path: str) -> dict[tuple[bool, Any], tuple[str, int |
 
 
 # subprocess and the HTTP stack (ssl, socket, email, ...) load in the adapter that runs them, not at `import sqlscore`
-def _run_subprocess(command: str, payload: dict, timeout_s: float) -> str:
-    import shlex
+def _run_subprocess(argv: list[str], payload: dict, timeout_s: float) -> str:
     import subprocess
 
     try:
         proc = subprocess.run(
-            shlex.split(command),
+            argv,
             input=json.dumps(payload, ensure_ascii=False),
             capture_output=True,
             encoding="utf-8",
@@ -151,10 +151,21 @@ def get_predictions(
     """One Prediction per question, in question order; a file's entry goes to
     the question whose id equals its own as a JSON value.
 
-    Raises AdapterError only when the adapter configuration is unusable or
-    when not a single prediction could be obtained.
+    Raises AdapterError only when the adapter configuration is unusable (an
+    unknown spec, a ``cmd:`` command that is empty or cannot be split, a
+    predictions file that cannot be read) or when not a single prediction
+    could be obtained.
     """
-    kind, value = parse_adapter_spec(adapter)
+    try:
+        kind, value = parse_adapter_spec(adapter)
+        if kind == "cmd":
+            import shlex
+
+            argv = shlex.split(value)  # once per run, not once per question
+    except ValueError as exc:
+        raise AdapterError(str(exc)) from exc
+    if kind == "cmd" and not argv:
+        raise AdapterError(f"adapter {adapter!r} names no command")
     if kind == "identity":
         return [Prediction(q.id, q.query) for q in questions]
 
@@ -167,7 +178,7 @@ def get_predictions(
         for q in questions:
             started = time.monotonic()
             if kind == "cmd":
-                sql = _run_subprocess(value, _question_payload(q), timeout_s)
+                sql = _run_subprocess(argv, _question_payload(q), timeout_s)
             else:
                 if q.db_id not in schemas:
                     schemas[q.db_id] = _schema_text(Path(db_dir) / f"{q.db_id}.sqlite") if db_dir else ""

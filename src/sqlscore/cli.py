@@ -22,7 +22,7 @@ from .parser import parse
 from .render import render
 from .report import report_to_csv, report_to_json, report_to_markdown, summary_text
 from .results import DEFAULT_TIMEOUT_S
-from .runner import ConfigError, EvalOptions, evaluate, missing_databases, score_pair, valid_timeout, validate_corpus
+from .runner import ConfigError, EvalOptions, check_inputs, evaluate, score_pair, valid_timeout, validate_corpus
 from .semantic import CorpusError, semantic_similarity
 from .sqlast import ParseError
 
@@ -51,20 +51,12 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_CONFIG
-
-
 def cmd_score(args: argparse.Namespace) -> int:
-    try:
-        if args.db is None:
-            semantic, result = semantic_similarity(args.truth, args.predicted), None
-        else:
-            options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
-            semantic, result = score_pair(args.truth, args.predicted, args.db, args.anchor, options)
-    except (ConfigError, CorpusError) as exc:
-        return _fail(str(exc))
+    if args.db is None:
+        semantic, result = semantic_similarity(args.truth, args.predicted), None
+    else:
+        options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
+        semantic, result = score_pair(args.truth, args.predicted, args.db, args.anchor, options)
     print(f"semantic: {semantic.value:.3f}")
     if result is not None:
         print(f"precision: {result.precision:.3f}")
@@ -74,38 +66,22 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if not Path(args.db_dir).is_dir():
-        return _fail(f"database directory not found: {args.db_dir}")
-    try:
-        questions = load_corpus(args.corpus)
-    except CorpusLoadError as exc:
-        return _fail(str(exc))
-    if not questions:
-        return _fail(f"no questions in corpus file {args.corpus}")
-    for db_id, path in missing_databases(questions, args.db_dir).items():
-        return _fail(f"missing database file for db_id {db_id!r}: {path}")  # before any model call
-
+    questions = load_corpus(args.corpus)
+    check_inputs(questions, args.db_dir)  # before any model call
     reports = ((args.report_json, report_to_json), (args.report_csv, report_to_csv), (args.report_md, report_to_markdown))
     for path, _ in reports:
         if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-            return _fail(f"cannot write report {path}: " + ("it is a directory" if Path(path).is_dir() else f"no directory {Path(path).parent}"))
-    try:
-        predictions = get_predictions(questions, args.adapter, db_dir=args.db_dir, timeout_s=args.adapter_timeout_s)
-    except (AdapterError, ValueError) as exc:
-        return _fail(str(exc))
-
-    try:
-        options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
-        report = evaluate(questions, predictions, args.db_dir, args.anchor, options)
-    except ConfigError as exc:
-        return _fail(str(exc))
+            raise ConfigError(f"cannot write report {path}: " + ("it is a directory" if Path(path).is_dir() else f"no directory {Path(path).parent}"))
+    predictions = get_predictions(questions, args.adapter, db_dir=args.db_dir, timeout_s=args.adapter_timeout_s)
+    options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
+    report = evaluate(questions, predictions, args.db_dir, args.anchor, options)
 
     for path, write in reports:
         if path:
             try:
                 Path(path).write_text(write(report), encoding="utf-8")
             except OSError as exc:
-                return _fail(f"cannot write report {path}: {exc.strerror or exc}")
+                raise ConfigError(f"cannot write report {path}: {exc.strerror or exc}") from exc
 
     print(summary_text(report))
     if report.corpus_errors:
@@ -118,11 +94,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     if not Path(args.db_dir).is_dir():
-        return _fail(f"database directory not found: {args.db_dir}")
-    try:
-        questions = load_corpus(args.corpus)
-    except CorpusLoadError as exc:
-        return _fail(str(exc))
+        raise ConfigError(f"database directory not found: {args.db_dir}")
+    questions = load_corpus(args.corpus)
     warnings = validate_corpus(questions, args.db_dir, args.anchor)
     if not warnings:
         print(f"corpus ok: {len(questions)} questions, no warnings")
@@ -136,17 +109,14 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
     try:
         corpus_path, db_dir = write_fixtures(args.out)
     except OSError as exc:
-        return _fail(f"cannot write fixtures to {args.out}: {exc}")
+        raise ConfigError(f"cannot write fixtures to {args.out}: {exc}") from exc
     print(f"wrote corpus: {corpus_path}")
     print(f"wrote databases: {db_dir}")
     return EXIT_OK
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    try:
-        print(render(parse(args.sql)))
-    except ParseError as exc:
-        return _fail(str(exc))
+    print(render(parse(args.sql)))
     return EXIT_OK
 
 
@@ -195,9 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  The documented errors end it with EXIT_CONFIG and one
+    ``error:`` line on stderr; any other exception is a bug and propagates."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        return args.func(args)
+    except (AdapterError, ConfigError, CorpusError, CorpusLoadError, ParseError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG

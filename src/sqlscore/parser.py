@@ -562,10 +562,11 @@ def split_qualified(text: str) -> tuple[str | None, str]:
     return None, text
 
 
-def _unambiguous_aliases(items: list[Node]) -> dict[str, str]:
+def _unambiguous_aliases(items: list[Node]) -> tuple[dict[str, str], dict[str, int]]:
     """Alias -> table for each aliased table that occurs once among ``items``,
     one scope's FROM items, under a name no other item binds; derived tables
-    stay opaque."""
+    stay opaque.  Also returns every name the scope binds (bare tables,
+    aliases, derived-table aliases) with its count."""
     bindings: dict[str, str] = {}
     tables: dict[str, int] = {}
     names: dict[str, int] = {}
@@ -581,7 +582,7 @@ def _unambiguous_aliases(items: list[Node]) -> dict[str, str]:
         elif item.children[0].kind is NodeKind.TABLE_REF:
             bindings[item.text] = table = item.children[0].text
             tables[table] = tables.get(table, 0) + 1
-    return {alias: table for alias, table in bindings.items() if names[alias] == tables[table] == 1}
+    return {alias: table for alias, table in bindings.items() if names[alias] == tables[table] == 1}, names
 
 
 def _resolve_aliases(statement: Node, env: dict[str, str]) -> Node:
@@ -593,8 +594,9 @@ def _resolve_aliases(statement: Node, env: dict[str, str]) -> Node:
     returned as the very same node.
     """
     items = from_items(statement)
-    local = _unambiguous_aliases(items)
-    scope = {**env, **local}
+    local, bound = _unambiguous_aliases(items)
+    # a name this scope binds hides an outer alias of that name
+    scope = {name: table for name, table in env.items() if name not in bound} | local
     # qualifiers naming a lone FROM item that is not a join are redundant and get elided
     lone = len(items) == 1 and items[0].kind is not NodeKind.JOIN
     sole = local.get(items[0].text, items[0].text) if lone else None

@@ -244,6 +244,21 @@ def _prepared_truths(
         yield positions, truth
 
 
+def check_inputs(questions: list[BenchmarkQuestion], db_dir: str | Path) -> None:
+    """Raises ConfigError unless a run over ``questions`` can start: there is
+    a question, every question id is a JSON scalar, and ``db_dir`` holds a
+    database file for each db_id."""
+    if not questions:
+        raise ConfigError("no questions to evaluate")
+    for q in questions:
+        if not is_json_scalar(q.id):
+            raise ConfigError(f"question id {q.id!r} is not a JSON scalar")
+    if not Path(db_dir).is_dir():
+        raise ConfigError(f"database directory not found: {db_dir}")
+    for db_id, path in missing_databases(questions, db_dir).items():
+        raise ConfigError(f"missing database file for db_id {db_id!r}: {path}")
+
+
 def evaluate(
     questions: list[BenchmarkQuestion],
     predictions: list[Prediction],
@@ -255,27 +270,20 @@ def evaluate(
 
     A question gets the prediction whose id equals its own as a JSON value
     (``1``, ``"1"`` and ``True`` are three ids), else the empty SQL.  Raises
-    ConfigError when a question or prediction id is not a JSON scalar (None,
-    bool, int, finite float or str).
+    ConfigError where ``check_inputs`` does, and when a prediction id is not
+    a JSON scalar (None, bool, int, finite float or str).
     """
     options = options or EvalOptions()
     instant = parse_anchor(anchor)
-    db_dir = Path(db_dir)
-    if not questions:
-        raise ConfigError("no questions to evaluate")
-    for kind, ids in (("question", [q.id for q in questions]), ("prediction", [p.question_id for p in predictions])):
-        for item_id in ids:
-            if not is_json_scalar(item_id):
-                raise ConfigError(f"{kind} id {item_id!r} is not a JSON scalar")
-    if not db_dir.is_dir():
-        raise ConfigError(f"database directory not found: {db_dir}")
-    for db_id, path in missing_databases(questions, db_dir).items():
-        raise ConfigError(f"missing database file for db_id {db_id!r}: {path}")
+    check_inputs(questions, db_dir)
+    for p in predictions:
+        if not is_json_scalar(p.question_id):
+            raise ConfigError(f"prediction id {p.question_id!r} is not a JSON scalar")
 
     by_id = {id_key(p.question_id): p.sql for p in predictions}
     instances: list[InstanceResult | None] = [None] * len(questions)
     with ExitStack() as stack:
-        conns = _open_databases(stack, db_dir, {q.db_id for q in questions})
+        conns = _open_databases(stack, Path(db_dir), {q.db_id for q in questions})
         for positions, truth in _prepared_truths(questions, conns, instant, options):
             failed = isinstance(truth, CorpusError)
             scores: dict[str, tuple[SemanticScore | None, ResultScore | None]] = {}

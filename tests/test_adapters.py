@@ -21,6 +21,21 @@ def test_spec_parsing():
             parse_adapter_spec(bad)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("foo", "unknown adapter spec 'foo'; expected identity, file:..., cmd:... or http(s)://..."),
+        ('cmd:python "x', "No closing quotation"),
+        ("cmd: ", "adapter 'cmd: ' names no command"),
+    ],
+    ids=["unknown", "unsplittable", "empty command"],
+)
+def test_unusable_spec_raises_adapter_error(questions, spec, message):
+    with pytest.raises(AdapterError) as exc_info:
+        get_predictions(questions, spec)
+    assert str(exc_info.value) == message
+
+
 def test_identity_adapter(questions):
     predictions = get_predictions(questions, "identity")
     assert len(predictions) == len(questions)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sqlscore import DEFAULT_ANCHOR, ConfigError, EvalOptions, NodeKind, Prediction, evaluate, parse, render, score_pair
+from sqlscore import cli
 from sqlscore.cli import main
 
 from helpers import add_column_alias, drop_select_column, rename_column_alias
@@ -132,9 +133,8 @@ class TestRun:
     def test_empty_corpus_exits_two(self, capsys, db_dir, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("[]", encoding="utf-8")
-        code, _, err = run_cli(capsys, "run", "--corpus", str(empty), "--db-dir", str(db_dir))
-        assert code == 2
-        assert "no questions" in err
+        code, out, err = run_cli(capsys, "run", "--corpus", str(empty), "--db-dir", str(db_dir))
+        assert (code, out, err) == (2, "", "error: no questions to evaluate\n")
 
     def test_corpus_error_exits_three(self, capsys, db_dir, tmp_path):
         corpus = tmp_path / "broken.json"
@@ -248,6 +248,30 @@ class TestRun:
         assert err == f"error: {exc_info.value}\n"
         assert str(partial / "benchmark_2.sqlite") in err
         assert not marker.exists()  # refused before the model was called
+
+    @pytest.mark.parametrize("spec", ["unsplittable", "unknown"])
+    def test_unusable_adapter_exits_two_before_any_model_call(self, capsys, corpus_path, db_dir, tmp_path, spec):
+        adapter, marker = marker_model(tmp_path)
+        adapter = f'{adapter} "x' if spec == "unsplittable" else adapter.replace("cmd:", "command:")
+        code, out, err = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), "--adapter", adapter)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not marker.exists()
+
+    def test_unexpected_error_is_not_an_exit_code(self, corpus_path, db_dir, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cli, "evaluate", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["run", "--corpus", str(corpus_path), "--db-dir", str(db_dir)])
+
+    def test_malformed_corpus_is_reported_before_a_missing_db_dir(self, capsys, tmp_path):
+        corpus = tmp_path / "broken.json"
+        corpus.write_text("{}", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--corpus", str(corpus), "--db-dir", str(tmp_path / "missing"))
+        assert (code, out) == (2, "")
+        assert err == f"error: corpus file {corpus} must contain a JSON array of instances\n"
 
     def test_report_path_that_is_a_directory_exits_two(self, capsys, corpus_path, db_dir, tmp_path):
         adapter, marker = marker_model(tmp_path)
@@ -408,6 +432,23 @@ def test_normalize_non_ascii_names(capsys):
     code, out, _ = run_cli(capsys, "normalize", 'SELECT prénom, 名前, PRÉNOM, "prénom" FROM T')
     assert code == 0
     assert out.strip() == "SELECT prénom, 名前, prÉnom, prénom FROM t"
+
+
+def test_package_runs_as_a_process(corpus_path, db_dir, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    partial = tmp_path / "db"  # benchmark_2 only, so validate warns that benchmark_1 is missing
+    partial.mkdir()
+    shutil.copy(db_dir / "benchmark_2.sqlite", partial)
+
+    def sqlscore(*argv):
+        proc = subprocess.run([sys.executable, "-m", "sqlscore", *argv], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert sqlscore("score", "SELECT 1", "SELECT 1") == (0, "semantic: 1.000\n", "")
+    code, out, err = sqlscore("normalize", "SELEC x")
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = sqlscore("validate", "--corpus", str(corpus_path), "--db-dir", str(partial))
+    assert (code, err) == (1, "") and out.startswith("warning: db benchmark_1: database file missing: ")
 
 
 def test_package_imports_without_site_packages():

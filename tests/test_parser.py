@@ -169,6 +169,22 @@ class TestNormalization:
             conn.execute(sql)
         assert render(parse(sql)) == sql
 
+    @pytest.mark.parametrize(
+        "sql, normalized",
+        [
+            # the inner bare table hides the outer alias u
+            ("SELECT a FROM t AS u WHERE a IN (SELECT u.a FROM u)", "SELECT a FROM t WHERE a IN (SELECT a FROM u)"),
+            ("SELECT a FROM t AS u WHERE a = (SELECT u.a FROM u)", "SELECT a FROM t WHERE a = (SELECT a FROM u)"),
+            # aliased as v, the inner u binds no name u: u.a is the outer t.a
+            ("SELECT u.a FROM t AS u WHERE a IN (SELECT u.a FROM u AS v)", "SELECT a FROM t WHERE a IN (SELECT t.a FROM u)"),
+        ],
+    )
+    def test_inner_scope_name_hides_outer_alias(self, sql, normalized):
+        conn = sqlite3.connect(":memory:")
+        conn.executescript("CREATE TABLE t (a, k); CREATE TABLE u (a, k); INSERT INTO t VALUES (1, 2); INSERT INTO u VALUES (3, 4)")
+        assert render(parse(sql)) == normalized
+        assert conn.execute(normalized).fetchall() == conn.execute(sql).fetchall()
+
     def test_and_chains_flattened(self):
         flat = parse("SELECT a FROM t WHERE a = 1 AND b = 2 AND c = 3")
         nested = parse("SELECT a FROM t WHERE (a = 1 AND b = 2) AND c = 3")
