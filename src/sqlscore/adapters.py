@@ -11,8 +11,8 @@ Any NL2SQL model can be hooked up through one of four adapters:
 Adapter failures (timeout, non-zero exit, bad response) degrade to an
 empty-SQL prediction that scores as invalid, never an aborted run; only an
 unusable configuration (an unknown spec, a command that cannot be split, a
-predictions file that cannot be read) or an adapter that produced nothing
-at all raises AdapterError.
+predictions file that cannot be read, a bad timeout) or an adapter that
+produced nothing at all raises AdapterError.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any
 
 from .corpus import BenchmarkQuestion, id_key, is_json_scalar
-from .results import _open_readonly
+from .results import _open_readonly, valid_timeout
 
 DEFAULT_ADAPTER_TIMEOUT_S = 60.0
 HTTP_RETRIES = 3
@@ -153,9 +153,11 @@ def get_predictions(
 
     Raises AdapterError only when the adapter configuration is unusable (an
     unknown spec, a ``cmd:`` command that is empty or cannot be split, a
-    predictions file that cannot be read) or when not a single prediction
-    could be obtained.
+    predictions file that cannot be read, a bad ``timeout_s``) or when not a
+    single prediction could be obtained.
     """
+    if not valid_timeout(timeout_s):
+        raise AdapterError(f"timeout_s must be a finite number of seconds above 0, got {timeout_s!r}")
     try:
         kind, value = parse_adapter_spec(adapter)
         if kind == "cmd":

@@ -21,8 +21,8 @@ from .fixtures import write_fixtures
 from .parser import parse
 from .render import render
 from .report import report_to_csv, report_to_json, report_to_markdown, summary_text
-from .results import DEFAULT_TIMEOUT_S
-from .runner import ConfigError, EvalOptions, check_inputs, evaluate, score_pair, valid_timeout, validate_corpus
+from .results import DEFAULT_TIMEOUT_S, valid_timeout
+from .runner import ConfigError, EvalOptions, check_inputs, evaluate, score_pair, validate_corpus
 from .semantic import CorpusError, semantic_similarity
 from .sqlast import ParseError
 

@@ -132,7 +132,6 @@ def tokenize(sql: str) -> list[Token]:
     return tokens
 
 
-_COMPARISONS = {"=", "!=", "<", "<=", ">", ">="}
 _PREDICATE_WORDS = {"not", "in", "like", "between", "is"}
 _ADDITIVE = {"+", "-", "||"}
 _MULTIPLICATIVE = {"*", "/", "%"}
@@ -398,9 +397,7 @@ class _Parser:
         if tok.kind == "op" and tok.value in _ARITHMETIC:
             left = self._arithmetic(left)
             tok = self.tokens[self.pos]
-        if tok.kind == "op":
-            if tok.value not in _COMPARISONS:
-                return left
+        if tok.kind == "op":  # a comparison: _arithmetic took every other operator
             self.pos += 1
             return Node(NodeKind.OPERATOR, tok.value, (left, self.parse_additive()))
         if tok.kind != "kw" or tok.value not in _PREDICATE_WORDS:

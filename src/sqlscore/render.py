@@ -26,33 +26,29 @@ _PRECEDENCE = {
 _BINARY_ARITHMETIC = {"+", "-", "||", "*", "/", "%"}
 
 
-def render(ast: Node) -> str:
-    """Emit executable SQL for a statement produced by parse or a rewrite."""
-    return _statement(ast)
-
-
 def render_expression(node: Node) -> str:
     """SQL text for a single expression subtree."""
     return _expr(node)
 
 
-def _statement(node: Node) -> str:
-    ctes = [c for c in node.children if c.kind is NodeKind.CTE]
+def render(ast: Node) -> str:
+    """Emit executable SQL for a statement produced by parse or a rewrite."""
+    ctes = [c for c in ast.children if c.kind is NodeKind.CTE]
     parts: list[str] = []
     if ctes:
-        defs = ", ".join(f"{c.text} AS ({_statement(c.children[0])})" for c in ctes)
+        defs = ", ".join(f"{c.text} AS ({render(c.children[0])})" for c in ctes)
         parts.append(f"WITH {defs}")
 
-    select_list = next(c for c in node.children if c.kind is NodeKind.SELECT_LIST)
+    select_list = next(c for c in ast.children if c.kind is NodeKind.SELECT_LIST)
     keyword = "SELECT DISTINCT" if select_list.text == "distinct" else "SELECT"
     items = ", ".join(_expr(c) for c in select_list.children)
     parts.append(f"{keyword} {items}")
 
-    tables = from_items(node)
+    tables = from_items(ast)
     if tables:
         parts.append("FROM " + ", ".join(_from_item(c) for c in tables))
 
-    for child in node.children:
+    for child in ast.children:
         if child.kind is NodeKind.WHERE:
             parts.append("WHERE " + _expr(child.children[0]))
         elif child.kind is NodeKind.GROUP_BY:
@@ -74,7 +70,7 @@ def _from_item(node: Node) -> str:
         inner = node.children[0]
         if inner.kind is NodeKind.TABLE_REF:
             return f"{inner.text} AS {node.text}"
-        return f"({_statement(inner)}) AS {node.text}"
+        return f"({render(inner)}) AS {node.text}"
     if node.kind is NodeKind.JOIN:
         left = _from_item(node.children[0])
         right = _from_item(node.children[1])
@@ -92,7 +88,7 @@ def _expr(node: Node, parent_prec: int = 0, right_operand: bool = False) -> str:
     if node.kind is NodeKind.LITERAL:
         return "NULL" if node.text == "null" else node.text
     if node.kind is NodeKind.STATEMENT:
-        return f"({_statement(node)})"
+        return f"({render(node)})"
     if node.kind is NodeKind.FUNCTION_CALL:
         return _function_call(node)
     if node.kind is NodeKind.ALIAS:

@@ -44,6 +44,12 @@ VERDICT_INVALID = "invalid_prediction"
 Cell = object  # None | int | float | str | bytes
 
 
+def valid_timeout(seconds: object) -> bool:
+    """True for a finite number of seconds above 0.  A NaN deadline never
+    passes, and one at or before the start interrupts every query."""
+    return isinstance(seconds, (int, float)) and 0 < seconds < math.inf
+
+
 class ExecutionError(Exception):
     """A query could not be executed; ``stage`` says why.
 
@@ -137,10 +143,8 @@ def _sorted_column(column: tuple[Cell, ...]) -> list[Cell]:
 
 
 def _exact_key(cell: Cell):
-    """A key such that, for two cells that both have one, the keys are equal
-    exactly when ``cells_equal`` holds; None for cells that need tolerance."""
-    if cell is None:
-        return ()
+    """A key of a non-NULL cell, equal for two cells that both have one exactly
+    when ``cells_equal`` holds; None for cells that need tolerance."""
     kind = type(cell)
     if kind is str:
         return cell.rstrip()
@@ -193,21 +197,24 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
         candidates = every if key is None else sorted(buckets.get(key, []) + loose)
         compat.append([t_idx for t_idx in candidates if all(map(cells_equal, p_col, t_cols[t_idx]))])
 
-    # augmenting-path maximum matching; column counts are small
+    # augmenting paths, searched depth-first on a stack of [column, untried candidates, candidate tried]
     match_t: dict[int, int] = {}
-
-    def try_assign(p_idx: int, seen: set[int]) -> bool:
-        for t_idx in compat[p_idx]:
-            if t_idx in seen:
-                continue
-            seen.add(t_idx)
-            if t_idx not in match_t or try_assign(match_t[t_idx], seen):
-                match_t[t_idx] = p_idx
-                return True
-        return False
-
-    for p_idx in range(predicted.column_count):
-        try_assign(p_idx, set())
+    for p_idx, candidates in enumerate(compat):
+        if candidates and candidates[0] not in match_t:  # the search takes it first
+            match_t[candidates[0]] = p_idx
+            continue
+        seen, stack = set(), [[p_idx, iter(candidates), None]]
+        while stack:
+            top = stack[-1]
+            top[2] = t_idx = next((t for t in top[1] if t not in seen), None)
+            if t_idx is None:
+                stack.pop()
+            elif t_idx in match_t:
+                seen.add(t_idx)
+                stack.append([match_t[t_idx], iter(compat[match_t[t_idx]]), None])
+            else:  # a free candidate: each column on the path takes the one it tries
+                match_t.update((t, p) for p, _, t in stack)
+                break
     return sorted((p_idx, t_idx) for t_idx, p_idx in match_t.items())
 
 
@@ -244,8 +251,11 @@ def execute(
 
     ``query`` is SQL text, which is parsed first, or a statement already
     parsed by ``parse``.  The result is materialized fully; a timeout and
-    ``DEFAULT_ROW_CAP`` bound runaway predictions.  Raises ExecutionError on any failure.
+    ``DEFAULT_ROW_CAP`` bound runaway predictions.  Raises ExecutionError on
+    any failure, and with stage ``timeout`` on a bad ``timeout_s``.
     """
+    if not valid_timeout(timeout_s):
+        raise ExecutionError(f"timeout_s must be a finite number of seconds above 0, got {timeout_s!r}", stage="timeout")
     if not isinstance(query, Node):
         try:
             query = parse(query)

@@ -16,7 +16,6 @@ for it.
 
 from __future__ import annotations
 
-import math
 import sqlite3
 from collections import defaultdict
 from contextlib import ExitStack, closing
@@ -45,6 +44,7 @@ from .results import (
     execute,
     match_columns,
     score_result_pair,
+    valid_timeout,
 )
 from .semantic import CorpusError, SemanticScore, invalid_prediction_score, parse_truth, semantic_score_from_asts
 from .sqlast import Node, NodeKind, ParseError, physical_tables
@@ -63,12 +63,6 @@ __all__ = [
 
 class ConfigError(Exception):
     """The run cannot start: missing databases, empty corpus, bad options."""
-
-
-def valid_timeout(seconds: object) -> bool:
-    """True for a finite number of seconds above 0.  A NaN deadline never
-    passes, and one at or before the start interrupts every query."""
-    return isinstance(seconds, (int, float)) and 0 < seconds < math.inf
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,13 @@ def test_unusable_spec_raises_adapter_error(questions, spec, message):
     assert str(exc_info.value) == message
 
 
+@pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), 0, -1])
+def test_bad_timeout_raises_adapter_error(questions, timeout_s):
+    with pytest.raises(AdapterError) as exc_info:
+        get_predictions(questions[:2], f"cmd:{sys.executable} -c \"print('SELECT 1')\"", timeout_s=timeout_s)
+    assert str(exc_info.value) == f"timeout_s must be a finite number of seconds above 0, got {timeout_s!r}"
+
+
 def test_identity_adapter(questions):
     predictions = get_predictions(questions, "identity")
     assert len(predictions) == len(questions)
@@ -60,9 +67,10 @@ class TestFileAdapter:
 
     def test_bad_line_raises(self, questions, tmp_path):
         path = tmp_path / "preds.jsonl"
-        for bad_line in ("not json", '{"id": [1], "sql": "SELECT 1"}', '{"id": {"n": 1}, "sql": "SELECT 1"}'):
-            path.write_text('{"id": 0, "sql": "SELECT 1"}\n' + bad_line + "\n", encoding="utf-8")
-            with pytest.raises(AdapterError, match=re.escape(f"{path}, line 2")):
+        for bad_line in ("not json", '{"id": [1], "sql": "SELECT 1"}', '{"id": {"n": 1}, "sql": "SELECT 1"}', '{"id": 1}'):
+            # a blank line is skipped, but counted
+            path.write_text('{"id": 0, "sql": "SELECT 1"}\n  \n' + bad_line + "\n", encoding="utf-8")
+            with pytest.raises(AdapterError, match=re.escape(f"{path}, line 3")):
                 get_predictions(questions, f"file:{path}")
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])

@@ -280,6 +280,13 @@ class TestRun:
         assert err == f"error: cannot write report {tmp_path}: it is a directory\n"
         assert not marker.exists()
 
+    def test_report_path_that_is_a_dangling_symlink_exits_two(self, capsys, corpus_path, db_dir, tmp_path):
+        report = tmp_path / "report.json"
+        report.symlink_to(tmp_path / "missing-dir" / "report.json")
+        code, out, err = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), "--report-json", str(report))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write report {report}: No such file or directory\n"
+
 
 def marker_model(tmp_path: Path) -> tuple[str, Path]:
     """A ``cmd:`` adapter that creates a marker file when it is called."""
@@ -362,7 +369,7 @@ def test_malformed_corpus_exits_two(capsys, db_dir, tmp_path, command, defect):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,8 +1,10 @@
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
-from sqlscore import CASE_TYPES, CorpusLoadError, category_counts, load_corpus
+from sqlscore import CASE_TYPES, CorpusLoadError, build_fixture_database, category_counts, load_corpus
 
 SAMPLE_INSTANCE = {
     "db_id": "benchmark_1",
@@ -51,6 +53,16 @@ def test_missing_required_field_names_instance(tmp_path, missing):
     del broken[missing]
     with pytest.raises(CorpusLoadError, match=r"instance 1"):
         load_corpus(write_corpus(tmp_path, [SAMPLE_INSTANCE, broken]))
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [(dict(SAMPLE_INSTANCE, query=1), "field 'query' must be a string"), (["SELECT 1"], "expected a JSON object")],
+    ids=["field not a string", "not an object"],
+)
+def test_malformed_instance_names_it(tmp_path, instance, message):
+    with pytest.raises(CorpusLoadError, match=f"instance 1: {message}"):
+        load_corpus(write_corpus(tmp_path, [SAMPLE_INSTANCE, instance]))
 
 
 def test_unknown_case_type_rejected(tmp_path):
@@ -108,6 +120,14 @@ def test_non_array_root_rejected(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(CorpusLoadError, match="cannot read"):
         load_corpus(tmp_path / "absent.json")
+
+
+def test_fixture_database_replaces_an_existing_file(tmp_path):
+    path = tmp_path / "benchmark_1.sqlite"
+    path.write_text("not a database", encoding="utf-8")
+    build_fixture_database("benchmark_1", path)
+    with closing(sqlite3.connect(path)) as conn:
+        assert conn.execute("SELECT count(*) FROM campaigns").fetchone() == (6,)
 
 
 def test_fixture_corpus_category_floor(questions):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sqlite3
 import string
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlscore import NodeKind, ParseError, parse, render, tokenize
-from sqlscore.parser import Token, split_qualified
+from sqlscore.parser import _ARITHMETIC, Token, split_qualified
 from sqlscore.sqlast import Node, physical_tables
 
 from helpers import random_query
@@ -143,6 +144,8 @@ class TestNormalization:
                 "SELECT a FROM t WHERE b IN (SELECT b FROM u WHERE c = t.c)",
             ),
             ('SELECT "Q".a FROM t AS "Q"', "SELECT a FROM t"),
+            # a quoted name holding a dot is not a qualifier
+            ('SELECT x."a.b", "a.b" FROM t AS x', 'SELECT "a.b", "a.b" FROM t'),
         ],
     )
     def test_alias_resolution_by_scope(self, sql, normalized):
@@ -335,6 +338,19 @@ def test_doubled_quotes_in_quoted_names(sql, rendered):
 )
 def test_split_qualified(text, parts):
     assert split_qualified(text) == parts
+
+
+def test_every_operator_token_is_arithmetic_or_a_comparison():
+    # parse_not reads any operator that _arithmetic leaves as a comparison
+    found = set()
+    for n in (1, 2, 3):
+        for ops in itertools.product(string.punctuation, repeat=n):
+            try:
+                tokens = tokenize(f"a{''.join(ops)}b")
+            except ParseError:
+                continue
+            found.update(t.value for t in tokens if t.kind == "op")
+    assert found == _ARITHMETIC | {"=", "!=", "<", "<=", ">", ">="}
 
 
 def test_tokenizer_positions_monotonic():

@@ -1,5 +1,7 @@
+import math
 import random
 import sqlite3
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,14 @@ class TestMatchColumns:
         predicted = table(*([7 * i] for i in order))
         assert len(match_columns(predicted, truth)) == 320
         assert calls <= 2 * 320  # all M x N pairs would be 102,400 calls
+
+    def test_augmenting_path_deeper_than_the_recursion_limit(self):
+        # within tolerance, predicted column i equals truth columns i and i + 1 and the last
+        # one only truth column 0, so the one perfect matching shifts every earlier pair
+        truth = table(*([1 + j * 1.5e-9] for j in range(1101)))
+        predicted = table(*([1 + (i + 0.5) * 1.5e-9] for i in range(1100)), [1 - 0.75e-9])
+        assert 1101 > sys.getrecursionlimit()
+        assert match_columns(predicted, truth) == [(i, i + 1) for i in range(1100)] + [(1100, 0)]
 
     @pytest.mark.parametrize("order_insensitive", [False, True])
     def test_nullable_columns_compare_only_their_partner(self, monkeypatch, order_insensitive):
@@ -445,6 +455,13 @@ class TestExecute:
                 timeout_s=0.05,
             )
         assert exc_info.value.stage == "timeout"
+
+    @pytest.mark.parametrize("timeout_s", [math.nan, math.inf, 0, -1])
+    def test_bad_timeout_is_refused(self, db_dir, timeout_s):
+        with pytest.raises(ExecutionError) as exc_info:
+            execute("SELECT 1", db_dir / "benchmark_1.sqlite", timeout_s=timeout_s)
+        assert exc_info.value.stage == "timeout"
+        assert str(exc_info.value) == f"timeout_s must be a finite number of seconds above 0, got {timeout_s!r}"
 
     def test_accepts_open_connection(self, db_dir):
         conn = sqlite3.connect(f"file:{db_dir / 'benchmark_2.sqlite'}?mode=ro", uri=True)

@@ -587,6 +587,8 @@ class TestValidateCorpus:
             # no anchored bound: the anchor is not strftime's first argument
             ("ts TEXT", [("2020-01-01 00:00:00",)], "strftime('%Y', ts) = strftime('%Y', 'now')", None),
             ("v TEXT", [("2020-01-01 00:00:00",)], "v >= datetime('now', '-7 days')", None),
+            # a bound that reads a column cannot be evaluated away from the data
+            ("ts TEXT, days INTEGER", [("2020-01-01 00:00:00", 7)], "ts >= datetime('now', '-' || days || ' days')", None),
             # more timestamp columns than one compound SELECT may hold
             (
                 ", ".join(f"c{i}_ts TEXT" for i in range(600)),
@@ -595,7 +597,10 @@ class TestValidateCorpus:
                 "table log data range [2023-01-01 00:00:00, 2023-01-12 00:00:00] does not bracket the anchor-relative window [2023-01-10 00:00:00, 2023-01-17 00:00:00]",
             ),
         ],
-        ids=["epochs", "mixed types in one column", "mixed types across columns", "null only", "no anchored bound", "no timestamp column", "600 columns"],
+        ids=[
+            "epochs", "mixed types in one column", "mixed types across columns", "null only", "no anchored bound", "no timestamp column",
+            "unevaluable bound", "600 columns",
+        ],
     )
     def test_data_range_in_sqlite_order(self, tmp_path, columns, rows, where, expected):
         conn = sqlite3.connect(tmp_path / "d.sqlite")
