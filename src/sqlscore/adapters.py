@@ -44,12 +44,9 @@ class Prediction:
 
 
 def parse_adapter_spec(spec: str) -> tuple[str, str]:
-    if spec == "identity":
-        return "identity", ""
-    if spec.startswith("file:"):
-        return "file", spec[len("file:") :]
-    if spec.startswith("cmd:"):
-        return "cmd", spec[len("cmd:") :]
+    kind, colon, value = spec.partition(":")
+    if spec == "identity" or colon and kind in ("file", "cmd"):
+        return kind, value
     if spec.startswith(("http://", "https://")):
         return "http", spec
     raise ValueError(f"unknown adapter spec {spec!r}; expected identity, file:..., cmd:... or http(s)://...")

@@ -16,6 +16,7 @@ DEFAULT_ANCHOR = datetime(2023, 1, 17, 0, 0, 0)
 
 # Functions whose 'now' argument designates the current instant.
 TIME_VALUE_FUNCTIONS = {"datetime", "date", "time", "strftime", "julianday", "unixepoch", "timediff"}
+_CURRENT_TIME_FORMATS = {"now": "%Y-%m-%d %H:%M:%S", "current_timestamp": "%Y-%m-%d %H:%M:%S", "current_date": "%Y-%m-%d", "current_time": "%H:%M:%S"}
 
 
 def parse_anchor(value: str | datetime) -> datetime:
@@ -24,8 +25,8 @@ def parse_anchor(value: str | datetime) -> datetime:
     return datetime.fromisoformat(value)
 
 
-def _timestamp_literal(anchor: datetime) -> Node:
-    return Node(NodeKind.LITERAL, f"'{anchor.strftime('%Y-%m-%d %H:%M:%S')}'")
+def _anchor_literal(anchor: datetime, fmt: str = "%Y-%m-%d %H:%M:%S") -> Node:
+    return Node(NodeKind.LITERAL, f"'{anchor.strftime(fmt)}'")
 
 
 def rewrite_time_anchor(ast: Node, anchor: str | datetime = DEFAULT_ANCHOR) -> Node:
@@ -39,18 +40,12 @@ def rewrite_time_anchor(ast: Node, anchor: str | datetime = DEFAULT_ANCHOR) -> N
     returned as the very same object.
     """
     instant = parse_anchor(anchor)
-    ts = _timestamp_literal(instant)
+    ts = _anchor_literal(instant)
 
     def rewrite(node: Node) -> Node:
         if node.kind is NodeKind.FUNCTION_CALL:
-            if node.text == "now" and not node.children:
-                return ts
-            if node.text == "current_timestamp" and not node.children:
-                return ts
-            if node.text == "current_date" and not node.children:
-                return Node(NodeKind.LITERAL, f"'{instant.strftime('%Y-%m-%d')}'")
-            if node.text == "current_time" and not node.children:
-                return Node(NodeKind.LITERAL, f"'{instant.strftime('%H:%M:%S')}'")
+            if node.text in _CURRENT_TIME_FORMATS and not node.children:
+                return _anchor_literal(instant, _CURRENT_TIME_FORMATS[node.text])
             if node.text in TIME_VALUE_FUNCTIONS:
                 return node.map_children(lambda a: ts if a.kind is NodeKind.LITERAL and a.text == "'now'" else rewrite(a))
         if not node.children:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation warnings, 2 configuration or input
-errors, 3 corpus errors during a run.  The BIS_ANCHOR environment variable
-overrides the default clock anchor when --anchor is not given.
+errors, 3 corpus errors during a run, 141 stdout closed early by its reader.
+The BIS_ANCHOR environment variable overrides the default clock anchor
+when --anchor is not given.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_WARNINGS = 1
 EXIT_CONFIG = 2
 EXIT_CORPUS_ERRORS = 3
+EXIT_BROKEN_PIPE = 141  # as a shell reports a process that SIGPIPE ended
 
 
 def _anchor(text: str) -> datetime:
@@ -166,10 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  The documented errors end it with EXIT_CONFIG and one
-    ``error:`` line on stderr; any other exception is a bug and propagates."""
+    ``error:`` line on stderr, a closed standard output with EXIT_BROKEN_PIPE
+    and no message; any other exception is a bug and propagates."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # what is still buffered goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (AdapterError, ConfigError, CorpusError, CorpusLoadError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,8 +19,6 @@ import json
 import sqlite3
 from pathlib import Path
 
-DB_IDS = ("benchmark_1", "benchmark_2")
-
 
 def _metric_times() -> list[str]:
     days = [f"2023-01-{day:02d} 12:00:00" for day in range(2, 17)]
@@ -405,8 +403,7 @@ _BUILDERS = {"benchmark_1": _build_benchmark_1, "benchmark_2": _build_benchmark_
 def build_fixture_database(db_id: str, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists():
-        path.unlink()
+    path.unlink(missing_ok=True)
     conn = sqlite3.connect(path)
     try:
         _BUILDERS[db_id](conn)
@@ -423,6 +420,6 @@ def write_fixtures(out_dir: str | Path) -> tuple[Path, Path]:
     db_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = out_dir / "questions.json"
     corpus_path.write_text(json.dumps(FIXTURE_QUESTIONS, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-    for db_id in DB_IDS:
+    for db_id in _BUILDERS:
         build_fixture_database(db_id, db_dir / f"{db_id}.sqlite")
     return corpus_path, db_dir

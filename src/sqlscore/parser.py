@@ -165,9 +165,6 @@ class _Parser:
 
     # -- token helpers -----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
     def at_kw(self, *words: str) -> bool:
         tok = self.tokens[self.pos]
         return tok.kind == "kw" and tok.value in words
@@ -200,7 +197,7 @@ class _Parser:
         self.pos += 1
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "kw" and tok.value in UNSUPPORTED:
             message = f"unsupported SQL construct {tok.value.upper()}"
         detail = f"near {tok.value!r}" if tok.kind != "eof" else "at end of input"
@@ -251,7 +248,7 @@ class _Parser:
                 if not self.accept_punct(","):
                     break
         select = self.parse_select_core()
-        return select.replace_children(tuple(ctes) + select.children)
+        return Node(NodeKind.STATEMENT, "", tuple(ctes) + select.children)
 
     def parse_select_core(self) -> Node:
         self._deeper()
@@ -341,7 +338,7 @@ class _Parser:
         alias = None
         if self.accept_kw("as"):
             alias = self.identifier("table alias")
-        elif self.peek().kind in ("ident", "qident"):
+        elif self.tokens[self.pos].kind in ("ident", "qident"):
             alias = self.identifier()
         if alias is not None:
             self.needs_resolution = True
@@ -636,6 +633,6 @@ def parse(sql: str) -> Node:
         raise parser.error("expected SELECT or WITH")
     root = parser.parse_statement()
     parser.accept_punct(";")
-    if parser.peek().kind != "eof":
+    if parser.tokens[parser.pos].kind != "eof":
         raise parser.error("multiple statements are not supported" if parser.at_kw("select", "with") else "trailing input after statement")
     return _resolve_aliases(root, {}) if parser.needs_resolution else root

@@ -117,8 +117,7 @@ def _operator(node: Node, parent_prec: int, right_operand: bool) -> str:
     prec = _PRECEDENCE[text]
 
     if text in ("and", "or"):
-        joined = f" {text.upper()} ".join(_expr(c, prec) for c in node.children)
-        out = joined
+        out = f" {text.upper()} ".join(_expr(c, prec) for c in node.children)
     elif text == "not":
         out = "NOT " + _expr(node.children[0], prec)
     elif text == "neg":

@@ -106,11 +106,9 @@ _CSV_FIELDS = ["id", "db_id", "case_type", "language", "semantic", "precision", 
 
 def report_to_csv(report: EvalReport) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
-    for r in report.instances:
-        row = _instance_dict(r)
-        writer.writerow({name: row[name] for name in _CSV_FIELDS})
+    writer.writerows(map(_instance_dict, report.instances))
     return buffer.getvalue()
 
 

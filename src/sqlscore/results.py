@@ -12,11 +12,19 @@ cell and an exact key of it, and a column whose first non-NULL cell has no
 exact key (a non-integer float, say) is compared with every column.  NULL
 equals only NULL, so the pruning is exact in both row-order modes and scores
 are the same as comparing all M x N pairs.
+
+Order-insensitive mode sorts each column once per table.  The type scan that
+picks the sort also marks a column plain: only NULL, int, float, text and
+bytes cells, and no NaN (``True == 1``, and two lists that hold one NaN
+object are ``==``).  One C-level ``==`` accepts two plain sorted columns; any other
+pair goes through ``cells_equal``.  Ordered mode has no accept: with no sort
+to pay for it, the type scan costs as much as the accept saves.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sqlite3
 import time
 from dataclasses import dataclass
@@ -109,14 +117,12 @@ def cells_equal(a: Cell, b: Cell) -> bool:
     if type(a) is type(b) and a == b:  # equal under every rule below; the common case
         return True
     if a is None or b is None:
-        return a is None and b is None
+        return False
     a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
     b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
     if a_num and b_num:
         return math.isclose(a, b, rel_tol=DEFAULT_REL_TOL, abs_tol=0.0) or a == b
-    if isinstance(a, str) and isinstance(b, str):
-        return a.rstrip() == b.rstrip()
-    return type(a) is type(b) and a == b
+    return isinstance(a, str) and isinstance(b, str) and a.rstrip() == b.rstrip()
 
 
 def _sort_key(cell: Cell):
@@ -129,17 +135,28 @@ def _sort_key(cell: Cell):
     return (3, repr(cell))
 
 
-def _sorted_column(column: tuple[Cell, ...]) -> list[Cell]:
-    """The same list as ``sorted(column, key=_sort_key)``, mostly without a key function."""
-    rest = [c for c in column if c is not None]
-    kinds = set(map(type, rest))
-    if kinds <= {str}:
+def _sorted_column(column: tuple[Cell, ...]) -> tuple[list[Cell], bool]:
+    """The same list as ``sorted(column, key=_sort_key)``, mostly without a key
+    function, and whether the column is plain: only NULL, int, float, text and
+    bytes cells, and no NaN."""
+    kinds = set(map(type, column))
+    plain = kinds <= {type(None), int, float, str, bytes} and (float not in kinds or not any(map(operator.ne, column, column)))
+    rest = [c for c in column if c is not None] if type(None) in kinds else list(column)
+    if kinds <= {type(None), str}:
         rest.sort(key=str.rstrip)
-    elif kinds <= {int, float} and -_NATIVE_SORT_BOUND < min(rest) and max(rest) < _NATIVE_SORT_BOUND:
-        rest.sort()
+    elif kinds <= {type(None), int, float} and plain:
+        rest.sort()  # without NaN the ends are the minimum and the maximum
+        if not (-_NATIVE_SORT_BOUND < rest[0] and rest[-1] < _NATIVE_SORT_BOUND):
+            return sorted(column, key=_sort_key), plain
     else:
-        return sorted(column, key=_sort_key)
-    return [None] * (len(column) - len(rest)) + rest
+        return sorted(column, key=_sort_key), plain
+    return [None] * (len(column) - len(rest)) + rest, plain
+
+
+def _sorted_columns(columns) -> tuple[list[list[Cell]], set[int]]:
+    """Each column as ``_sorted_column`` sorts it, and the indices of the plain ones."""
+    pairs = [_sorted_column(c) for c in columns]
+    return [c for c, _ in pairs], {i for i, (_, plain) in enumerate(pairs) if plain}
 
 
 def _exact_key(cell: Cell):
@@ -175,9 +192,10 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
     if predicted.row_count != truth.row_count:
         return []
     p_cols, t_cols = predicted.columns, truth.columns
+    p_plain = t_plain = ()  # the indices of plain sorted columns; ordered mode has none
     if order_insensitive:
-        p_cols = [_sorted_column(c) for c in p_cols]
-        t_cols = [_sorted_column(c) for c in t_cols]
+        p_cols, p_plain = _sorted_columns(p_cols)
+        t_cols, t_plain = _sorted_columns(t_cols)
 
     # a compatible pair has its NULLs in the same rows and equal first
     # non-NULL cells, so each predicted column meets only the truth columns
@@ -192,10 +210,10 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
         else:
             buckets.setdefault(key, []).append(t_idx)
     compat = []
-    for p_col in p_cols:
+    for p_idx, p_col in enumerate(p_cols):
         key = _bucket_key(p_col)
         candidates = every if key is None else sorted(buckets.get(key, []) + loose)
-        compat.append([t_idx for t_idx in candidates if all(map(cells_equal, p_col, t_cols[t_idx]))])
+        compat.append([t for t in candidates if (p_idx in p_plain and t in t_plain and p_col == t_cols[t]) or all(map(cells_equal, p_col, t_cols[t]))])
 
     # augmenting paths, searched depth-first on a stack of [column, untried candidates, candidate tried]
     match_t: dict[int, int] = {}

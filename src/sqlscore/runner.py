@@ -16,6 +16,7 @@ for it.
 
 from __future__ import annotations
 
+import re
 import sqlite3
 from collections import defaultdict
 from contextlib import ExitStack, closing
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from itertools import product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .adapters import Prediction
-from .anchor import DEFAULT_ANCHOR, TIME_VALUE_FUNCTIONS, _timestamp_literal, parse_anchor, rewrite_time_anchor
+from .anchor import DEFAULT_ANCHOR, TIME_VALUE_FUNCTIONS, _CURRENT_TIME_FORMATS, _anchor_literal, parse_anchor, rewrite_time_anchor
 from .corpus import BenchmarkQuestion, id_key, is_json_scalar
 from .diff import _TreeIndex
 from .parser import parse, quote_identifier
@@ -291,12 +292,8 @@ def evaluate(
                     q.id, q.db_id, q.case_type, q.language, sql, semantic, result, excluded=failed, warning=str(truth) if failed else None
                 )
 
-    by_case: dict[str, Aggregate] = {}
-    for case_type in sorted({r.case_type for r in instances}):
-        by_case[case_type] = _aggregate([r for r in instances if r.case_type == case_type])
-    by_language: dict[str, Aggregate] = {}
-    for language in sorted({r.language for r in instances}):
-        by_language[language] = _aggregate([r for r in instances if r.language == language])
+    def by(group: Callable[[InstanceResult], str]) -> dict[str, Aggregate]:
+        return {name: _aggregate([r for r in instances if group(r) == name]) for name in sorted(set(map(group, instances)))}
 
     corpus_errors = tuple(f"question {r.question_id}: {r.warning}" for r in instances if r.excluded)
     return EvalReport(
@@ -304,8 +301,8 @@ def evaluate(
         options=options,
         instances=tuple(instances),
         overall=_aggregate(instances),
-        by_case_type=by_case,
-        by_language=by_language,
+        by_case_type=by(attrgetter("case_type")),
+        by_language=by(attrgetter("language")),
         corpus_errors=corpus_errors,
     )
 
@@ -319,12 +316,8 @@ def _timestamp_columns(conn: sqlite3.Connection, table: str) -> list[str]:
         info = conn.execute(f"PRAGMA table_info({table})").fetchall()
     except sqlite3.Error:
         return []
-    names = []
-    for _, name, decl_type, *_ in info:
-        decl = (decl_type or "").upper()
-        if "DATE" in decl or "TIME" in decl or name == "ts" or name.endswith("_ts"):
-            names.append(name)
-    return names
+    decls = [(name, (decl_type or "").upper()) for _, name, decl_type, *_ in info]
+    return [name for name, decl in decls if "DATE" in decl or "TIME" in decl or name == "ts" or name.endswith("_ts")]
 
 
 def _range_problems(
@@ -336,20 +329,21 @@ def _range_problems(
     """Each read table whose timestamped data does not bracket the truth's
     anchor-relative window, as one message per table in name order.
 
-    A bound is a date/time call whose first argument is the anchor,
-    evaluated on ``scratch``, away from the data.  SQLite compares the data
-    range with the window in its own type order, as the truth's ``WHERE``
-    does, so values of any type get a message.
+    A bound is the date a date/time call with the anchor or current_date's
+    date among its arguments gives on ``scratch``, away from the data.
+    SQLite compares the data range with the window in its own type order,
+    as the truth's ``WHERE`` does, so values of any type get a message.
     """
-    anchor = _timestamp_literal(instant)
+    anchor = _anchor_literal(instant)
+    anchors = {anchor, _anchor_literal(instant, _CURRENT_TIME_FORMATS["current_date"])}
     bounds: list[str] = []
     for node in rewrite_time_anchor(truth.root, instant).walk():
-        if node.kind is NodeKind.FUNCTION_CALL and node.text in TIME_VALUE_FUNCTIONS and node.children[:1] == (anchor,):
+        if node.kind is NodeKind.FUNCTION_CALL and node.text in TIME_VALUE_FUNCTIONS and not anchors.isdisjoint(node.children):
             try:
                 value = scratch.execute(f"SELECT {render_expression(node)}").fetchone()[0]
             except sqlite3.Error:
                 continue
-            if isinstance(value, str):
+            if isinstance(value, str) and re.match(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", value):  # not a year, an epoch or a time
                 bounds.append(value)
     if not bounds:
         return []

@@ -57,9 +57,6 @@ class Node(NamedTuple):
     def node_count(self) -> int:
         return sum(1 for _ in self.walk())
 
-    def replace_children(self, children: tuple["Node", ...]) -> "Node":
-        return Node(self.kind, self.text, children)
-
     def map_children(self, fn: Callable[["Node"], "Node"]) -> "Node":
         """This node with ``fn`` applied to each child.
 

@@ -458,6 +458,36 @@ def test_package_runs_as_a_process(corpus_path, db_dir, tmp_path):
     assert (code, err) == (1, "") and out.startswith("warning: db benchmark_1: database file missing: ")
 
 
+def test_reader_that_closes_the_pipe_ends_the_run_quietly(db_dir, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    # 1,500 corpus error lines are more than a pipe holds, so the run is still writing when the reader leaves
+    questions = [
+        {"db_id": "benchmark_1", "query": f"SELECT missing_{i} FROM campaigns", "question": "q", "language": "en", "case_type": "filtering", "id": i}
+        for i in range(1500)
+    ]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(questions), encoding="utf-8")
+    # standard output to a pipe is block-buffered unless PYTHONUNBUFFERED says otherwise
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": str(src)}
+
+    def sqlscore(*argv):
+        return subprocess.Popen([sys.executable, "-m", "sqlscore", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def ending(proc):
+        with proc.stderr:
+            return proc.wait(timeout=60), proc.stderr.read()
+
+    proc = sqlscore("run", "--corpus", str(corpus), "--db-dir", str(db_dir))
+    assert proc.stdout.readline().startswith(b"overall")
+    proc.stdout.close()
+    assert ending(proc) == (cli.EXIT_BROKEN_PIPE, b"")  # no traceback, and nothing from the flush at exit
+    # a reader that leaves before a byte is written: the output is still buffered when the command ends
+    proc = sqlscore("score", "SELECT 1", "SELECT 1")
+    proc.stdout.close()
+    assert ending(proc) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141
+
+
 def test_package_imports_without_site_packages():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -35,7 +35,7 @@ class TestIdentity:
         truth = parse("SELECT a, a FROM t")
         select_list, table = truth.children
         a = select_list.children[0]
-        shared = truth.replace_children((select_list.replace_children((a, a)), table))
+        shared = truth._replace(children=(select_list._replace(children=(a, a)), table))
         assert shared == truth
         for script in (diff(truth, shared), diff(shared, truth), diff(shared, shared)):
             assert script.counts() == {"keep": 5, "move": 0, "update": 0, "insert": 0, "delete": 0}

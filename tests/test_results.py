@@ -149,13 +149,47 @@ class TestMatchColumns:
         assert len(match_columns(predicted, truth, order_insensitive)) == 64
         assert calls <= 64 * 100  # one full comparison per partner
 
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [[1000 * j + r for r in range(100)] for j in range(16)],
+            [[r / 8 + 1 / 16 for r in range(100)]],  # a non-integer first cell meets every column, so one column
+            [[f"name {j} {r}" + " " * (r % 3) for r in range(100)] for j in range(16)],
+            [[1000 * j + r if (r + j) % 5 == 0 else None for r in range(100)] for j in range(16)],
+        ],
+        ids=["int", "non-integer float", "text with trailing whitespace", "80% NULL"],
+    )
+    def test_plain_columns_in_shuffled_rows_match_without_cell_comparisons(self, monkeypatch, columns):
+        calls = 0
 
-# boundaries of the matcher's first-cell keys and of its native sort
+        def counting_cells_equal(a, b):
+            nonlocal calls
+            calls += 1
+            return cells_equal(a, b)
+
+        monkeypatch.setattr(results, "cells_equal", counting_cells_equal)
+        rng = random.Random(11)
+        truth = table(*columns)
+        predicted = table(*(rng.sample(c, len(c)) for c in reversed(columns)))
+        n = len(columns)
+        assert match_columns(predicted, truth, order_insensitive=True) == [(i, n - 1 - i) for i in range(n)]
+        assert calls == 0  # each sorted pair is accepted by one list ==
+
+    @pytest.mark.parametrize("order_insensitive", [False, True])
+    def test_python_equality_is_not_cell_equality(self, order_insensitive):
+        assert match_columns(table([True]), table([1]), order_insensitive) == []  # True == 1, but a bool is no number
+        nan = float("nan")  # one object, so a list holding it is == to itself
+        assert match_columns(table([nan, 2.5]), table([nan, 2.5]), order_insensitive) == []
+
+
+# boundaries of the matcher's first-cell keys, of its native sort and of its
+# == accept: 1 and 1.0 are == to True, and one NaN object is == to itself in a list
+_NAN = float("nan")
 _BOUNDARY_POOL = [
     None, "", "b", "b ", "b\n", 3, 3.0, 5, 5.000000001,
     2**29 - 1, -(2**29 - 1), 2**29, -(2**29), 10**9, 10**9 + 1, 10**12, 10**12 + 1,
     0.1 + 0.2, 0.3, 2**53, 2**53 + 1, -(2**53), -(2**53) - 1, 2**53 - 1, -(2**53 - 1),
-    float("inf"), True, b"x",
+    float("inf"), True, b"x", 1, 1.0, _NAN,
 ]  # fmt: skip
 # cells that are equal under cells_equal but differ as Python values
 _EQUAL_GROUPS = [
@@ -223,7 +257,7 @@ def test_matching_equals_all_pairs_reference_on_boundary_cells(order_insensitive
         expected = _reference_match_columns(predicted, truth, order_insensitive)
         assert match_columns(predicted, truth, order_insensitive) == expected, (predicted, truth)
         for column in predicted.columns + truth.columns:
-            typed = [(type(x), x) for x in _sorted_column(column)]
+            typed = [(type(x), x) for x in _sorted_column(column)[0]]
             assert typed == [(type(x), x) for x in sorted(column, key=_sort_key)], column
 
 

@@ -584,8 +584,23 @@ class TestValidateCorpus:
                 "table log data range [1673308800, 2023-01-12 00:00:00] does not bracket the anchor-relative window [2023-01-10 00:00:00, 2023-01-17 00:00:00]",
             ),
             ("ts TEXT, v INTEGER", [(None, 1)], "ts >= datetime('now', '-7 days')", "table log has no timestamped rows"),
-            # no anchored bound: the anchor is not strftime's first argument
+            # no anchored bound: strftime('%Y', 'now') gives a year and time('now') a time of day, not a date
             ("ts TEXT", [("2020-01-01 00:00:00",)], "strftime('%Y', ts) = strftime('%Y', 'now')", None),
+            ("ts TEXT", [("2020-01-01 00:00:00",)], "time(ts) >= time('now', '-1 hours')", None),
+            # the anchor at any argument position, and current_date's date as the anchor
+            *(
+                (
+                    "ts TEXT",
+                    [("2020-01-01 00:00:00",)],
+                    where,
+                    f"table log data range [2020-01-01 00:00:00, 2020-01-01 00:00:00] does not bracket the anchor-relative window [{start}, 2023-01-17 00:00:00]",
+                )
+                for where, start in [
+                    ("ts >= datetime('now', '-7 days')", "2023-01-10 00:00:00"),
+                    ("ts >= datetime(current_date, '-7 days')", "2023-01-10 00:00:00"),
+                    ("ts >= strftime('%Y-%m-%d', 'now', '-7 days')", "2023-01-10"),
+                ]
+            ),
             ("v TEXT", [("2020-01-01 00:00:00",)], "v >= datetime('now', '-7 days')", None),
             # a bound that reads a column cannot be evaluated away from the data
             ("ts TEXT, days INTEGER", [("2020-01-01 00:00:00", 7)], "ts >= datetime('now', '-' || days || ' days')", None),
@@ -598,8 +613,8 @@ class TestValidateCorpus:
             ),
         ],
         ids=[
-            "epochs", "mixed types in one column", "mixed types across columns", "null only", "no anchored bound", "no timestamp column",
-            "unevaluable bound", "600 columns",
+            "epochs", "mixed types in one column", "mixed types across columns", "null only", "no anchored bound",
+            "time of day", "anchor first", "current_date first", "anchor second", "no timestamp column", "unevaluable bound", "600 columns",
         ],
     )
     def test_data_range_in_sqlite_order(self, tmp_path, columns, rows, where, expected):
