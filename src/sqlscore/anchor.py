@@ -34,8 +34,8 @@ def rewrite_time_anchor(ast: Node, anchor: str | datetime = DEFAULT_ANCHOR) -> N
 
     ``now()`` and ``current_timestamp`` become a timestamp literal,
     ``current_date``/``current_time`` keep their granularity, and a ``'now'``
-    argument inside the date/time function family is substituted in place,
-    so ``datetime('now', '-14 days')`` keeps its modifier.  Idempotent;
+    argument of the date/time function family, in any ASCII case as SQLite
+    reads it, is substituted in place, keeping modifiers.  Idempotent;
     every subtree without a time function, and a tree without any, is
     returned as the very same object.
     """
@@ -47,7 +47,7 @@ def rewrite_time_anchor(ast: Node, anchor: str | datetime = DEFAULT_ANCHOR) -> N
             if node.text in _CURRENT_TIME_FORMATS and not node.children:
                 return _anchor_literal(instant, _CURRENT_TIME_FORMATS[node.text])
             if node.text in TIME_VALUE_FUNCTIONS:
-                return node.map_children(lambda a: ts if a.kind is NodeKind.LITERAL and a.text == "'now'" else rewrite(a))
+                return node.map_children(lambda a: ts if a.kind is NodeKind.LITERAL and a.text.lower() == "'now'" else rewrite(a))
         if not node.children:
             return node
         return node.map_children(rewrite)

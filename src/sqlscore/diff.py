@@ -12,10 +12,10 @@ The matcher runs in two phases:
    move operations.
 
 Whatever stays unpaired becomes a delete (truth side) or an insert
-(predicted side).  Every node of both trees is covered by exactly one
-operation.  Nodes may only pair within the same clause context (a column
-that migrates from the select list into GROUP BY counts as one delete plus
-one insert, not a move).
+(predicted side).  ``_Matcher.classify`` gives every node of both trees
+exactly one operation; ``diff`` and ``semantic`` both read it.  Nodes may
+only pair within the same clause context (a column that migrates from the
+select list into GROUP BY counts as one delete plus one insert, not a move).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
@@ -66,10 +67,8 @@ class EditScript:
         return len(self.ops)
 
     def counts(self) -> dict[str, int]:
-        out = {k.value: 0 for k in EditOpKind}
-        for op in self.ops:
-            out[op.kind.value] += 1
-        return out
+        kinds = [op.kind for op in self.ops]
+        return {kind.value: kinds.count(kind) for kind in EditOpKind}
 
 
 def _is_unordered(node: Node) -> bool:
@@ -132,6 +131,11 @@ class _TreeIndex:
     def node_count(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def largest_first(self) -> list[int]:
+        """Positions by descending subtree size, in preorder among equal sizes; read only on the truth side."""
+        return sorted(range(len(self.size)), key=self.size.__getitem__, reverse=True)
+
 
 def _dice(a: Counter, b: Counter) -> float:
     total = a.total() + b.total()
@@ -139,64 +143,59 @@ def _dice(a: Counter, b: Counter) -> float:
 
 
 class _Matcher:
-    """Pairs truth and predicted positions; ``t2p``/``p2t`` hold -1 while unpaired."""
+    """Pairs truth and predicted positions, both phases on construction;
+    ``t2p``/``p2t`` hold -1 for an unpaired position.  ``truth`` may be a
+    tree or its ``_TreeIndex``, which is left unchanged."""
 
-    def __init__(self, truth: _TreeIndex, predicted: Node):
-        self.t = truth
-        self.p = _TreeIndex(predicted, dict(truth.keys))
+    def __init__(self, truth: Node | _TreeIndex, predicted: Node):
+        self.t = truth if isinstance(truth, _TreeIndex) else _TreeIndex(truth)
+        self.p = _TreeIndex(predicted, dict(self.t.keys))
         self.t2p = [-1] * len(self.t.nodes)
         self.p2t = [-1] * len(self.p.nodes)
+        self.anchor_exact()
+        if self.t2p[0] < 0 and self.p2t[0] < 0:
+            self._adopt(0, 0)
 
     # -- phase 1: exact subtree anchoring -----------------------------------
 
     def anchor_exact(self) -> None:
-        t, p = self.t, self.p
+        t, p, t2p, p2t = self.t, self.p, self.t2p, self.p2t
         by_key: dict[int, list[int]] = {}
         for j, key in enumerate(p.key):
             by_key.setdefault(key, []).append(j)
 
-        # largest first; the stable sort keeps preorder among equal sizes
-        for i in sorted(range(len(t.nodes)), key=lambda i: -t.size[i]):
-            if self.t2p[i] >= 0:
+        for i in t.largest_first:
+            if t2p[i] >= 0:
                 continue
-            candidates = [
-                j
-                for j in by_key.get(t.key[i], ())
-                if self.p2t[j] < 0 and p.bucket[j] == t.bucket[i] and (j == 0) == (i == 0)
-            ]
+            candidates = [j for j in by_key.get(t.key[i], ()) if p2t[j] < 0 and p.bucket[j] == t.bucket[i] and (j == 0) == (i == 0)]
             if not candidates:
                 continue
-            chosen = min(candidates, key=lambda j: (not self._parents_paired(i, j), not self._same_position(i, j), j))
-            self._pair_subtree(i, chosen)
-
-    def _parents_paired(self, i: int, j: int) -> bool:
-        tp = self.t.parent[i]
-        pp = self.p.parent[j]
-        if tp < 0 or pp < 0:
-            return tp == pp
-        return self.t2p[tp] == pp
-
-    def _same_position(self, i: int, j: int) -> bool:
-        return self.t.child_index[i] == self.p.child_index[j]
+            if len(candidates) > 1:  # so i is not the root
+                # parents paired first, then the same position, then preorder
+                up, index = t2p[t.parent[i]], t.child_index[i]
+                candidates.sort(key=lambda j: (p.parent[j] != up, p.child_index[j] != index))
+            self._pair_subtree(i, candidates[0])
 
     def _pair_subtree(self, i: int, j: int) -> None:
-        self.t2p[i] = j
-        self.p2t[j] = i
-        if _is_unordered(self.t.nodes[i]):
-            groups: dict[int, list[int]] = {}
-            for pc in self.p.children[j]:
-                groups.setdefault(self.p.key[pc], []).append(pc)
-            for tc in self.t.children[i]:
-                self._pair_subtree(tc, groups[self.t.key[tc]].pop(0))
-        else:
-            for tc, pc in zip(self.t.children[i], self.p.children[j]):
-                self._pair_subtree(tc, pc)
+        t, p, t2p, p2t = self.t, self.p, self.t2p, self.p2t
+        stack = [(i, j)]
+        while stack:
+            i, j = stack.pop()
+            n = t.size[i]
+            if t.key[i : i + n] == p.key[j : j + n]:  # no child reordered anywhere below
+                t2p[i : i + n] = range(j, j + n)
+                p2t[j : j + n] = range(i, i + n)
+                continue
+            t2p[i], p2t[j] = j, i
+            if _is_unordered(t.nodes[i]):
+                groups: dict[int, list[int]] = {}
+                for pc in p.children[j]:
+                    groups.setdefault(p.key[pc], []).append(pc)
+                stack.extend((tc, groups[t.key[tc]].pop(0)) for tc in t.children[i])
+            else:
+                stack.extend(zip(t.children[i], p.children[j]))
 
     # -- phase 2: top-down pairing of the remainder --------------------------
-
-    def pair_remainder(self) -> None:
-        if self.t2p[0] < 0 and self.p2t[0] < 0:
-            self._adopt(0, 0)
 
     def _match_children(self, i: int, j: int) -> None:
         t, p = self.t, self.p
@@ -256,23 +255,28 @@ class _Matcher:
 
     # -- classification ------------------------------------------------------
 
-    def script(self) -> EditScript:
-        ops: list[EditOp] = []
-        for i, t_node in enumerate(self.t.nodes):
-            j = self.t2p[i]
-            p_node = self.p.nodes[j] if j >= 0 else None
-            if p_node is None:
-                kind = EditOpKind.DELETE
-            elif t_node.text != p_node.text:
-                kind = EditOpKind.UPDATE
-            elif self._parents_paired(i, j) and self._same_position(i, j):
-                kind = EditOpKind.KEEP
+    def classify(self) -> tuple[list[EditOpKind], list[Node]]:
+        """The op of each truth position (keep, move, update or delete), and
+        the predicted nodes left unpaired, which are the inserts."""
+        keep, move, update, delete = EditOpKind.KEEP, EditOpKind.MOVE, EditOpKind.UPDATE, EditOpKind.DELETE
+        t2p, p_nodes, p_parent, p_index = self.t2p, self.p.nodes, self.p.parent, self.p.child_index
+        kinds = []
+        # the root pairs only with the root: a parent of -1 on one side means -1 on the other
+        for node, j, up, index in zip(self.t.nodes, t2p, self.t.parent, self.t.child_index):
+            if j < 0:
+                kinds.append(delete)
+            elif node.text != p_nodes[j].text:
+                kinds.append(update)
+            elif index == p_index[j] and (t2p[up] if up >= 0 else -1) == p_parent[j]:
+                kinds.append(keep)
             else:
-                kind = EditOpKind.MOVE
-            ops.append(EditOp(kind, t_node.kind, t_node, p_node))
-        for j, p_node in enumerate(self.p.nodes):
-            if self.p2t[j] < 0:
-                ops.append(EditOp(EditOpKind.INSERT, p_node.kind, None, p_node))
+                kinds.append(move)
+        return kinds, [node for node, i in zip(p_nodes, self.p2t) if i < 0]
+
+    def script(self) -> EditScript:
+        kinds, inserted = self.classify()
+        ops = [EditOp(kind, node.kind, node, self.p.nodes[j] if j >= 0 else None) for kind, node, j in zip(kinds, self.t.nodes, self.t2p)]
+        ops += [EditOp(EditOpKind.INSERT, node.kind, None, node) for node in inserted]
         return EditScript(tuple(ops))
 
 
@@ -282,7 +286,4 @@ def diff(truth: Node | _TreeIndex, predicted: Node) -> EditScript:
     ``truth`` may be a tree or its ``_TreeIndex``, which is left unchanged
     and can be passed to any number of diffs.
     """
-    matcher = _Matcher(truth if isinstance(truth, _TreeIndex) else _TreeIndex(truth), predicted)
-    matcher.anchor_exact()
-    matcher.pair_remainder()
-    return matcher.script()
+    return _Matcher(truth, predicted).script()

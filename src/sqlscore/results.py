@@ -121,7 +121,13 @@ def cells_equal(a: Cell, b: Cell) -> bool:
     a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
     b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
     if a_num and b_num:
-        return math.isclose(a, b, rel_tol=DEFAULT_REL_TOL, abs_tol=0.0) or a == b
+        try:
+            return math.isclose(a, b, rel_tol=DEFAULT_REL_TOL, abs_tol=0.0) or a == b
+        except OverflowError:  # an int beyond float range: the same rule on exact integer ratios
+            if any(isinstance(x, float) and not math.isfinite(x) for x in (a, b)):
+                return False  # no int is infinite or NaN
+            (an, ad), (bn, bd), (tn, td) = a.as_integer_ratio(), b.as_integer_ratio(), DEFAULT_REL_TOL.as_integer_ratio()
+            return td * abs(an * bd - bn * ad) <= tn * max(abs(an) * bd, abs(bn) * ad)
     return isinstance(a, str) and isinstance(b, str) and a.rstrip() == b.rstrip()
 
 
@@ -129,7 +135,10 @@ def _sort_key(cell: Cell):
     if cell is None:
         return (0, "")
     if isinstance(cell, (int, float)):
-        return (1, float(cell))
+        try:
+            return (1, float(cell))
+        except OverflowError:  # an int beyond float range; Python compares ints and floats exactly
+            return (1, cell)
     if isinstance(cell, str):
         return (2, cell.rstrip())  # as cells_equal compares text, so equal keys mean equal cells
     return (3, repr(cell))

@@ -1,10 +1,11 @@
-"""Statement-level similarity score over the classified edit script.
+"""Statement-level similarity score over the matcher's classified nodes.
 
-Edits are weighted by what they touch: keep and move operations are free,
-alias-only edits are free, any edit to an accessed table zeroes the score
-outright, and every other insert/update/delete counts as one change.  The
-change count is clamped to the script length and mapped to a similarity in
-[0, 1], so identical queries score 1.0 and a changed table scores 0.0.
+Every node of both trees is one keep, move, update, delete or insert, as in
+``diff``'s edit script.  Keep and move operations are free, alias-only edits
+are free, any edit to an accessed table zeroes the score outright, and every
+other insert/update/delete counts as one change.  The change count is clamped
+to the number of operations and mapped to a similarity in [0, 1], so
+identical queries score 1.0 and a changed table scores 0.0.
 
 A predicted query that does not parse scores 0.0 with the
 ``invalid_prediction`` verdict; an unparseable ground-truth query is a
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diff import EditOpKind, EditScript, _TreeIndex, diff
+from .diff import EditOpKind, _Matcher, _TreeIndex
 from .parser import parse, split_qualified
 from .results import VERDICT_INVALID, VERDICT_SCORED
 from .sqlast import Node, NodeKind, ParseError
@@ -52,55 +53,44 @@ class SemanticScore:
         assert 0.0 <= self.value <= 1.0
 
 
-def score_edit_script(script: EditScript) -> SemanticScore:
-    """Score one edit script.  It covers every node of both trees once, so the
-    CTEs the truth binds are op sources and those the prediction binds op targets."""
-    truth_ctes = {op.source.text for op in script.ops if op.source is not None and op.source.kind is NodeKind.CTE}
-    pred_ctes = {op.target.text for op in script.ops if op.target is not None and op.target.kind is NodeKind.CTE}
-    counts = script.counts()
-    size_union = script.size_union
-    diff_count = 0
-    rule = RULE_NORMAL
-    for op in script.ops:
-        if op.kind in (EditOpKind.KEEP, EditOpKind.MOVE):
-            continue
-        if op.node_kind is NodeKind.TABLE_REF:
+def semantic_score_from_asts(truth: Node | _TreeIndex, predicted: Node) -> SemanticScore:
+    """Statement similarity of two trees; ``truth`` may be its ``_TreeIndex``,
+    as for ``diff``.  Reads the matcher's classification, not an edit script."""
+    matcher = _Matcher(truth, predicted)
+    kinds, inserted = matcher.classify()
+    keep, move, update = EditOpKind.KEEP, EditOpKind.MOVE, EditOpKind.UPDATE
+    keeps, moves, updates = kinds.count(keep), kinds.count(move), kinds.count(update)
+    deletes, size_union = len(kinds) - keeps - moves - updates, len(kinds) + len(inserted)
+    t_nodes, p_nodes = matcher.t.nodes, matcher.p.nodes
+    truth_ctes = {node.text for node in t_nodes if node.kind is NodeKind.CTE}
+    pred_ctes = {node.text for node in p_nodes if node.kind is NodeKind.CTE}
+    # each update, delete and insert as (truth node or None, predicted node or None)
+    changes = [(node, p_nodes[j] if j >= 0 else None) for kind, node, j in zip(kinds, t_nodes, matcher.t2p) if kind is not keep and kind is not move]
+    changes += [(None, node) for node in inserted]
+    diff_count, rule = 0, RULE_NORMAL
+    for source, target in changes:
+        node_kind = target.kind if source is None else source.kind
+        if node_kind is NodeKind.TABLE_REF:
             # a reference to a CTE behaves like an alias: renaming a CTE does
             # not change the tables read
-            if (op.source is None or op.source.text in truth_ctes) and (op.target is None or op.target.text in pred_ctes):
+            if (source is None or source.text in truth_ctes) and (target is None or target.text in pred_ctes):
                 continue
-            diff_count = size_union
-            rule = RULE_TABLE_MISMATCH
+            diff_count, rule = size_union, RULE_TABLE_MISMATCH
             break
-        if op.node_kind in (NodeKind.ALIAS, NodeKind.CTE):
+        if node_kind is NodeKind.ALIAS or node_kind is NodeKind.CTE:
             continue
-        if op.kind is EditOpKind.UPDATE and op.node_kind is NodeKind.COLUMN_REF:
+        if node_kind is NodeKind.COLUMN_REF and source is not None and target is not None:
             # only the qualifier changed and both name a CTE, as ``c1.total``
             # and ``x.total`` after a CTE rename: alias noise
-            source_qualifier, source_column = split_qualified(op.source.text)
-            target_qualifier, target_column = split_qualified(op.target.text)
+            source_qualifier, source_column = split_qualified(source.text)
+            target_qualifier, target_column = split_qualified(target.text)
             if source_column == target_column and source_qualifier in truth_ctes and target_qualifier in pred_ctes:
                 continue
         diff_count += 1
 
-    raw_ratio = min(diff_count, size_union) / size_union if size_union else 0.0
-    breakdown = ScoreBreakdown(
-        keeps=counts["keep"],
-        moves=counts["move"],
-        updates=counts["update"],
-        inserts=counts["insert"],
-        deletes=counts["delete"],
-        size_union=size_union,
-        diff_count=min(diff_count, size_union),
-        raw_ratio=raw_ratio,
-        rule=rule,
-    )
-    return SemanticScore(value=1.0 - raw_ratio, verdict=VERDICT_SCORED, breakdown=breakdown)
-
-
-def semantic_score_from_asts(truth: Node | _TreeIndex, predicted: Node) -> SemanticScore:
-    """Statement similarity of two trees; ``truth`` may be its ``_TreeIndex``, as for ``diff``."""
-    return score_edit_script(diff(truth, predicted))
+    diff_count = min(diff_count, size_union)
+    breakdown = ScoreBreakdown(keeps, moves, updates, len(inserted), deletes, size_union, diff_count, diff_count / size_union, rule)
+    return SemanticScore(value=1.0 - breakdown.raw_ratio, verdict=VERDICT_SCORED, breakdown=breakdown)
 
 
 def parse_truth(sql: str) -> Node:

@@ -1,4 +1,4 @@
-"""Shared test utilities: random generators, AST mutators, brute-force oracles.
+"""Shared test utilities: random generators, AST mutators, brute-force and reference oracles.
 
 The oracles here are deliberately naive and independent of the library's
 algorithms; they exist so expected values are computed, not invented.
@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import random
 
-from sqlscore import Node, NodeKind, ResultTable, parse
+from sqlscore import EditOpKind, EditScript, Node, NodeKind, ResultTable, parse
 from sqlscore.diff import _CLAUSE_KINDS  # clause buckets are part of the matcher contract
+from sqlscore.parser import split_qualified
+from sqlscore.results import VERDICT_SCORED
+from sqlscore.semantic import RULE_NORMAL, RULE_TABLE_MISMATCH, ScoreBreakdown, SemanticScore
 
 # -- random query generation --------------------------------------------------
 
@@ -189,6 +192,51 @@ def optimal_nonkeep_oracle(truth: Node, predicted: Node) -> int:
 
     search(0, 0, set(), {})
     return best[0]
+
+
+def score_edit_script(script: EditScript) -> SemanticScore:
+    """The statement score read op by op off ``diff``'s edit script: the
+    reference for ``semantic_score_from_asts``, which scores the matcher's
+    classification without building a script.  The script covers every node
+    of both trees once, so the CTEs the truth binds are op sources and those
+    the prediction binds op targets."""
+    truth_ctes = {op.source.text for op in script.ops if op.source is not None and op.source.kind is NodeKind.CTE}
+    pred_ctes = {op.target.text for op in script.ops if op.target is not None and op.target.kind is NodeKind.CTE}
+    counts = script.counts()
+    size_union = script.size_union
+    diff_count = 0
+    rule = RULE_NORMAL
+    for op in script.ops:
+        if op.kind in (EditOpKind.KEEP, EditOpKind.MOVE):
+            continue
+        if op.node_kind is NodeKind.TABLE_REF:
+            if (op.source is None or op.source.text in truth_ctes) and (op.target is None or op.target.text in pred_ctes):
+                continue
+            diff_count = size_union
+            rule = RULE_TABLE_MISMATCH
+            break
+        if op.node_kind in (NodeKind.ALIAS, NodeKind.CTE):
+            continue
+        if op.kind is EditOpKind.UPDATE and op.node_kind is NodeKind.COLUMN_REF:
+            source_qualifier, source_column = split_qualified(op.source.text)
+            target_qualifier, target_column = split_qualified(op.target.text)
+            if source_column == target_column and source_qualifier in truth_ctes and target_qualifier in pred_ctes:
+                continue
+        diff_count += 1
+
+    raw_ratio = min(diff_count, size_union) / size_union if size_union else 0.0
+    breakdown = ScoreBreakdown(
+        keeps=counts["keep"],
+        moves=counts["move"],
+        updates=counts["update"],
+        inserts=counts["insert"],
+        deletes=counts["delete"],
+        size_union=size_union,
+        diff_count=min(diff_count, size_union),
+        raw_ratio=raw_ratio,
+        rule=rule,
+    )
+    return SemanticScore(value=1.0 - raw_ratio, verdict=VERDICT_SCORED, breakdown=breakdown)
 
 
 # -- random result tables --------------------------------------------------------

@@ -35,6 +35,19 @@ def test_statement_without_time_functions_unchanged():
     assert statement.children[0].children[0] is ast.children[0].children[0]
 
 
+def test_now_argument_in_any_ascii_case_is_anchored(db_dir):
+    assert rewritten("SELECT date('NOW'), datetime('nOw', '-1 day'), time('Now')") == (
+        "SELECT date('2023-01-17 00:00:00'), datetime('2023-01-17 00:00:00', '-1 day'), time('2023-01-17 00:00:00')"
+    )
+    # SQLite gives NULL for a padded 'now', so it is no clock read to anchor
+    assert rewritten("SELECT date(' now '), date('now ')") == "SELECT date(' now '), date('now ')"
+    ast = parse("SELECT datetime('NOW', '-1 days'), date('nOw') FROM t")
+    once = rewrite_time_anchor(ast)
+    assert rewrite_time_anchor(once) == once
+    table = execute("SELECT date('NOW'), datetime('nOw', '-1 day'), date(' now ')", db_dir / "benchmark_1.sqlite")
+    assert table.columns == (("2023-01-17",), ("2023-01-16 00:00:00",), (None,))
+
+
 def test_plain_now_string_outside_time_functions_is_kept():
     assert rewritten("SELECT a FROM t WHERE b = 'now'") == "SELECT a FROM t WHERE b = 'now'"
 

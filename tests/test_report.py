@@ -1,12 +1,14 @@
 """The JSON report writer against the generic ``indent=2`` dump of the same report."""
 
+import dataclasses
+import hashlib
 import json
 from datetime import datetime
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlscore import EvalOptions, report_to_dict, report_to_json, report_to_markdown
+from sqlscore import EvalOptions, Prediction, evaluate, report_to_dict, report_to_json, report_to_markdown
 from sqlscore.results import ResultScore
 from sqlscore.runner import Aggregate, EvalReport, InstanceResult
 from sqlscore.semantic import ScoreBreakdown, SemanticScore
@@ -84,3 +86,22 @@ def test_markdown_lists_corpus_errors_last():
     assert "## Corpus errors" not in report_to_markdown(_EMPTY)
     report = EvalReport(_EMPTY.anchor, _EMPTY.options, (_EXCLUDED,), _EMPTY.overall, {}, {}, ("question a: x", "question b: y"))
     assert report_to_markdown(report).endswith("\n\n## Corpus errors\n\n- question a: x\n- question b: y\n")
+
+
+# SHA-256 of the JSON report of every fixture truth scored against every truth
+# of its own database, in each row-order mode.  A change that only makes
+# scoring faster keeps these; one that changes scores updates them and lists
+# the scores that changed.
+_GOLDEN_REPORT_SHA256 = {
+    False: "172722e97f437b28cb6ba933d9cd512fa7fc836ad52d16f03c9eb6abadf3dcc2",
+    True: "d351ad81f87946b646ab58a52a65f7d38649387b9da740fe664a14908b8993a4",
+}
+
+
+def test_golden_report_digest(questions, db_dir):
+    pairs = [(q, p) for q in questions for p in questions if p.db_id == q.db_id]
+    copies = [dataclasses.replace(q, id=f"{q.id}|{p.id}") for q, p in pairs]
+    predictions = [Prediction(c.id, p.query) for c, (_, p) in zip(copies, pairs)]
+    for order_insensitive, digest in _GOLDEN_REPORT_SHA256.items():
+        report = evaluate(copies, predictions, db_dir, options=EvalOptions(order_insensitive=order_insensitive))
+        assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest, order_insensitive

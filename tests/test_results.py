@@ -47,6 +47,26 @@ class TestCellEquality:
         assert not cells_equal(b"x", "x")
         assert not cells_equal(float("nan"), float("nan"))
 
+    def test_ints_beyond_float_range_compare_by_the_same_rule(self):
+        huge = 10**400
+        assert cells_equal(huge, huge + 1)  # within 1e-9 relative
+        assert not cells_equal(huge, 2 * huge)
+        assert not cells_equal(huge, 1.0)
+        assert not cells_equal(-huge, huge)
+        assert not cells_equal(huge, float("inf"))
+        assert not cells_equal(float("nan"), huge)
+        # just beyond the largest float, 2**-53 apart relative to it
+        assert cells_equal(2**1024, sys.float_info.max)
+
+    def test_ints_beyond_float_range_sort_by_value(self):
+        column = (10**400, None, 1.5, -(10**400), float("inf"), 2 * 10**400, 7)
+        assert sorted(column, key=_sort_key) == [None, -(10**400), 1.5, 7, 10**400, 2 * 10**400, float("inf")]
+        t = table([10**400])
+        assert match_columns(t, t, order_insensitive=True) == [(0, 0)]
+        shuffled, ordered = table([10**400, 2 * 10**400, 5]), table([5, 2 * 10**400, 10**400])
+        assert match_columns(shuffled, ordered, order_insensitive=True) == [(0, 0)]
+        assert match_columns(shuffled, ordered) == []
+
 
 class TestMatchColumns:
     def test_identical_tables_relabeled(self):

@@ -364,8 +364,9 @@ class TestPreparedTruth:
 
 
 def test_one_diff_per_distinct_parseable_triple(questions, db_dir, monkeypatch):
-    """The runner calls ``semantic_score_from_asts`` and ``semantic.diff`` once
-    per distinct scored triple, with arguments that report their node counts."""
+    """The runner calls ``semantic_score_from_asts`` and the scoring path
+    matches the two trees (``semantic._Matcher``) once per distinct scored
+    triple, with arguments that report their node counts."""
     calls: dict[str, list] = {"score": [], "diff": []}
 
     def counting(name, fn):
@@ -376,7 +377,7 @@ def test_one_diff_per_distinct_parseable_triple(questions, db_dir, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(runner, "semantic_score_from_asts", counting("score", runner.semantic_score_from_asts))
-    monkeypatch.setattr(semantic, "diff", counting("diff", semantic.diff))
+    monkeypatch.setattr(semantic, "_Matcher", counting("diff", semantic._Matcher))
     copies = tripled(questions)
     sqls = [[q.query, questions[j - 1].query, "SELECT 1", "not sql"][j % 4] for j, q in enumerate(questions)]
     predictions = [Prediction(c.id, sql) for c, sql in zip(copies, sqls * 3)]

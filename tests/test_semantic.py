@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from sqlscore import CorpusError, parse, render, semantic_similarity
+from sqlscore import CorpusError, diff, parse, render, semantic_score_from_asts, semantic_similarity
+from sqlscore.diff import _TreeIndex
 from sqlscore.fixtures import FIXTURE_QUESTIONS
 from sqlscore.semantic import RULE_NORMAL, RULE_TABLE_MISMATCH, VERDICT_INVALID, VERDICT_SCORED
 
-from helpers import add_column_alias, random_query, rename_column_alias, swap_table
+from helpers import add_column_alias, drop_select_column, random_query, rename_column_alias, score_edit_script, swap_table
 
 FIXTURE_QUERIES = [q["query"] for q in FIXTURE_QUESTIONS]
 
@@ -179,3 +180,33 @@ class TestRange:
             assert pairs + b.deletes == truth.node_count
             assert pairs + b.inserts == predicted.node_count
             assert b.size_union == pairs + b.deletes + b.inserts
+
+
+def test_score_agrees_with_the_edit_script_reference():
+    """Scoring the matcher's classification gives the score, verdict and
+    breakdown that reading ``diff``'s edit script op by op gives."""
+    fixture = [parse(sql) for sql in FIXTURE_QUERIES]
+    pairs = [(truth, predicted) for truth in fixture for predicted in fixture]
+    rng = random.Random(21)
+    for _ in range(100):
+        truth = parse(random_query(rng))
+        pairs.append((truth, parse(random_query(rng))))
+        for mutate in (swap_table, add_column_alias, drop_select_column):
+            try:
+                pairs.append((truth, mutate(truth)))
+            except (StopIteration, AssertionError):  # no item to alias, or one to drop
+                pass
+    cte = "WITH c1 AS (SELECT sum(v) AS s FROM m WHERE k = 'a'), c2 AS (SELECT sum(v) AS s FROM m) SELECT c1.s, c2.s FROM c1, c2"
+    renamed = [cte.replace("c1", "x"), cte.replace("c1.s", "c1.wrong"), cte.replace("FROM m)", "FROM n)"), cte.replace("c1, c2", "c1, c2, m")]
+    pairs += [(parse(cte), parse(sql)) for sql in renamed]
+    indexes = {truth: _TreeIndex(truth) for truth in dict.fromkeys(truth for truth, _ in pairs)}
+    rules = set()
+    for truth, predicted in pairs:
+        index = indexes[truth]
+        script = diff(index, predicted)
+        score = semantic_score_from_asts(index, predicted)
+        assert score == score_edit_script(script), (render(truth), render(predicted))
+        b = score.breakdown
+        assert {"keep": b.keeps, "move": b.moves, "update": b.updates, "insert": b.inserts, "delete": b.deletes} == script.counts()
+        rules.add(b.rule)
+    assert rules == {RULE_NORMAL, RULE_TABLE_MISMATCH}
