@@ -8,7 +8,7 @@ databases under a frozen clock and aggregates per question category.
 """
 
 from .adapters import AdapterError, Prediction, get_predictions, parse_adapter_spec
-from .anchor import DEFAULT_ANCHOR, parse_anchor, rewrite_time_anchor
+from .anchor import DEFAULT_ANCHOR, anchor_sql, parse_anchor
 from .corpus import CASE_TYPES, BenchmarkQuestion, CorpusLoadError, category_counts, load_corpus
 from .diff import EditOp, EditOpKind, EditScript, diff
 from .fixtures import FIXTURE_QUESTIONS, build_fixture_database, write_fixtures
@@ -64,6 +64,7 @@ __all__ = [
     "ResultTable",
     "ScoreBreakdown",
     "SemanticScore",
+    "anchor_sql",
     "build_fixture_database",
     "category_counts",
     "cells_equal",
@@ -82,7 +83,6 @@ __all__ = [
     "report_to_dict",
     "report_to_json",
     "report_to_markdown",
-    "rewrite_time_anchor",
     "score_pair",
     "score_result_pair",
     "semantic_score_from_asts",

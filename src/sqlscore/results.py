@@ -26,15 +26,14 @@ from __future__ import annotations
 import math
 import operator
 import sqlite3
+import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from .anchor import DEFAULT_ANCHOR, rewrite_time_anchor
-from .parser import parse
-from .render import render
-from .sqlast import Node, ParseError
+from .anchor import DEFAULT_ANCHOR, anchor_sql
+from .sqlast import ParseError
 
 DEFAULT_TIMEOUT_S = 10.0
 DEFAULT_ROW_CAP = 100_000
@@ -44,6 +43,10 @@ DEFAULT_REL_TOL = 1e-9
 _EXACT_INT_BOUND = 2**29
 # below 2**53 every integer converts to float exactly, so native order is float order
 _NATIVE_SORT_BOUND = 2**53
+
+# a statement may read and call functions, load_extension aside, and do nothing else
+_READ_ACTIONS = {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_RECURSIVE}
+_NO_AUTHORIZER = None if sys.version_info >= (3, 11) else lambda *_: sqlite3.SQLITE_OK  # Python 3.10 calls a None one, which denies
 
 VERDICT_SCORED = "scored"
 VERDICT_EXECUTION_ERROR = "execution_error"
@@ -61,7 +64,7 @@ def valid_timeout(seconds: object) -> bool:
 class ExecutionError(Exception):
     """A query could not be executed; ``stage`` says why.
 
-    stage is one of: parse, engine, timeout, row-cap, database.
+    stage is one of: parse (clock text that does not tokenize), engine, timeout, row-cap, database.
     """
 
     def __init__(self, message: str, stage: str):
@@ -261,53 +264,60 @@ def _open_readonly(db_path: str | Path) -> sqlite3.Connection:
     path = Path(db_path)
     if not path.is_file():
         raise ExecutionError(f"database file not found: {path}", stage="database")
-    # each rendered statement runs once per run, so caching it only holds memory
+    # each statement text runs once per run, so caching it only holds memory
     conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, cached_statements=0)
     conn.execute("PRAGMA query_only = ON")
     return conn
 
 
+def _authorize(action: int, arg1, arg2, *_) -> int:
+    allowed = action in _READ_ACTIONS or (action == sqlite3.SQLITE_FUNCTION and arg2 != "load_extension")
+    return sqlite3.SQLITE_OK if allowed else sqlite3.SQLITE_DENY
+
+
 def execute(
-    query: str | Node,
+    sql: str,
     db: str | Path | sqlite3.Connection,
     anchor: str | datetime = DEFAULT_ANCHOR,
     *,
     timeout_s: float = DEFAULT_TIMEOUT_S,
 ) -> ResultTable:
-    """Anchor the clock, render and run a query read-only.
+    """Anchor the clock in the SQL text ``sql`` with ``anchor_sql`` and run it read-only.
 
-    ``query`` is SQL text, which is parsed first, or a statement already
-    parsed by ``parse``.  The result is materialized fully; a timeout and
-    ``DEFAULT_ROW_CAP`` bound runaway predictions.  Raises ExecutionError on
-    any failure, and with stage ``timeout`` on a bad ``timeout_s``.
+    An authorizer, set for this call only, lets it read and call functions but
+    not load_extension, so ATTACH, PRAGMA and DML fail.  The result is
+    materialized fully; a timeout and ``DEFAULT_ROW_CAP`` bound runaway
+    predictions.  Raises ExecutionError on any failure, no result columns
+    included, and with stage ``timeout`` on a bad ``timeout_s``.
     """
     if not valid_timeout(timeout_s):
         raise ExecutionError(f"timeout_s must be a finite number of seconds above 0, got {timeout_s!r}", stage="timeout")
-    if not isinstance(query, Node):
-        try:
-            query = parse(query)
-        except ParseError as exc:
-            raise ExecutionError(f"query does not parse: {exc}", stage="parse") from exc
-    sql = render(rewrite_time_anchor(query, anchor))
+    try:
+        sql = anchor_sql(sql, anchor)
+    except ParseError as exc:
+        raise ExecutionError(f"query does not tokenize: {exc}", stage="parse") from exc
 
     own_connection = not isinstance(db, sqlite3.Connection)
     conn = _open_readonly(db) if own_connection else db
     deadline = time.monotonic() + timeout_s
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
+    conn.set_authorizer(_authorize)
     cursor = conn.cursor()
     try:
         cursor.execute(sql)
-        labels = tuple(d[0] for d in cursor.description) if cursor.description else ()
+        if cursor.description is None:
+            raise ExecutionError("statement returns no result columns", stage="engine")
         rows = cursor.fetchmany(DEFAULT_ROW_CAP + 1)
         if len(rows) > DEFAULT_ROW_CAP:
             raise ExecutionError(f"result exceeds row cap of {DEFAULT_ROW_CAP}", stage="row-cap")
-        return ResultTable.from_rows(list(labels), rows)
-    except sqlite3.Error as exc:
+        return ResultTable.from_rows([d[0] for d in cursor.description], rows)
+    except (sqlite3.Error, sqlite3.Warning, ValueError) as exc:  # Python refuses some texts itself: a NUL, a lone surrogate
         if isinstance(exc, sqlite3.OperationalError) and "interrupted" in str(exc).lower():
             raise ExecutionError(f"query timed out after {timeout_s}s", stage="timeout") from exc
         raise ExecutionError(f"engine error: {exc}", stage="engine") from exc
     finally:
         cursor.close()  # a shared connection outlives this call; end the statement here
+        conn.set_authorizer(_NO_AUTHORIZER)
         conn.set_progress_handler(None, 0)
         if own_connection:
             conn.close()

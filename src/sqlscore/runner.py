@@ -29,11 +29,10 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from .adapters import Prediction
-from .anchor import DEFAULT_ANCHOR, TIME_VALUE_FUNCTIONS, _CURRENT_TIME_FORMATS, _anchor_literal, parse_anchor, rewrite_time_anchor
+from .anchor import DEFAULT_ANCHOR, anchored_time_calls, parse_anchor
 from .corpus import BenchmarkQuestion, id_key, is_json_scalar
 from .diff import _TreeIndex
 from .parser import parse, quote_identifier
-from .render import render_expression
 from .results import (
     DEFAULT_TIMEOUT_S,
     VERDICT_EXECUTION_ERROR,
@@ -48,7 +47,7 @@ from .results import (
     valid_timeout,
 )
 from .semantic import CorpusError, SemanticScore, invalid_prediction_score, parse_truth, semantic_score_from_asts
-from .sqlast import Node, NodeKind, ParseError, physical_tables
+from .sqlast import Node, ParseError, physical_tables
 
 __all__ = [
     "ConfigError",
@@ -163,13 +162,13 @@ def _truth(
     anchor: datetime,
     options: EvalOptions,
 ) -> Truth:
-    """Parse and execute a ground-truth query.
+    """Parse a ground-truth query and execute its text.
 
     Raises CorpusError when it does not parse or execute.
     """
     root = parse_truth(sql)
     try:
-        table = execute(root, db, anchor, timeout_s=options.query_timeout_s)
+        table = execute(sql, db, anchor, timeout_s=options.query_timeout_s)
     except ExecutionError as exc:
         raise CorpusError(f"truth query failed to execute: {exc}") from exc
     return Truth(root, table)
@@ -184,14 +183,16 @@ def _score_prediction(
 ) -> tuple[SemanticScore, ResultScore]:
     try:
         predicted = parse(predicted_sql)
-    except ParseError:
-        return invalid_prediction_score(), ResultScore.failure(VERDICT_INVALID)
-    semantic = semantic_score_from_asts(truth.index, predicted)
+    except ParseError:  # its text may still run, and then its rows are scored
+        semantic = None
+    else:
+        semantic = semantic_score_from_asts(truth.index, predicted)
     try:
-        predicted_table = execute(predicted, db, anchor, timeout_s=options.query_timeout_s)
+        predicted_table = execute(predicted_sql, db, anchor, timeout_s=options.query_timeout_s)
     except ExecutionError:
-        return semantic, ResultScore.failure(VERDICT_EXECUTION_ERROR)
-    return semantic, score_result_pair(predicted_table, truth.table, options.order_insensitive)
+        failure = VERDICT_INVALID if semantic is None else VERDICT_EXECUTION_ERROR
+        return semantic or invalid_prediction_score(), ResultScore.failure(failure)
+    return semantic or invalid_prediction_score(), score_result_pair(predicted_table, truth.table, options.order_insensitive)
 
 
 def score_pair(
@@ -323,31 +324,29 @@ def _timestamp_columns(conn: sqlite3.Connection, table: str) -> list[str]:
 def _range_problems(
     conn: sqlite3.Connection,
     scratch: sqlite3.Connection,
+    sql: str,
     truth: Truth,
     instant: datetime,
 ) -> list[str]:
-    """Each read table whose timestamped data does not bracket the truth's
-    anchor-relative window, as one message per table in name order.
+    """Each table the truth ``sql`` reads whose timestamped data does not
+    bracket its anchor-relative window, as one message per table in name order.
 
     A bound is the date a date/time call with the anchor or current_date's
     date among its arguments gives on ``scratch``, away from the data.
     SQLite compares the data range with the window in its own type order,
     as the truth's ``WHERE`` does, so values of any type get a message.
     """
-    anchor = _anchor_literal(instant)
-    anchors = {anchor, _anchor_literal(instant, _CURRENT_TIME_FORMATS["current_date"])}
     bounds: list[str] = []
-    for node in rewrite_time_anchor(truth.root, instant).walk():
-        if node.kind is NodeKind.FUNCTION_CALL and node.text in TIME_VALUE_FUNCTIONS and not anchors.isdisjoint(node.children):
-            try:
-                value = scratch.execute(f"SELECT {render_expression(node)}").fetchone()[0]
-            except sqlite3.Error:
-                continue
-            if isinstance(value, str) and re.match(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", value):  # not a year, an epoch or a time
-                bounds.append(value)
+    for call in anchored_time_calls(sql, instant):
+        try:
+            value = scratch.execute(f"SELECT {call}").fetchone()[0]
+        except sqlite3.Error:
+            continue
+        if isinstance(value, str) and re.match(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", value):  # not a year, an epoch or a time
+            bounds.append(value)
     if not bounds:
         return []
-    bounds.append(anchor.text.strip("'"))
+    bounds.append(f"{instant:%Y-%m-%d %H:%M:%S}")
     window_start, window_end = min(bounds), max(bounds)
     problems: list[str] = []
     for table_name in sorted(truth.tables):
@@ -419,7 +418,7 @@ def validate_corpus(
             # anchor-relative windows must fall inside the fixture data range
             timed = [i for i in positions if questions[i].case_type in _TIME_SENSITIVE_CASE_TYPES]
             if timed:
-                problems = _range_problems(conns[db_id], scratch, truth, instant)
+                problems = _range_problems(conns[db_id], scratch, questions[positions[0]].query, truth, instant)
                 keyed.extend(((2, i), f"question {questions[i].id}: {problem}") for i in timed for problem in problems)
     keyed.sort(key=itemgetter(0))
     return [f"db {db_id}: database file missing: {path}" for db_id, path in missing.items()] + [m for _, m in keyed]

@@ -6,6 +6,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from sqlscore import load_corpus, write_fixtures
 
+from helpers import ConstantModel, serve_model
+
 # Same examples on every run, and no example database written to disk.
 settings.register_profile("repeatable", derandomize=True, database=None)
 settings.load_profile("repeatable")
@@ -44,3 +46,9 @@ def db_dir(fixture_paths):
 @pytest.fixture(scope="session")
 def questions(corpus_path):
     return load_corpus(corpus_path)
+
+
+@pytest.fixture()
+def constant_model_url():
+    """URL of a local model server that answers every question with SELECT 1."""
+    yield from serve_model(ConstantModel)

@@ -6,9 +6,14 @@ algorithms; they exist so expected values are computed, not invented.
 
 from __future__ import annotations
 
+import json
 import random
+import threading
+from datetime import datetime
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from sqlscore import EditOpKind, EditScript, Node, NodeKind, ResultTable, parse
+from sqlscore import DEFAULT_ANCHOR, EditOpKind, EditScript, Node, NodeKind, ResultTable, parse, parse_anchor
+from sqlscore.anchor import _CURRENT_TIME_FORMATS, TIME_VALUE_FUNCTIONS
 from sqlscore.diff import _CLAUSE_KINDS  # clause buckets are part of the matcher contract
 from sqlscore.parser import split_qualified
 from sqlscore.results import VERDICT_SCORED
@@ -239,6 +244,44 @@ def score_edit_script(script: EditScript) -> SemanticScore:
     return SemanticScore(value=1.0 - raw_ratio, verdict=VERDICT_SCORED, breakdown=breakdown)
 
 
+# -- clock anchoring -------------------------------------------------------------
+
+# the argument count at which a date/time call has no time value, so SQLite reads the clock
+_ARGUMENTS_WITHOUT_TIME_VALUE = {"datetime": 0, "date": 0, "time": 0, "julianday": 0, "unixepoch": 0, "strftime": 1}
+
+
+def rewrite_time_anchor(ast: Node, anchor: str | datetime = DEFAULT_ANCHOR) -> Node:
+    """The clock rule on a parsed tree: the reference for ``anchor_sql``,
+    which applies it to the text.  ``parse(anchor_sql(sql))`` equals
+    ``rewrite_time_anchor(parse(sql))`` for every statement that parses.
+
+    ``now()`` and ``current_timestamp`` become a timestamp literal,
+    ``current_date``/``current_time`` keep their granularity, a ``'now'``
+    argument of the date/time family, in any ASCII case, is substituted in
+    place, and a date/time call with no time value gets the anchor as one.
+    Every subtree without a time function is returned as the very same object.
+    """
+    instant = parse_anchor(anchor)
+
+    def literal(fmt: str = "%Y-%m-%d %H:%M:%S") -> Node:
+        return Node(NodeKind.LITERAL, f"'{instant.strftime(fmt)}'")
+
+    def rewrite(node: Node) -> Node:
+        if node.kind is NodeKind.FUNCTION_CALL:
+            if node.text in _CURRENT_TIME_FORMATS and not node.children:
+                return literal(_CURRENT_TIME_FORMATS[node.text])
+            if node.text in TIME_VALUE_FUNCTIONS:
+                node = node.map_children(lambda a: literal() if a.kind is NodeKind.LITERAL and a.text.lower() == "'now'" else rewrite(a))
+                if len(node.children) == _ARGUMENTS_WITHOUT_TIME_VALUE.get(node.text):
+                    return Node(node.kind, node.text, (*node.children, literal()))
+                return node
+        if not node.children:
+            return node
+        return node.map_children(rewrite)
+
+    return rewrite(ast)
+
+
 # -- random result tables --------------------------------------------------------
 
 
@@ -259,3 +302,35 @@ def random_result_table(rng: random.Random, max_columns: int = 4, max_rows: int 
 
 def parse_pair(truth_sql: str, predicted_sql: str) -> tuple[Node, Node]:
     return parse(truth_sql), parse(predicted_sql)
+
+
+# -- model servers for the http adapter ---------------------------------------------
+
+
+class ConstantModel(BaseHTTPRequestHandler):
+    """Answers every question with ``SELECT 1``."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        assert set(body) == {"question", "db_id", "schema"}
+        payload = json.dumps({"sql": "SELECT 1"}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+def serve_model(handler):
+    """Serve ``handler`` on a free local port; yields the endpoint URL, then stops the server."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}/predict"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()

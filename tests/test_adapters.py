@@ -2,13 +2,13 @@ import dataclasses
 import json
 import re
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from sqlscore import AdapterError, adapters, evaluate, get_predictions, parse_adapter_spec, report_to_dict
 from sqlscore.results import VERDICT_INVALID, VERDICT_SCORED
+
+from helpers import ConstantModel, serve_model
 
 
 def test_spec_parsing():
@@ -171,37 +171,6 @@ class TestSubprocessAdapter:
         assert verdicts == [VERDICT_SCORED, VERDICT_INVALID, VERDICT_SCORED]
 
 
-class _ConstantModel(BaseHTTPRequestHandler):
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        assert set(body) == {"question", "db_id", "schema"}
-        payload = json.dumps({"sql": "SELECT 1"}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-def _serve(handler):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/predict"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-
-
-@pytest.fixture()
-def constant_model_url():
-    yield from _serve(_ConstantModel)
-
-
 # (status, body, declared Content-Length or None for the body's own length)
 _BAD_REPLIES = {
     "body shorter than its Content-Length": (200, b'{"sql": "SELECT 1"}', 64),
@@ -216,7 +185,7 @@ def bad_reply_model(request, questions):
     """URL of a model that answers SELECT 1, except to questions[1], which gets the bad reply."""
     status, body, length = _BAD_REPLIES[request.param]
 
-    class Model(_ConstantModel):
+    class Model(ConstantModel):
         def do_POST(self):
             question = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["question"]
             if question != questions[1].question:
@@ -230,7 +199,7 @@ def bad_reply_model(request, questions):
             self.end_headers()
             self.wfile.write(body)
 
-    yield from _serve(Model)
+    yield from serve_model(Model)
 
 
 class TestHttpAdapter:

@@ -1,77 +1,103 @@
+import random
 import sqlite3
 from datetime import datetime
 
-from sqlscore import DEFAULT_ANCHOR, execute, parse, render, rewrite_time_anchor
+import pytest
+from helpers import random_query, rewrite_time_anchor
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-
-def rewritten(sql, anchor=DEFAULT_ANCHOR):
-    return render(rewrite_time_anchor(parse(sql), anchor))
+from sqlscore import DEFAULT_ANCHOR, FIXTURE_QUESTIONS, ExecutionError, ParseError, anchor_sql, execute, parse, score_pair
+from sqlscore.anchor import anchored_time_calls
+from sqlscore.runner import EvalOptions
 
 
 def test_now_becomes_timestamp_literal():
-    assert rewritten("SELECT now()") == "SELECT '2023-01-17 00:00:00'"
+    assert anchor_sql("SELECT now()") == "SELECT '2023-01-17 00:00:00'"
+    assert anchor_sql("SELECT NOW ( /* c */ ) + 1") == "SELECT '2023-01-17 00:00:00' + 1"
 
 
 def test_current_time_family_granularity():
-    assert rewritten("SELECT current_timestamp") == "SELECT '2023-01-17 00:00:00'"
-    assert rewritten("SELECT current_date") == "SELECT '2023-01-17'"
-    assert rewritten("SELECT current_time") == "SELECT '00:00:00'"
+    assert anchor_sql("SELECT current_timestamp") == "SELECT '2023-01-17 00:00:00'"
+    assert anchor_sql("SELECT current_date") == "SELECT '2023-01-17'"
+    assert anchor_sql("SELECT CURRENT_TIME") == "SELECT '00:00:00'"
 
 
 def test_datetime_now_argument_substituted_in_place():
-    assert rewritten("SELECT a FROM t WHERE ts > datetime('now', '-14 days')") == (
+    assert anchor_sql("SELECT a FROM t WHERE ts > datetime('now', '-14 days')") == (
         "SELECT a FROM t WHERE ts > datetime('2023-01-17 00:00:00', '-14 days')"
+    )
+    # inside grouping parentheses and unary pluses the 'now' is still the whole argument
+    assert anchor_sql("SELECT datetime(('now')), date(+('now'), '-1 day')") == (
+        "SELECT datetime(('2023-01-17 00:00:00')), date(+('2023-01-17 00:00:00'), '-1 day')"
     )
 
 
 def test_statement_without_time_functions_unchanged():
-    ast = parse("SELECT a FROM t")
-    assert rewrite_time_anchor(ast) is ast
-    # a rewrite rebuilds only the path to the time function
-    ast = parse("SELECT a, now() FROM t WHERE b = 1")
-    statement = rewrite_time_anchor(ast)
-    assert statement is not ast
-    assert all(new is old for new, old in zip(statement.children[1:], ast.children[1:]))
-    assert statement.children[0].children[0] is ast.children[0].children[0]
+    sql = "SELECT a FROM t"
+    assert anchor_sql(sql) is sql
+    # the text around a rewrite is kept byte for byte, comments and spacing too
+    sql = "select A,  now() -- why\nFROM t WHERE b = 1"
+    assert anchor_sql(sql) == "select A,  '2023-01-17 00:00:00' -- why\nFROM t WHERE b = 1"
 
 
 def test_now_argument_in_any_ascii_case_is_anchored(db_dir):
-    assert rewritten("SELECT date('NOW'), datetime('nOw', '-1 day'), time('Now')") == (
+    assert anchor_sql("SELECT date('NOW'), datetime('nOw', '-1 day'), time('Now')") == (
         "SELECT date('2023-01-17 00:00:00'), datetime('2023-01-17 00:00:00', '-1 day'), time('2023-01-17 00:00:00')"
     )
     # SQLite gives NULL for a padded 'now', so it is no clock read to anchor
-    assert rewritten("SELECT date(' now '), date('now ')") == "SELECT date(' now '), date('now ')"
-    ast = parse("SELECT datetime('NOW', '-1 days'), date('nOw') FROM t")
-    once = rewrite_time_anchor(ast)
-    assert rewrite_time_anchor(once) == once
+    assert anchor_sql("SELECT date(' now '), date('now ')") == "SELECT date(' now '), date('now ')"
+    once = anchor_sql("SELECT datetime('NOW', '-1 days'), date('nOw') FROM t")
+    assert anchor_sql(once) == once
     table = execute("SELECT date('NOW'), datetime('nOw', '-1 day'), date(' now ')", db_dir / "benchmark_1.sqlite")
     assert table.columns == (("2023-01-17",), ("2023-01-16 00:00:00",), (None,))
 
 
 def test_plain_now_string_outside_time_functions_is_kept():
-    assert rewritten("SELECT a FROM t WHERE b = 'now'") == "SELECT a FROM t WHERE b = 'now'"
+    for sql in (
+        "SELECT a FROM t WHERE b = 'now'",
+        "SELECT upper('now'), date('now' || ''), date(cast('now' AS text)), date(distinct 'now')",
+        "SELECT now, t.now, now.a FROM t",
+    ):
+        assert anchor_sql(sql) == sql
+
+
+def test_clock_word_after_a_dot_is_a_column():
+    sql = "SELECT t.current_date, x.current_time, x.now() FROM t"
+    assert anchor_sql(sql) == sql
+
+
+def test_clock_word_in_alias_position_is_a_name(db_dir):
+    """SQLite reads a clock word after AS or after a token that ends an expression as an alias."""
+    sql = "SELECT count(*) AS current_date, count(*) current_time, NULL current_date, 'a' now FROM campaigns current_timestamp"
+    assert anchor_sql(sql) == sql
+    # a qualified reference to such an alias still finds it
+    sql = "SELECT s.current_date, s.current_time FROM (SELECT count(*) AS current_date, 1 current_time FROM campaigns) AS s"
+    assert anchor_sql(sql) == sql
+    db = db_dir / "benchmark_1.sqlite"
+    assert execute(sql, db).columns == execute("SELECT count(*), 1 FROM campaigns", db).columns
+    # a clock word after an operator, a keyword or a comma is a clock read; GLOB and friends are operators
+    assert anchor_sql("SELECT current_date current_time, 1 + current_date WHERE a GLOB current_date") == (
+        "SELECT '2023-01-17' current_time, 1 + '2023-01-17' WHERE a GLOB '2023-01-17'"
+    )
 
 
 def test_idempotent():
-    ast = parse("SELECT datetime('now', '-1 days'), now(), current_date FROM t")
-    once = rewrite_time_anchor(ast)
-    twice = rewrite_time_anchor(once)
-    assert once == twice
+    once = anchor_sql("SELECT datetime('now', '-1 days'), now(), current_date, date() FROM t")
+    assert anchor_sql(once) == once
 
 
 def test_commutes_with_render_parse_round_trip():
-    ast = parse("SELECT a FROM t WHERE ts >= datetime('now', '-7 days')")
-    once = rewrite_time_anchor(ast)
-    assert parse(render(once)) == once
+    sql = "SELECT a FROM t WHERE ts >= datetime('now', '-7 days')"
+    assert parse(anchor_sql(sql)) == rewrite_time_anchor(parse(sql))
 
 
 def test_anchor_accepts_iso_string():
-    out = render(rewrite_time_anchor(parse("SELECT now()"), "2024-06-30T12:30:00"))
-    assert out == "SELECT '2024-06-30 12:30:00'"
+    assert anchor_sql("SELECT now()", "2024-06-30T12:30:00") == "SELECT '2024-06-30 12:30:00'"
 
 
 def test_anchored_filter_matches_bruteforce_row_filter(tmp_path):
-    """Executing the rewritten query equals filtering the raw rows by hand."""
+    """Executing the anchored query equals filtering the raw rows by hand."""
     rows = [(f"2023-01-{day:02d} 08:00:00", day) for day in range(2, 18)]
     db = tmp_path / "window.sqlite"
     conn = sqlite3.connect(db)
@@ -101,3 +127,126 @@ def test_manual_substitution_equivalence(db_dir):
         db_dir / "benchmark_2.sqlite",
     )
     assert automatic.columns == manual.columns
+
+
+def test_zero_argument_time_calls_read_the_anchor(db_dir):
+    """SQLite reads a missing time value as 'now', so it is anchored too."""
+    assert anchor_sql("SELECT date(), time(), datetime(), julianday(), unixepoch(), strftime('%Y'), strftime()") == (
+        "SELECT date('2023-01-17 00:00:00'), time('2023-01-17 00:00:00'), datetime('2023-01-17 00:00:00'),"
+        " julianday('2023-01-17 00:00:00'), unixepoch('2023-01-17 00:00:00'), strftime('%Y', '2023-01-17 00:00:00'), strftime()"
+    )
+    table = execute("SELECT date(), strftime('%Y-%m-%d'), date('now')", db_dir / "benchmark_1.sqlite")
+    assert table.columns == (("2023-01-17",), ("2023-01-17",), ("2023-01-17",))
+    truth = "SELECT count(*) FROM system_metrics WHERE ts >= date('now', '-7 days')"
+    predicted = "SELECT count(*) FROM system_metrics WHERE ts >= date(julianday(), '-7 days')"
+    _, result = score_pair(truth, predicted, db_dir / "benchmark_2.sqlite", DEFAULT_ANCHOR, EvalOptions())
+    assert (result.verdict, result.f1) == ("scored", 1.0)
+
+
+def test_clock_text_that_does_not_tokenize(db_dir):
+    with pytest.raises(ParseError):
+        anchor_sql("SELECT date('now")
+    with pytest.raises(ExecutionError) as exc_info:
+        execute("SELECT date('now", db_dir / "benchmark_1.sqlite")
+    assert exc_info.value.stage == "parse"
+    # with no clock word the text is not tokenized: SQLite refuses it
+    assert anchor_sql("SELECT 'x") == "SELECT 'x"
+
+
+def test_anchored_time_calls():
+    sql = "SELECT a FROM t WHERE ts >= DATETIME(current_date, '-7 days') AND ts < date(datetime('now'), '+1 day') OR strftime('%Y')"
+    assert anchored_time_calls(sql) == [
+        "DATETIME('2023-01-17', '-7 days')",
+        "datetime('2023-01-17 00:00:00')",
+        "strftime('%Y', '2023-01-17 00:00:00')",
+    ]
+    # the anchor written out counts, current_time's time of day does not
+    assert anchored_time_calls("SELECT date('2023-01-17 00:00:00'), time(current_time), date(x)") == ["date('2023-01-17 00:00:00')"]
+
+
+# -- agreement with the tree-level reference ------------------------------------------------
+
+_CLOCK_PARTS = [
+    "now()",
+    "NOW ( )",
+    "current_timestamp",
+    "CURRENT_DATE",
+    "current_time",
+    "date('now')",
+    "datetime('NOW', '-7 days')",
+    "strftime('%Y-%m-%d', 'now', '-1 month')",
+    "strftime('%Y')",
+    "date()",
+    "julianday()",
+    "unixepoch('now')",
+    "time(('nOw'))",
+    "date(+'now', '+1 day')",
+    "date(current_date, '-14 days')",
+    "datetime(datetime('now'), 'start of month')",
+    "date('now ')",
+    "upper('now')",
+    "'now'",
+    '"current_date"',
+    "date(DISTINCT 'now')",
+]
+
+
+def clock_query(rng: random.Random) -> str:
+    """``random_query`` with clock parts spliced into its select list and WHERE."""
+    sql = random_query(rng)
+    part = rng.choice(_CLOCK_PARTS)
+    if rng.random() < 0.3:
+        part += rng.choice([" AS now", " AS current_date", " current_time", " lbl"])
+    sql = sql.replace("SELECT ", f"SELECT {part}, ", 1)
+    if rng.random() < 0.5:
+        condition = f"{rng.choice(['day', 'a'])} >= {rng.choice(_CLOCK_PARTS)}"
+        sql = sql.replace(" WHERE ", f" WHERE {condition} AND ", 1) if " WHERE " in sql else sql.replace(" FROM t", f" FROM t WHERE {condition}", 1)
+    return sql
+
+
+def assert_agrees_with_reference(sql: str) -> None:
+    try:
+        tree = parse(sql)
+    except ParseError:
+        return
+    assert parse(anchor_sql(sql)) == rewrite_time_anchor(tree), sql
+
+
+def test_fixture_truths_agree_with_reference():
+    truths = [q["query"] for q in FIXTURE_QUESTIONS]
+    assert sum(anchor_sql(sql) != sql for sql in truths) >= 5
+    for sql in truths:
+        assert_agrees_with_reference(sql)
+
+
+def test_random_clock_queries_agree_with_reference():
+    rng = random.Random(22)
+    queries = [clock_query(rng) for _ in range(400)]
+    assert sum(parse(anchor_sql(q)) != parse(q) for q in queries) > 300
+    for sql in queries:
+        assert_agrees_with_reference(sql)
+
+
+_ATOMS = ["'now'", "'NoW'", "now()", "current_date", "CURRENT_TIME", "current_timestamp", "a", "1", "'%Y'", "'2023-01-17'", "t.current_date"]
+_CALLEES = ["date", "DateTime", "strftime", "time", "julianday", "unixepoch", "upper"]
+
+
+def _compound(inner):
+    return st.one_of(
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"+{e}"),
+        st.tuples(st.sampled_from(_CALLEES), st.lists(inner, max_size=3)).map(lambda call: f"{call[0]}({', '.join(call[1])})"),
+        st.tuples(inner, st.sampled_from([" + ", " || ", " = "]), inner).map("".join),
+    )
+
+
+_EXPRESSIONS = st.recursive(st.sampled_from(_ATOMS), _compound, max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_EXPRESSIONS, min_size=1, max_size=3), st.sampled_from(["", " AS now", " lbl", " AS current_date", " current_timestamp"]))
+def test_generated_clock_expressions_agree_with_reference(items, alias):
+    sql = f"SELECT {', '.join(items)}{alias} FROM t WHERE a = {items[0]}"
+    assert_agrees_with_reference(sql)
+    anchored = anchor_sql(sql)
+    assert anchor_sql(anchored) == anchored

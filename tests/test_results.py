@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlscore import ExecutionError, ResultTable, cells_equal, execute, match_columns, parse, results, score_result_pair
+from sqlscore import ExecutionError, ResultTable, cells_equal, execute, match_columns, parse, render, results, score_result_pair
 from sqlscore.results import VERDICT_SCORED, _sort_key, _sorted_column
 
 from helpers import max_matching_oracle, random_result_table
@@ -472,8 +472,13 @@ class TestExecute:
         assert ResultTable.from_rows(["a", "b"], [(1, "x"), (2, None)]).columns == ((1, 2), ("x", None))
 
     def test_parse_failure_stage(self, db_dir):
+        # the text runs as written, so SQLite judges text the parser refuses
         with pytest.raises(ExecutionError) as exc_info:
             execute("not sql", db_dir / "benchmark_1.sqlite")
+        assert exc_info.value.stage == "engine"
+        # only a text with a clock word is tokenized, to anchor it
+        with pytest.raises(ExecutionError) as exc_info:
+            execute("SELECT date('now", db_dir / "benchmark_1.sqlite")
         assert exc_info.value.stage == "parse"
 
     def test_engine_error_stage(self, db_dir):
@@ -535,9 +540,9 @@ class TestExecute:
             db_dir / "benchmark_2.sqlite",
         )
         assert automatic.columns == manual.columns
-        for q in questions:  # a parsed AST runs exactly like its source text
+        for q in questions:  # a parsed and rendered tree runs exactly like its source text
             db = db_dir / f"{q.db_id}.sqlite"
-            assert execute(parse(q.query), db) == execute(q.query, db)
+            assert execute(render(parse(q.query)), db) == execute(q.query, db)
 
 
 def test_verdict_default_is_scored():

@@ -23,7 +23,7 @@ from sqlscore import (
     score_pair,
     validate_corpus,
 )
-from sqlscore import parse, parser, results, runner, semantic
+from sqlscore import adapters, parse, parser, results, runner, semantic
 from sqlscore.results import VERDICT_EXECUTION_ERROR, VERDICT_INVALID
 from sqlscore.semantic import semantic_score_from_asts
 
@@ -648,6 +648,88 @@ class TestScorePair:
         semantic, result = score_pair(sql, sql, db_dir / "benchmark_1.sqlite", DEFAULT_ANCHOR, EvalOptions())
         assert semantic.value == result.f1 == 1.0
         assert opened == [db_dir / "benchmark_1.sqlite"]
+
+
+class TestTextExecution:
+    """The result score runs the prediction's text; the parser feeds only the statement score."""
+
+    def test_sql_the_parser_refuses_is_scored_on_its_rows(self, db_dir):
+        truth = "SELECT city, count(*) FROM campaigns GROUP BY city"
+        statement, result = score_pair(truth, truth + " HAVING count(*) >= 1", db_dir / "benchmark_1.sqlite", DEFAULT_ANCHOR, EvalOptions())
+        assert (statement.value, statement.verdict) == (0.0, VERDICT_INVALID)
+        assert (result.precision, result.recall, result.f1, result.verdict) == (1.0, 1.0, 1.0, "scored")
+
+    def test_outer_alias_in_a_subquery_runs_as_written(self, tmp_path):
+        db = tmp_path / "t.sqlite"
+        with sqlite3.connect(db) as conn:
+            conn.execute("CREATE TABLE t (a INTEGER, k INTEGER)")
+            conn.executemany("INSERT INTO t VALUES (?, ?)", [(1, 1), (2, 5)])
+        conn.close()
+        sql = "SELECT u.a FROM t AS u WHERE u.k IN (SELECT u.a + t.a - t.a FROM t WHERE t.a = 2)"
+        assert results.execute(sql, db).columns == ((1,),)
+        _, result = score_pair("SELECT 1", sql, db, DEFAULT_ANCHOR, EvalOptions())
+        assert result.f1 == 1.0
+
+    # Python's sqlite3 refuses the last three itself, with errors that vary by version
+    @pytest.mark.parametrize("sql", ["", "  \n", "-- nothing", "/* nothing */", ";", "SELECT 1; SELECT 2", "SELECT 1\x00", "SELECT '\ud800"])
+    def test_text_with_no_single_statement_is_invalid(self, questions, db_dir, sql):
+        report = evaluate(questions[:1], [Prediction(questions[0].id, sql)], db_dir)
+        r = report.instances[0]
+        assert (r.semantic.verdict, r.result.verdict, r.result.f1) == (VERDICT_INVALID, VERDICT_INVALID, 0.0)
+
+    def test_text_sqlite_cannot_encode_is_an_execution_error(self, questions, db_dir, tmp_path):
+        # a JSON escape gives a lone surrogate, which parses but has no UTF-8 form
+        path = tmp_path / "preds.jsonl"
+        path.write_text(json.dumps({"id": questions[0].id, "sql": "SELECT '\ud800'"}) + "\n", encoding="utf-8")
+        report = evaluate(questions[:1], get_predictions(questions[:1], f"file:{path}"), db_dir)
+        assert report.instances[0].result.verdict == VERDICT_EXECUTION_ERROR
+
+    def test_clock_text_the_tokenizer_refuses_does_not_run(self, questions, db_dir):
+        # a known limit: "date" in the alias sends the text through the tokenizer, which refuses "|"
+        for sql, verdict in (("SELECT count(*) AS n FROM campaigns WHERE 1 | 0", "scored"), ("SELECT count(*) AS n_date FROM campaigns WHERE 1 | 0", VERDICT_INVALID)):
+            r = evaluate(questions[:1], [Prediction(questions[0].id, sql)], db_dir).instances[0]
+            assert (r.semantic.verdict, r.result.verdict) == (VERDICT_INVALID, verdict)
+
+    def test_sql_that_neither_parses_nor_runs_is_invalid(self, questions, db_dir):
+        report = evaluate(questions[:1], [Prediction(questions[0].id, "SELECT count(*")], db_dir)
+        r = report.instances[0]
+        assert (r.semantic.verdict, r.result.verdict) == (VERDICT_INVALID, VERDICT_INVALID)
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "ATTACH 'file:{out}?mode=rwc' AS x",
+            "VACUUM INTO '{out}'",
+            "PRAGMA query_only = OFF",
+            "DELETE FROM campaigns",
+            "SELECT load_extension('{out}')",
+            "SELECT LOAD_EXTENSION('{out}'), count(*) FROM campaigns",
+        ],
+    )
+    def test_statements_that_write_or_escape_are_not_scored(self, tmp_path, constant_model_url, template):
+        db_dir = tmp_path / "db"
+        db = db_dir / "benchmark_1.sqlite"
+        build_fixture_database("benchmark_1", db)
+        before = db.read_bytes()
+        out = tmp_path / "out.sqlite"
+        q = BenchmarkQuestion("benchmark_1", "SELECT count(*) FROM campaigns", "q", "en", "aggregation", id="q")
+        report = evaluate([q, q], [Prediction("q", template.format(out=out))], db_dir)
+        assert {r.result.verdict for r in report.instances} < {VERDICT_INVALID, VERDICT_EXECUTION_ERROR}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db"]
+        assert [p.name for p in db_dir.iterdir()] == ["benchmark_1.sqlite"] and db.read_bytes() == before
+        # the authorizer is off outside a query: validation and the http adapter's schema read still work
+        assert validate_corpus([q], db_dir) == []
+        assert get_predictions([q], constant_model_url, db_dir=db_dir)[0].sql == "SELECT 1"
+        assert "CREATE TABLE campaigns" in adapters._schema_text(db)
+
+    def test_authorizer_is_cleared_on_a_shared_connection(self, db_dir):
+        conn = sqlite3.connect(f"file:{db_dir / 'benchmark_1.sqlite'}?mode=ro", uri=True)
+        try:
+            with pytest.raises(results.ExecutionError, match="not authorized"):
+                results.execute("PRAGMA table_info(campaigns)", conn)
+            assert conn.execute("PRAGMA table_info(campaigns)").fetchall()
+        finally:
+            conn.close()
 
 
 def test_get_predictions_then_evaluate_round_trip(questions, db_dir):
