@@ -13,16 +13,21 @@ exact key (a non-integer float, say) is compared with every column.  NULL
 equals only NULL, so the pruning is exact in both row-order modes and scores
 are the same as comparing all M x N pairs.
 
-Order-insensitive mode sorts each column once per table.  The type scan that
-picks the sort also marks a column plain: only NULL, int, float, text and
-bytes cells, and no NaN (``True == 1``, and two lists that hold one NaN
-object are ``==``).  One C-level ``==`` accepts two plain sorted columns; any other
-pair goes through ``cells_equal``.  Ordered mode has no accept: with no sort
-to pay for it, the type scan costs as much as the accept saves.
+Order-insensitive mode decides each candidate pair cheapest first.  One type
+scan per column marks it plain (only NULL, int, float, text and bytes cells
+and no NaN, since ``True == 1`` and two lists holding one NaN object are
+``==``) and finds its NULL count and least non-NULL cell, which give the key
+the sorted column would.  A loose pair whose NULL counts or least cells
+differ is rejected; two plain columns ``==`` in row order are accepted, as a
+stable sort moves equal plain cells alike; only the pairs left sort their
+columns, each once per call, and compare them by one C-level ``==`` (both
+plain) or by ``cells_equal``.  Ordered mode has no accept: with no sort to
+pay for it, the type scan costs as much as the accept saves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sqlite3
@@ -43,6 +48,8 @@ DEFAULT_REL_TOL = 1e-9
 _EXACT_INT_BOUND = 2**29
 # below 2**53 every integer converts to float exactly, so native order is float order
 _NATIVE_SORT_BOUND = 2**53
+_PLAIN_KINDS, _NUMBER_KINDS, _TEXT_KINDS = {type(None), int, float, str, bytes}, {type(None), int, float}, {type(None), str}
+_not_null = functools.partial(operator.is_not, None)
 
 # a statement may read and call functions, load_extension aside, and do nothing else
 _READ_ACTIONS = {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_RECURSIVE}
@@ -76,16 +83,17 @@ class ExecutionError(Exception):
 class ResultTable:
     """Materialized query output: labeled columns of equal length.
 
-    Labels need not be unique; predicted queries may duplicate them.
+    Labels need not be unique; predicted queries may duplicate them.  Raises
+    ValueError when the labels and columns differ in number or the columns
+    in length.
     """
 
     labels: tuple[str, ...]
     columns: tuple[tuple[Cell, ...], ...]
 
     def __post_init__(self) -> None:
-        assert len(self.labels) == len(self.columns)
-        lengths = {len(c) for c in self.columns}
-        assert len(lengths) <= 1, "ragged columns"
+        if len(self.labels) != len(self.columns) or len({len(c) for c in self.columns}) > 1:
+            raise ValueError(f"{len(self.labels)} labels for columns of lengths {[len(c) for c in self.columns]}")
 
     @property
     def column_count(self) -> int:
@@ -147,28 +155,37 @@ def _sort_key(cell: Cell):
     return (3, repr(cell))
 
 
-def _sorted_column(column: tuple[Cell, ...]) -> tuple[list[Cell], bool]:
-    """The same list as ``sorted(column, key=_sort_key)``, mostly without a key
-    function, and whether the column is plain: only NULL, int, float, text and
-    bytes cells, and no NaN."""
+def _scan(column: tuple[Cell, ...]) -> tuple[object, bool, int, Cell, object, tuple | list]:
+    """One type scan of a column: the ``_bucket_key`` of it sorted, whether it
+    is plain, its NULL count, its least non-NULL cell (the first of ties, as a
+    stable sort leaves it; None if all are NULL), the key that sorts its
+    non-NULL cells (None: natively, if ``_sorted_column`` finds both ends in
+    range) and those cells."""
     kinds = set(map(type, column))
-    plain = kinds <= {type(None), int, float, str, bytes} and (float not in kinds or not any(map(operator.ne, column, column)))
-    rest = [c for c in column if c is not None] if type(None) in kinds else list(column)
-    if kinds <= {type(None), str}:
-        rest.sort(key=str.rstrip)
-    elif kinds <= {type(None), int, float} and plain:
-        rest.sort()  # without NaN the ends are the minimum and the maximum
-        if not (-_NATIVE_SORT_BOUND < rest[0] and rest[-1] < _NATIVE_SORT_BOUND):
-            return sorted(column, key=_sort_key), plain
-    else:
-        return sorted(column, key=_sort_key), plain
-    return [None] * (len(column) - len(rest)) + rest, plain
+    plain = kinds <= _PLAIN_KINDS and (float not in kinds or not any(map(operator.ne, column, column)))
+    cells = list(filter(_not_null, column)) if type(None) in kinds else column
+    nulls = len(column) - len(cells)
+    # native order is sort order but for ints beyond 2**53, which share a float
+    sort_key = str.rstrip if kinds <= _TEXT_KINDS else None if kinds <= _NUMBER_KINDS and plain else _sort_key
+    if not cells:
+        return nulls, plain, nulls, None, sort_key, cells
+    least = min(cells, key=sort_key)
+    if sort_key is None and not -_NATIVE_SORT_BOUND < least < _NATIVE_SORT_BOUND:
+        sort_key = _sort_key
+        least = min(cells, key=sort_key)
+    key = _exact_key(least)
+    return None if key is None else (nulls, key), plain, nulls, least, sort_key, cells
 
 
-def _sorted_columns(columns) -> tuple[list[list[Cell]], set[int]]:
-    """Each column as ``_sorted_column`` sorts it, and the indices of the plain ones."""
-    pairs = [_sorted_column(c) for c in columns]
-    return [c for c, _ in pairs], {i for i, (_, plain) in enumerate(pairs) if plain}
+def _sorted_column(column: tuple[Cell, ...], scan=None) -> tuple[list[Cell], bool]:
+    """The same list as ``sorted(column, key=_sort_key)``, mostly without that
+    key, and whether the column is plain; ``scan`` is its ``_scan``."""
+    _, plain, nulls, _, sort_key, cells = scan or _scan(column)
+    if sort_key is not _sort_key:
+        rest = sorted(cells, key=sort_key)
+        if sort_key is str.rstrip or -_NATIVE_SORT_BOUND < rest[0] and rest[-1] < _NATIVE_SORT_BOUND:
+            return [None] * nulls + rest, plain
+    return sorted(column, key=_sort_key), plain
 
 
 def _exact_key(cell: Cell):
@@ -197,35 +214,49 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
     """Maximum one-to-one matching of predicted columns onto truth columns.
 
     A pair is compatible when both tables have the same row count and every
-    cell is equal, in row order unless ``order_insensitive`` sorts each
-    column (once per table) first; labels are ignored.  Returns (predicted
-    index, truth index) pairs.
+    cell is equal, in row order unless ``order_insensitive`` compares the
+    columns sorted (sorting a column only when a pair needs it); labels are
+    ignored.  Returns (predicted index, truth index) pairs.
     """
     if predicted.row_count != truth.row_count:
         return []
     p_cols, t_cols = predicted.columns, truth.columns
-    p_plain = t_plain = ()  # the indices of plain sorted columns; ordered mode has none
     if order_insensitive:
-        p_cols, p_plain = _sorted_columns(p_cols)
-        t_cols, t_plain = _sorted_columns(t_cols)
+        p_scans, t_scans = list(map(_scan, p_cols)), list(map(_scan, t_cols))
+        p_keys, t_keys = [s[0] for s in p_scans], [s[0] for s in t_scans]
+        sort = functools.cache(lambda side, idx: _sorted_column((p_cols, t_cols)[side][idx], (p_scans, t_scans)[side][idx])[0])
 
-    # a compatible pair has its NULLs in the same rows and equal first
-    # non-NULL cells, so each predicted column meets only the truth columns
-    # in its own bucket and the loose ones, whose keys are None
+        def equal_sorted(p_idx: int, t_idx: int) -> bool:
+            (p_key, p_plain, p_nulls, p_least, _, _), (t_key, t_plain, t_nulls, t_least, _, _) = p_scans[p_idx], t_scans[t_idx]
+            if (p_key is None or t_key is None) and (p_nulls != t_nulls or not (p_least == t_least or cells_equal(p_least, t_least))):
+                return False  # a loose pair whose sorted columns differ at the first non-NULL cell
+            plain = p_plain and t_plain
+            if plain and p_cols[p_idx] == t_cols[t_idx]:
+                return True  # equal plain cells have equal sort keys, so a stable sort keeps them paired
+            p_col, t_col = sort(0, p_idx), sort(1, t_idx)
+            return (plain and p_col == t_col) or all(map(cells_equal, p_col, t_col))
+
+    else:
+        p_keys, t_keys = list(map(_bucket_key, p_cols)), list(map(_bucket_key, t_cols))
+
+    # a compatible pair has its NULLs in the same rows (sorted, in the same
+    # number) and equal first non-NULL cells, so each predicted column meets
+    # only the truth columns in its own bucket and the loose ones, whose keys are None
     every = range(len(t_cols))
     buckets: dict[object, list[int]] = {}
     loose: list[int] = []
-    for t_idx, t_col in enumerate(t_cols):
-        key = _bucket_key(t_col)
+    for t_idx, key in enumerate(t_keys):
         if key is None:
             loose.append(t_idx)
         else:
             buckets.setdefault(key, []).append(t_idx)
     compat = []
-    for p_idx, p_col in enumerate(p_cols):
-        key = _bucket_key(p_col)
+    for p_idx, (p_col, key) in enumerate(zip(p_cols, p_keys)):
         candidates = every if key is None else sorted(buckets.get(key, []) + loose)
-        compat.append([t for t in candidates if (p_idx in p_plain and t in t_plain and p_col == t_cols[t]) or all(map(cells_equal, p_col, t_cols[t]))])
+        if order_insensitive:
+            compat.append([t for t in candidates if equal_sorted(p_idx, t)])
+        else:
+            compat.append([t for t in candidates if all(map(cells_equal, p_col, t_cols[t]))])
 
     # augmenting paths, searched depth-first on a stack of [column, untried candidates, candidate tried]
     match_t: dict[int, int] = {}

@@ -1,7 +1,10 @@
 import math
+import os
 import random
 import sqlite3
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +69,24 @@ class TestCellEquality:
         shuffled, ordered = table([10**400, 2 * 10**400, 5]), table([5, 2 * 10**400, 10**400])
         assert match_columns(shuffled, ordered, order_insensitive=True) == [(0, 0)]
         assert match_columns(shuffled, ordered) == []
+
+
+class TestResultTableShape:
+    @pytest.mark.parametrize(
+        "labels, columns",
+        [(("x", "y"), ((1, 2, 3), (9,))), (("x",), ((1,), (2,))), (("x", "y"), ((1,),))],
+        ids=["ragged columns", "more columns than labels", "more labels than columns"],
+    )
+    def test_bad_shape_raises_value_error(self, labels, columns):
+        with pytest.raises(ValueError):
+            ResultTable(labels, columns)
+
+    def test_shape_is_checked_with_assertions_off(self):
+        # a ragged table would match (1, 2, 3) and (9, 8, 7) in full: map stops at the shorter column
+        code = "from sqlscore import ResultTable\ntry:\n    ResultTable(('x', 'y'), ((1, 2, 3), (9,)))\nexcept ValueError:\n    print('refused')"
+        src = str(Path(results.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr
 
 
 class TestMatchColumns:
@@ -201,6 +222,47 @@ class TestMatchColumns:
         nan = float("nan")  # one object, so a list holding it is == to itself
         assert match_columns(table([nan, 2.5]), table([nan, 2.5]), order_insensitive) == []
 
+    @staticmethod
+    def _count_calls(monkeypatch, name: str) -> list:
+        calls, real = [], getattr(results, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(results, name, counting)
+        return calls
+
+    def test_order_insensitive_sorts_only_when_a_pair_needs_it(self, monkeypatch):
+        sorts, comparisons = self._count_calls(monkeypatch, "_sorted_column"), self._count_calls(monkeypatch, "cells_equal")
+        rng = random.Random(23)
+
+        # plain columns in the truth's row order: accepted by one == each, nothing sorted or compared
+        # (fails at a matcher that sorts every column first, or with the in-order accept dropped)
+        columns = [[1000 * j + r for r in range(50)] for j in range(4)]
+        columns += [[f"name {j} {r}" + " " * (r % 2) for r in range(50)] for j in range(4)]
+        columns += [[1000 * j + r if r % 5 == 0 else None for r in range(50)] for j in range(4, 8)]
+        order = rng.sample(range(12), 12)
+        assert match_columns(table(*(columns[j] for j in order)), table(*columns), order_insensitive=True) == sorted(enumerate(order))
+        assert (len(sorts), len(comparisons)) == (0, 0)
+
+        # shuffled rows, and every column starts at 0, so each predicted column meets all eight truth
+        # columns: each column is sorted once, not once per candidate (fails with the sort cache dropped)
+        columns = [[0] + [1000 * j + r for r in range(1, 50)] for j in range(8)]
+        predicted = table(*(rng.sample(c, len(c)) for c in reversed(columns)))
+        assert match_columns(predicted, table(*columns), order_insensitive=True) == [(i, 7 - i) for i in range(8)]
+        assert sorted(len(c) for c, *_ in sorts) == [50] * 16 and len({id(c) for c, *_ in sorts}) == 16
+
+        # non-integer floats have loose keys and meet every column; those whose NULL counts or least cells
+        # differ are rejected unsorted, so only the shuffled partners sort (fails with the loose-pair reject
+        # dropped, and with its NULL count test dropped)
+        sorts.clear()
+        columns = [[j + 0.5 + r / 8 for r in range(50)] for j in range(8)]
+        strangers = [[j + 0.25 + r / 8 for r in range(50)] for j in range(8, 11)] + [columns[5][:-1] + [None]]
+        predicted = table(*(rng.sample(c, len(c)) for c in columns[:4]), *strangers)
+        assert match_columns(predicted, table(*columns), order_insensitive=True) == [(i, i) for i in range(4)]
+        assert len(sorts) == 8
+
 
 # boundaries of the matcher's first-cell keys, of its native sort and of its
 # == accept: 1 and 1.0 are == to True, and one NaN object is == to itself in a list
@@ -311,6 +373,47 @@ def test_matching_equals_all_pairs_reference_on_nullable_columns(order_insensiti
         predicted, truth = _nullable_pair(rng, order_insensitive)
         expected = _reference_match_columns(predicted, truth, order_insensitive)
         assert match_columns(predicted, truth, order_insensitive) == expected, (predicted, truth)
+
+
+# Python-equal cells that are not cell-equal: a bool is no number here
+_PYTHON_TWINS = {(int, 1): True, (float, 1.0): True, (bool, True): 1}
+
+
+def _row_order_pair(rng: random.Random, n_rows: int, n_columns: int) -> tuple[ResultTable, ResultTable]:
+    """Predicted columns are equal variants of truth columns, kept in the
+    truth's row order, reversed or shuffled; some swap in Python-equal
+    twins, and some are fresh.  Each column draws from a few pool cells."""
+    null_share = rng.choice([0.0, 0.3, 0.8])
+
+    def column():
+        pool = rng.sample(_BOUNDARY_POOL, rng.randint(1, 4))
+        return [None if rng.random() < null_share else rng.choice(pool) for _ in range(n_rows)]
+
+    truth_columns = [column() for _ in range(n_columns)]
+    predicted_columns = []
+    for _ in range(rng.randint(1, n_columns + 1)):
+        if rng.random() < 0.15:
+            predicted_columns.append(column())
+            continue
+        cells = [_equal_variant(rng, c) for c in rng.choice(truth_columns)]
+        if rng.random() < 0.2:
+            cells = [_PYTHON_TWINS.get((type(c), c), c) for c in cells]
+        order = rng.choice(["kept", "kept", "reversed", "shuffled"])
+        if order == "reversed":
+            cells.reverse()
+        elif order == "shuffled":
+            rng.shuffle(cells)
+        predicted_columns.append(cells)
+    return table(*predicted_columns), table(*truth_columns)
+
+
+def test_order_insensitive_matching_equals_reference_on_row_order_variants():
+    rng = random.Random(6113)
+    pairs = [_row_order_pair(rng, rng.randint(0, 6), rng.randint(1, 6)) for _ in range(800)]
+    pairs.append(_row_order_pair(rng, 200, 40))  # one wide case: many candidates per column, each column sorted once
+    for predicted, truth in pairs:
+        expected = _reference_match_columns(predicted, truth, order_insensitive=True)
+        assert match_columns(predicted, truth, order_insensitive=True) == expected, (predicted, truth)
 
 
 class TestScoreResultPair:
