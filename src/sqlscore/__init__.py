@@ -13,7 +13,7 @@ from .corpus import CASE_TYPES, BenchmarkQuestion, CorpusLoadError, category_cou
 from .diff import EditOp, EditOpKind, EditScript, diff
 from .fixtures import FIXTURE_QUESTIONS, build_fixture_database, write_fixtures
 from .parser import parse, tokenize
-from .render import render, render_expression
+from .render import render
 from .report import report_to_csv, report_to_dict, report_to_json, report_to_markdown, summary_text
 from .results import (
     ExecutionError,
@@ -78,7 +78,6 @@ __all__ = [
     "parse_adapter_spec",
     "parse_anchor",
     "render",
-    "render_expression",
     "report_to_csv",
     "report_to_dict",
     "report_to_json",

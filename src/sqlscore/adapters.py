@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .corpus import BenchmarkQuestion, id_key, is_json_scalar
+from .corpus import BenchmarkQuestion, database_path, id_key, is_json_scalar
 from .results import _open_readonly, valid_timeout
 
 DEFAULT_ADAPTER_TIMEOUT_S = 60.0
@@ -180,7 +180,7 @@ def get_predictions(
                 sql = _run_subprocess(argv, _question_payload(q), timeout_s)
             else:
                 if q.db_id not in schemas:
-                    schemas[q.db_id] = _schema_text(Path(db_dir) / f"{q.db_id}.sqlite") if db_dir else ""
+                    schemas[q.db_id] = _schema_text(database_path(db_dir, q.db_id)) if db_dir else ""
                 sql = _post_http(value, {"question": q.question, "db_id": q.db_id, "schema": schemas[q.db_id]}, timeout_s)
             elapsed_ms = int((time.monotonic() - started) * 1000)
             predictions.append(Prediction(q.id, sql, elapsed_ms))

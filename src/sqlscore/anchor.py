@@ -36,8 +36,7 @@ def parse_anchor(value: str | datetime) -> datetime:
 
 def _anchor(sql: str, instant: datetime) -> tuple[str, list[str]]:
     """``sql`` anchored, and the anchored text of each date/time call in it that has
-    the anchor's timestamp or date as a whole argument, innermost first.  Raises
-    ParseError when ``sql`` does not tokenize."""
+    the anchor's timestamp or date as a whole argument, innermost first."""
     literals = {word: f"'{instant.strftime(fmt)}'" for word, fmt in _CURRENT_TIME_FORMATS.items()}
     anchors = {literals["now"], literals["current_date"]}
     tokens = tokenize(sql)
@@ -102,7 +101,7 @@ def anchor_sql(sql: str, anchor: str | datetime = DEFAULT_ANCHOR) -> str:
     ``'now'`` in any ASCII case that is a whole argument of a date/time function
     is replaced, and a date/time call with no time value (``date()``,
     ``strftime('%Y')``) gets the anchor as one.  A text with no clock word is
-    the very same object.  Raises ParseError when ``sql`` does not tokenize."""
+    the very same object; a clock word in an unterminated string or comment is kept."""
     return _anchor(sql, parse_anchor(anchor))[0] if _CLOCK_WORD_RE.search(sql) else sql
 
 

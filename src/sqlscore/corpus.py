@@ -45,6 +45,11 @@ class BenchmarkQuestion:
     extra: dict = field(default_factory=dict, compare=False)
 
 
+def database_path(db_dir: str | Path, db_id: str) -> Path:
+    """Where a question's database lives: ``<db_id>.sqlite`` in ``db_dir``."""
+    return Path(db_dir) / f"{db_id}.sqlite"
+
+
 def is_json_scalar(value: object) -> bool:
     """True for an id that strict JSON can carry: None, bool, int, finite float or str."""
     return isinstance(value, (type(None), bool, int, str)) or (isinstance(value, float) and math.isfinite(value))

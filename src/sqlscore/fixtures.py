@@ -19,6 +19,8 @@ import json
 import sqlite3
 from pathlib import Path
 
+from .corpus import database_path
+
 
 def _metric_times() -> list[str]:
     days = [f"2023-01-{day:02d} 12:00:00" for day in range(2, 17)]
@@ -421,5 +423,5 @@ def write_fixtures(out_dir: str | Path) -> tuple[Path, Path]:
     corpus_path = out_dir / "questions.json"
     corpus_path.write_text(json.dumps(FIXTURE_QUESTIONS, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     for db_id in _BUILDERS:
-        build_fixture_database(db_id, db_dir / f"{db_id}.sqlite")
+        build_fixture_database(db_id, database_path(db_dir, db_id))
     return corpus_path, db_dir

@@ -56,8 +56,8 @@ _QUOTED_NAME_RE = re.compile(r'"[^"]*(?:""[^"]*)*"(?!")')  # a quote inside is d
 # (``_GROUP_KINDS``).  A string, and a name in double quotes or backticks,
 # closes on a quote that is not doubled: ``(?!')`` stops backtracking from
 # closing it on the first half of a ``''`` escape (Python 3.10 has no
-# possessive quantifiers).  Brackets have no escape.
-# ``unterminated`` matches only an opener whose token could not be closed,
+# possessive quantifiers).  Brackets have no escape.  ``unterminated``
+# matches an opener whose token could not be closed and the rest of the text,
 # and ``bad`` any other character.  The token is optional, so trailing
 # whitespace and comments match without one and no match can fail (or
 # backtrack into the prefix).
@@ -67,7 +67,7 @@ _TOKEN_RE = re.compile(
     (?:(?P<word>""" + _WORD + r""")
     |(?P<string>'[^']*(?:''[^']*)*'(?!'))
     |(?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
-    |(?P<unterminated>/\*|['"`[])
+    |(?P<unterminated>(?:/\*|['"`[]).*)
     |(?P<number>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
     |(?P<op><=|>=|!=|<>|\|\||[=<>+\-*/%])
     |(?P<punct>[(),.;])
@@ -78,7 +78,7 @@ _TOKEN_RE = re.compile(
 )
 
 _GROUP_KINDS = (None, "word", "string", "qident", "unterminated", "number", "op", "punct", "bad")
-_UNTERMINATED = {"/*": "block comment", "'": "string literal"}  # else a quoted identifier
+_UNTERMINATED = {"/": "block comment", "'": "string literal"}  # by first character; else a quoted identifier
 
 _RESERVED = KEYWORDS | UNSUPPORTED
 
@@ -92,7 +92,7 @@ class Token(NamedTuple):
     ``pos`` is the offset in the source where the token's own text starts.
     """
 
-    kind: str  # kw | ident | qident | string | number | op | punct | eof
+    kind: str  # kw | ident | qident | string | number | op | punct | bad | unterminated | eof
     value: str
     pos: int
 
@@ -103,6 +103,8 @@ def quote_identifier(name: str) -> str:
 
 
 def tokenize(sql: str) -> list[Token]:
+    """The tokens of ``sql``, then ``eof``; never raises.  Only ``parse`` refuses
+    a ``bad`` token or an ``unterminated`` one, which runs to the end of the text."""
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(sql):
         group = m.lastindex  # an index into _GROUP_KINDS
@@ -114,8 +116,6 @@ def tokenize(sql: str) -> list[Token]:
             text = text.lower() if text.isascii() else text.translate(_ASCII_LOWER)
             kind = "kw" if text in _RESERVED else "ident"
         elif group > 5:  # op, punct or bad
-            if group == 8:
-                raise ParseError(f"unexpected character {text!r}", start)
             if text == "<>":
                 text = "!="
         elif group == 5:  # number
@@ -125,8 +125,6 @@ def tokenize(sql: str) -> list[Token]:
         elif group == 3:  # qident
             quote = text[0]
             text = text[1:-1] if quote == "[" else text[1:-1].replace(quote * 2, quote)
-        else:
-            raise ParseError(f"unterminated {_UNTERMINATED.get(text, 'quoted identifier')}", start)
         tokens.append(_new_tuple(Token, (kind, text, start)))
     tokens.append(Token("eof", "", len(sql)))
     return tokens
@@ -197,6 +195,12 @@ class _Parser:
         self.pos += 1
 
     def error(self, message: str) -> ParseError:
+        # no production consumes a bad or unterminated token, so a text with one fails here
+        for tok in self.tokens:
+            if tok.kind == "bad":
+                return ParseError(f"unexpected character {tok.value!r}", tok.pos)
+            if tok.kind == "unterminated":
+                return ParseError(f"unterminated {_UNTERMINATED.get(tok.value[0], 'quoted identifier')}", tok.pos)
         tok = self.tokens[self.pos]
         if tok.kind == "kw" and tok.value in UNSUPPORTED:
             message = f"unsupported SQL construct {tok.value.upper()}"

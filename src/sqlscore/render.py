@@ -26,11 +26,6 @@ _PRECEDENCE = {
 _BINARY_ARITHMETIC = {"+", "-", "||", "*", "/", "%"}
 
 
-def render_expression(node: Node) -> str:
-    """SQL text for a single expression subtree."""
-    return _expr(node)
-
-
 def render(ast: Node) -> str:
     """Emit executable SQL for a statement produced by parse or a rewrite."""
     ctes = [c for c in ast.children if c.kind is NodeKind.CTE]

@@ -38,7 +38,6 @@ from datetime import datetime
 from pathlib import Path
 
 from .anchor import DEFAULT_ANCHOR, anchor_sql
-from .sqlast import ParseError
 
 DEFAULT_TIMEOUT_S = 10.0
 DEFAULT_ROW_CAP = 100_000
@@ -71,7 +70,7 @@ def valid_timeout(seconds: object) -> bool:
 class ExecutionError(Exception):
     """A query could not be executed; ``stage`` says why.
 
-    stage is one of: parse (clock text that does not tokenize), engine, timeout, row-cap, database.
+    stage is one of: engine, timeout, row-cap, database.
     """
 
     def __init__(self, message: str, stage: str):
@@ -178,12 +177,14 @@ def _scan(column: tuple[Cell, ...]) -> tuple[object, bool, int, Cell, object, tu
 
 
 def _sorted_column(column: tuple[Cell, ...], scan=None) -> tuple[list[Cell], bool]:
-    """The same list as ``sorted(column, key=_sort_key)``, mostly without that
-    key, and whether the column is plain; ``scan`` is its ``_scan``."""
+    """The same list as ``sorted(column, key=_sort_key)``, mostly without that key
+    (text stripped if all cells are), and whether the column is plain; ``scan`` is its ``_scan``."""
     _, plain, nulls, _, sort_key, cells = scan or _scan(column)
-    if sort_key is not _sort_key:
-        rest = sorted(cells, key=sort_key)
-        if sort_key is str.rstrip or -_NATIVE_SORT_BOUND < rest[0] and rest[-1] < _NATIVE_SORT_BOUND:
+    if sort_key is str.rstrip:  # stripped, as cells_equal compares text, so it sorts natively and == decides
+        return [None] * nulls + sorted(map(str.rstrip, cells)), plain
+    if sort_key is None:
+        rest = sorted(cells)
+        if -_NATIVE_SORT_BOUND < rest[0] and rest[-1] < _NATIVE_SORT_BOUND:
             return [None] * nulls + rest, plain
     return sorted(column, key=_sort_key), plain
 
@@ -261,21 +262,23 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
     # augmenting paths, searched depth-first on a stack of [column, untried candidates, candidate tried]
     match_t: dict[int, int] = {}
     for p_idx, candidates in enumerate(compat):
-        if candidates and candidates[0] not in match_t:  # the search takes it first
-            match_t[candidates[0]] = p_idx
-            continue
-        seen, stack = set(), [[p_idx, iter(candidates), None]]
-        while stack:
-            top = stack[-1]
-            top[2] = t_idx = next((t for t in top[1] if t not in seen), None)
-            if t_idx is None:
-                stack.pop()
-            elif t_idx in match_t:
-                seen.add(t_idx)
-                stack.append([match_t[t_idx], iter(compat[match_t[t_idx]]), None])
-            else:  # a free candidate: each column on the path takes the one it tries
-                match_t.update((t, p) for p, _, t in stack)
+        for t_idx in candidates:  # a free candidate is a path of one edge: a block of equal columns needs no search
+            if t_idx not in match_t:
+                match_t[t_idx] = p_idx
                 break
+        else:  # every candidate is taken
+            seen, stack = set(), [[p_idx, iter(candidates), None]]
+            while stack:
+                top = stack[-1]
+                top[2] = t_idx = next((t for t in top[1] if t not in seen), None)
+                if t_idx is None:
+                    stack.pop()
+                elif t_idx in match_t:
+                    seen.add(t_idx)
+                    stack.append([match_t[t_idx], iter(compat[match_t[t_idx]]), None])
+                else:  # a free candidate: each column on the path takes the one it tries
+                    match_t.update((t, p) for p, _, t in stack)
+                    break
     return sorted((p_idx, t_idx) for t_idx, p_idx in match_t.items())
 
 
@@ -323,10 +326,7 @@ def execute(
     """
     if not valid_timeout(timeout_s):
         raise ExecutionError(f"timeout_s must be a finite number of seconds above 0, got {timeout_s!r}", stage="timeout")
-    try:
-        sql = anchor_sql(sql, anchor)
-    except ParseError as exc:
-        raise ExecutionError(f"query does not tokenize: {exc}", stage="parse") from exc
+    sql = anchor_sql(sql, anchor)
 
     own_connection = not isinstance(db, sqlite3.Connection)
     conn = _open_readonly(db) if own_connection else db

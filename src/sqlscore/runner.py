@@ -30,7 +30,7 @@ from typing import Any, Callable, Iterator
 
 from .adapters import Prediction
 from .anchor import DEFAULT_ANCHOR, anchored_time_calls, parse_anchor
-from .corpus import BenchmarkQuestion, id_key, is_json_scalar
+from .corpus import BenchmarkQuestion, database_path, id_key, is_json_scalar
 from .diff import _TreeIndex
 from .parser import parse, quote_identifier
 from .results import (
@@ -126,14 +126,10 @@ def _aggregate(instances: list[InstanceResult]) -> Aggregate:
     )
 
 
-def _db_path(db_dir: Path, db_id: str) -> Path:
-    return db_dir / f"{db_id}.sqlite"
-
-
 def missing_databases(questions: list[BenchmarkQuestion], db_dir: str | Path) -> dict[str, Path]:
     """Each db_id of ``questions`` whose database file is not in ``db_dir``,
     in name order, with the path it was looked for at."""
-    paths = {db_id: _db_path(Path(db_dir), db_id) for db_id in sorted({q.db_id for q in questions})}
+    paths = {db_id: database_path(db_dir, db_id) for db_id in sorted({q.db_id for q in questions})}
     return {db_id: path for db_id, path in paths.items() if not path.is_file()}
 
 
@@ -214,9 +210,9 @@ def score_pair(
         return _score_prediction(_truth(truth_sql, db, anchor, options), predicted_sql, db, anchor, options)
 
 
-def _open_databases(stack: ExitStack, db_dir: Path, db_ids) -> dict[str, sqlite3.Connection]:
+def _open_databases(stack: ExitStack, db_dir: str | Path, db_ids) -> dict[str, sqlite3.Connection]:
     """One read-only connection per database, closed when ``stack`` closes."""
-    return {db_id: stack.enter_context(closing(_open_readonly(_db_path(db_dir, db_id)))) for db_id in sorted(db_ids)}
+    return {db_id: stack.enter_context(closing(_open_readonly(database_path(db_dir, db_id)))) for db_id in sorted(db_ids)}
 
 
 def _prepared_truths(
@@ -279,7 +275,7 @@ def evaluate(
     by_id = {id_key(p.question_id): p.sql for p in predictions}
     instances: list[InstanceResult | None] = [None] * len(questions)
     with ExitStack() as stack:
-        conns = _open_databases(stack, Path(db_dir), {q.db_id for q in questions})
+        conns = _open_databases(stack, db_dir, {q.db_id for q in questions})
         for positions, truth in _prepared_truths(questions, conns, instant, options):
             failed = isinstance(truth, CorpusError)
             scores: dict[str, tuple[SemanticScore | None, ResultScore | None]] = {}
@@ -389,7 +385,6 @@ def validate_corpus(
     (first, second) question, range problems.
     """
     instant = parse_anchor(anchor)
-    db_dir = Path(db_dir)
     missing = missing_databases(questions, db_dir)
     # (sort key, message): key (0, i) corpus error or zero rows, (1, i, j) a
     # coinciding pair, (2, i) a range problem, for question positions i < j

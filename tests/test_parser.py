@@ -251,19 +251,17 @@ sql_text = st.lists(st.one_of(st.sampled_from(SQL_FRAGMENTS), st.characters()), 
 @settings(max_examples=300, deadline=None)
 @given(sql_text)
 def test_parse_arbitrary_text_never_crashes(text):
-    try:
-        tokens = tokenize(text)
-    except ParseError as exc:
-        assert 0 <= exc.position <= len(text)
-    else:
-        positions = [t.pos for t in tokens]
-        assert all(a < b for a, b in zip(positions, positions[1:]))
-        assert (tokens[-1].kind, tokens[-1].pos) == ("eof", len(text))
+    tokens = tokenize(text)  # total: any text has tokens
+    positions = [t.pos for t in tokens]
+    assert all(a < b for a, b in zip(positions, positions[1:]))
+    assert (tokens[-1].kind, tokens[-1].pos) == ("eof", len(text))
+    refused = [t.pos for t in tokens if t.kind in ("bad", "unterminated")]
     try:
         ast = parse(text)
-        assert ast.node_count >= 1
+        assert ast.node_count >= 1 and not refused
     except ParseError as exc:
         assert 0 <= exc.position <= len(text)
+        assert not refused or exc.position == refused[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -271,14 +269,12 @@ def test_parse_arbitrary_text_never_crashes(text):
 def test_token_positions_point_at_their_text(text):
     # a token's pos is where its own text starts, not where the whitespace
     # or comments before it start
-    try:
-        tokens = tokenize(text)
-    except ParseError:
-        return
-    for tok in tokens:
+    for tok in tokenize(text):
         if tok.kind in ("kw", "ident", "number", "op", "punct"):
             source = text[tok.pos : tok.pos + len(tok.value)].translate(ASCII_LOWER)
             assert source == tok.value or (tok.value, source) == ("!=", "<>")
+        elif tok.kind in ("bad", "unterminated"):  # one character, or the rest of the text
+            assert tok.value == text[tok.pos : tok.pos + 1 if tok.kind == "bad" else None]
 
 
 def test_token_is_an_immutable_named_tuple():
@@ -345,11 +341,7 @@ def test_every_operator_token_is_arithmetic_or_a_comparison():
     found = set()
     for n in (1, 2, 3):
         for ops in itertools.product(string.punctuation, repeat=n):
-            try:
-                tokens = tokenize(f"a{''.join(ops)}b")
-            except ParseError:
-                continue
-            found.update(t.value for t in tokens if t.kind == "op")
+            found.update(t.value for t in tokenize(f"a{''.join(ops)}b") if t.kind == "op")
     assert found == _ARITHMETIC | {"=", "!=", "<", "<=", ">", ">="}
 
 
@@ -398,6 +390,12 @@ def test_tokenizer_positions_monotonic():
         # digits, U+00A0 included, and only ASCII whitespace ends it
         ("PRÉNOM _É2 x·y🙂", [("ident", "prÉnom", 0), ("ident", "_É2", 7), ("ident", "x·y🙂", 11), ("eof", "", 15)]),
         ("é\xa0É", [("ident", "é\xa0É", 0), ("eof", "", 3)]),
+        # SQLite's operators that the parser lacks are bad tokens, and an
+        # unterminated token runs to the end of the text
+        ("1 | 2&~?", [("number", "1", 0), ("bad", "|", 2), ("number", "2", 4), ("bad", "&", 5), ("bad", "~", 6), ("bad", "?", 7), ("eof", "", 8)]),
+        ("a /* now() 'x", [("ident", "a", 0), ("unterminated", "/* now() 'x", 2), ("eof", "", 13)]),
+        ("f('now) |", [("ident", "f", 0), ("punct", "(", 1), ("unterminated", "'now) |", 2), ("eof", "", 9)]),
+        ('[a "b', [("unterminated", '[a "b', 0), ("eof", "", 5)]),
     ],
 )
 def test_tokens_pinned(sql, tokens):
@@ -426,8 +424,9 @@ def test_tokens_pinned(sql, tokens):
     ],
 )
 def test_token_errors_pinned(sql, message, position):
+    # parse names the first bad or unterminated token, wherever the parser stopped
     with pytest.raises(ParseError) as exc_info:
-        tokenize(sql)
+        parse(sql)
     assert (exc_info.value.message, exc_info.value.position) == (message, position)
 
 

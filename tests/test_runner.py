@@ -684,11 +684,11 @@ class TestTextExecution:
         report = evaluate(questions[:1], get_predictions(questions[:1], f"file:{path}"), db_dir)
         assert report.instances[0].result.verdict == VERDICT_EXECUTION_ERROR
 
-    def test_clock_text_the_tokenizer_refuses_does_not_run(self, questions, db_dir):
-        # a known limit: "date" in the alias sends the text through the tokenizer, which refuses "|"
-        for sql, verdict in (("SELECT count(*) AS n FROM campaigns WHERE 1 | 0", "scored"), ("SELECT count(*) AS n_date FROM campaigns WHERE 1 | 0", VERDICT_INVALID)):
+    def test_clock_text_the_parser_refuses_still_runs(self, questions, db_dir):
+        # "date" in the alias sends the text through the clock anchoring, which passes "|" on to SQLite
+        for sql in ("SELECT count(*) AS n FROM campaigns WHERE 1 | 0", "SELECT count(*) AS n_date FROM campaigns WHERE 1 | 0"):
             r = evaluate(questions[:1], [Prediction(questions[0].id, sql)], db_dir).instances[0]
-            assert (r.semantic.verdict, r.result.verdict) == (VERDICT_INVALID, verdict)
+            assert (r.semantic.verdict, r.result.verdict) == (VERDICT_INVALID, "scored")
 
     def test_sql_that_neither_parses_nor_runs_is_invalid(self, questions, db_dir):
         report = evaluate(questions[:1], [Prediction(questions[0].id, "SELECT count(*")], db_dir)
