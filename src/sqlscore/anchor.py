@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from datetime import datetime
+from functools import lru_cache
 
 from .parser import BARE_TIME_FUNCTIONS, tokenize
 
@@ -19,9 +20,8 @@ DEFAULT_ANCHOR = datetime(2023, 1, 17, 0, 0, 0)
 TIME_VALUE_FUNCTIONS = {"datetime", "date", "time", "strftime", "julianday", "unixepoch", "timediff"}
 # Those that SQLite gives the current instant when no time value is passed; strftime takes its format first.
 _ZERO_ARGUMENT_FUNCTIONS = TIME_VALUE_FUNCTIONS - {"strftime", "timediff"}
-_CURRENT_TIME_FORMATS = {"now": "%Y-%m-%d %H:%M:%S", "current_timestamp": "%Y-%m-%d %H:%M:%S", "current_date": "%Y-%m-%d", "current_time": "%H:%M:%S"}
-# Every text that reads the clock holds one of these words, in some case.
-_CLOCK_WORD_RE = re.compile(r"now|date|time|julianday|unixepoch", re.IGNORECASE)
+# Every text that reads the clock holds one of these words in some ASCII case, which str.lower folds to this one.
+_CLOCK_WORD_RE = re.compile(r"now|date|time|julianday|unixepoch")
 # SQLite reads a name as an alias after AS or after a token that ends an expression: these kinds and (kind, value) pairs
 _BEFORE_ALIAS = {"ident", "qident", "string", "number", ("kw", "as"), ("kw", "null"), ("kw", "end"), ("punct", ")")}
 _OPERATOR_WORDS = {("ident", w) for w in ("glob", "regexp", "match", "escape")}  # names to our tokenizer only
@@ -34,11 +34,19 @@ def parse_anchor(value: str | datetime) -> datetime:
     return datetime.fromisoformat(value)
 
 
-def _anchor(sql: str, instant: datetime) -> tuple[str, list[str]]:
+@lru_cache(maxsize=1)
+def _literals(wall: datetime) -> tuple[dict[str, str], frozenset[str]]:
+    """Each current-time word's literal at the naive time ``wall``, and the anchors: its timestamp and date."""
+    now, date = f"'{wall.isoformat(' ', 'seconds')}'", f"'{wall.date()}'"  # these pad the year to 4 digits; %Y may not
+    return {"now": now, "current_timestamp": now, "current_date": date, "current_time": f"'{wall:%H:%M:%S}'"}, frozenset((now, date))
+
+
+def _anchor(sql: str, anchor: str | datetime) -> tuple[str, list[str]]:
     """``sql`` anchored, and the anchored text of each date/time call in it that has
     the anchor's timestamp or date as a whole argument, innermost first."""
-    literals = {word: f"'{instant.strftime(fmt)}'" for word, fmt in _CURRENT_TIME_FORMATS.items()}
-    anchors = {literals["now"], literals["current_date"]}
+    if not _CLOCK_WORD_RE.search(sql.lower()):
+        return sql, []
+    literals, anchors = _literals(parse_anchor(anchor).replace(tzinfo=None))
     tokens = tokenize(sql)
     edits, calls = [], []  # edits as (start, end, literal), in source order
     frames: list[list] = []  # per open parenthesis: [its token index, the name it calls or None, commas, anchored]
@@ -76,7 +84,7 @@ def _anchor(sql: str, instant: datetime) -> tuple[str, list[str]]:
         elif kind == "punct" and value == ")" and frames:
             start, name, commas, anchored = frames.pop()
             empty = start == i - 1
-            if name in _CURRENT_TIME_FORMATS and empty and tokens[start - 2][:2] != _DOT:
+            if name in literals and empty and tokens[start - 2][:2] != _DOT:
                 edits.append((tokens[start - 1].pos, pos + 1, literals[name]))
                 argument(start - 1, i, literals[name])
             elif (name in _ZERO_ARGUMENT_FUNCTIONS and empty) or (name == "strftime" and not empty and not commas):
@@ -102,9 +110,9 @@ def anchor_sql(sql: str, anchor: str | datetime = DEFAULT_ANCHOR) -> str:
     is replaced, and a date/time call with no time value (``date()``,
     ``strftime('%Y')``) gets the anchor as one.  A text with no clock word is
     the very same object; a clock word in an unterminated string or comment is kept."""
-    return _anchor(sql, parse_anchor(anchor))[0] if _CLOCK_WORD_RE.search(sql) else sql
+    return _anchor(sql, anchor)[0]
 
 
 def anchored_time_calls(sql: str, anchor: str | datetime = DEFAULT_ANCHOR) -> list[str]:
     """The anchored date/time calls of ``sql`` that have the anchor as a whole argument."""
-    return _anchor(sql, parse_anchor(anchor))[1] if _CLOCK_WORD_RE.search(sql) else []
+    return _anchor(sql, anchor)[1]

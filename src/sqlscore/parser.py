@@ -11,12 +11,14 @@ canonicalized to ``!=``, explicit ASC and ALL quantifiers removed, AND/OR
 chains flattened into n-ary nodes, and table aliases that bind an
 unambiguous table are resolved away (their qualifiers rewritten to the
 table name).  Case-folding lowers ASCII letters only, as SQLite does, and
-never touches quoted identifiers or string literals.
+never touches quoted identifiers or string literals.  ``tokenize`` memoizes
+the last text's tokens, so a text parsed and then anchored is lexed once.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .sqlast import Node, NodeKind, ParseError, from_items
@@ -51,33 +53,34 @@ _ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrst
 _QUOTED_NAME_RE = re.compile(r'"[^"]*(?:""[^"]*)*"(?!")')  # a quote inside is doubled
 
 # The lexical grammar.  Each match is any run of whitespace (the five ASCII
-# characters SQLite skips) and comments, then one token; alternatives are
-# tried in order, and ``tokenize`` tells them apart by group number
-# (``_GROUP_KINDS``).  A string, and a name in double quotes or backticks,
-# closes on a quote that is not doubled: ``(?!')`` stops backtracking from
-# closing it on the first half of a ``''`` escape (Python 3.10 has no
-# possessive quantifiers).  Brackets have no escape.  ``unterminated``
-# matches an opener whose token could not be closed and the rest of the text,
-# and ``bad`` any other character.  The token is optional, so trailing
-# whitespace and comments match without one and no match can fail (or
-# backtrack into the prefix).
+# characters SQLite skips), then one token, told apart by group number, or a
+# comment, in no group.  Alternatives are tried commonest first; where two
+# overlap, SQLite's reading wins: a ``.`` before a digit starts a number, and
+# ``--`` and ``/*`` start comments.  A string, and a name in double quotes or
+# backticks, closes on a quote that is not doubled: ``(?!')`` stops
+# backtracking from closing it on the first half of a ``''`` escape (Python
+# 3.10 has no possessive quantifiers).  Brackets have no escape.
+# ``unterminated`` matches an opener that could not be closed and the rest of
+# the text, and ``bad`` any other character.  The token is optional, so no
+# match can fail.
 _TOKEN_RE = re.compile(
     r"""
-    (?:[ \t\n\f\r]+|--[^\n]*|/\*.*?\*/)*
+    [ \t\n\f\r]*
     (?:(?P<word>""" + _WORD + r""")
+    |(?P<punct>[(),;]|\.(?![0-9]))
+    |(?P<op><=|>=|!=|<>|\|\||-(?!-)|/(?!\*)|[=<>+*%])
+    |(?P<number>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
     |(?P<string>'[^']*(?:''[^']*)*'(?!'))
     |(?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
+    |--[^\n]*|/\*.*?\*/
     |(?P<unterminated>(?:/\*|['"`[]).*)
-    |(?P<number>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
-    |(?P<op><=|>=|!=|<>|\|\||[=<>+\-*/%])
-    |(?P<punct>[(),.;])
     |(?P<bad>.)
     )?
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-_GROUP_KINDS = (None, "word", "string", "qident", "unterminated", "number", "op", "punct", "bad")
+_GROUP_KINDS = (None, "word", "punct", "op", "number", "string", "qident", "unterminated", "bad")
 _UNTERMINATED = {"/": "block comment", "'": "string literal"}  # by first character; else a quoted identifier
 
 _RESERVED = KEYWORDS | UNSUPPORTED
@@ -104,30 +107,40 @@ def quote_identifier(name: str) -> str:
 
 def tokenize(sql: str) -> list[Token]:
     """The tokens of ``sql``, then ``eof``; never raises.  Only ``parse`` refuses
-    a ``bad`` token or an ``unterminated`` one, which runs to the end of the text."""
+    a ``bad`` token or an ``unterminated`` one, which runs to the end of the text.
+    The last text's tokens are memoized; each call returns a fresh list."""
+    return list(_lex(sql))
+
+
+# One entry: a text is lexed again, if at all, before the next text is lexed
+# (parsed, then anchored for execution and, in validation, for the range
+# check); more entries would only keep large texts' tokens alive.
+@lru_cache(maxsize=1)
+def _lex(sql: str) -> tuple[Token, ...]:
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(sql):
         group = m.lastindex  # an index into _GROUP_KINDS
-        if group is None:  # trailing whitespace and comments
+        if group == 1:  # word
+            text = m.group(1)
+            text = text.lower() if text.isascii() else text.translate(_ASCII_LOWER)
+            tokens.append(_new_tuple(Token, ("kw" if text in _RESERVED else "ident", text, m.start(1))))
+            continue
+        if group is None:  # a comment, or trailing whitespace
             continue
         text, start = m.group(group), m.start(group)
-        kind = _GROUP_KINDS[group]
-        if group == 1:  # word
-            text = text.lower() if text.isascii() else text.translate(_ASCII_LOWER)
-            kind = "kw" if text in _RESERVED else "ident"
-        elif group > 5:  # op, punct or bad
+        if group == 3:  # op
             if text == "<>":
                 text = "!="
-        elif group == 5:  # number
+        elif group == 4:  # number
             text = text.lower()
-        elif group == 2:  # string
+        elif group == 5:  # string
             text = text[1:-1].replace("''", "'")
-        elif group == 3:  # qident
+        elif group == 6:  # qident
             quote = text[0]
             text = text[1:-1] if quote == "[" else text[1:-1].replace(quote * 2, quote)
-        tokens.append(_new_tuple(Token, (kind, text, start)))
+        tokens.append(_new_tuple(Token, (_GROUP_KINDS[group], text, start)))
     tokens.append(Token("eof", "", len(sql)))
-    return tokens
+    return tuple(tokens)
 
 
 _PREDICATE_WORDS = {"not", "in", "like", "between", "is"}

@@ -342,7 +342,7 @@ def _range_problems(
             bounds.append(value)
     if not bounds:
         return []
-    bounds.append(f"{instant:%Y-%m-%d %H:%M:%S}")
+    bounds.append(instant.replace(tzinfo=None).isoformat(" ", "seconds"))  # unlike %Y, pads a year before 1000
     window_start, window_end = min(bounds), max(bounds)
     problems: list[str] = []
     for table_name in sorted(truth.tables):

@@ -13,7 +13,7 @@ from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from sqlscore import DEFAULT_ANCHOR, EditOpKind, EditScript, Node, NodeKind, ResultTable, parse, parse_anchor
-from sqlscore.anchor import _CURRENT_TIME_FORMATS, TIME_VALUE_FUNCTIONS
+from sqlscore.anchor import TIME_VALUE_FUNCTIONS
 from sqlscore.diff import _CLAUSE_KINDS  # clause buckets are part of the matcher contract
 from sqlscore.parser import split_qualified
 from sqlscore.results import VERDICT_SCORED
@@ -248,6 +248,7 @@ def score_edit_script(script: EditScript) -> SemanticScore:
 
 # the argument count at which a date/time call has no time value, so SQLite reads the clock
 _ARGUMENTS_WITHOUT_TIME_VALUE = {"datetime": 0, "date": 0, "time": 0, "julianday": 0, "unixepoch": 0, "strftime": 1}
+_CURRENT_TIME_FORMATS = {"now": "%Y-%m-%d %H:%M:%S", "current_timestamp": "%Y-%m-%d %H:%M:%S", "current_date": "%Y-%m-%d", "current_time": "%H:%M:%S"}
 
 
 def rewrite_time_anchor(ast: Node, anchor: str | datetime = DEFAULT_ANCHOR) -> Node:
@@ -264,7 +265,7 @@ def rewrite_time_anchor(ast: Node, anchor: str | datetime = DEFAULT_ANCHOR) -> N
     instant = parse_anchor(anchor)
 
     def literal(fmt: str = "%Y-%m-%d %H:%M:%S") -> Node:
-        return Node(NodeKind.LITERAL, f"'{instant.strftime(fmt)}'")
+        return Node(NodeKind.LITERAL, f"'{instant.strftime(fmt.replace('%Y', f'{instant.year:04d}'))}'")  # %Y may not pad
 
     def rewrite(node: Node) -> Node:
         if node.kind is NodeKind.FUNCTION_CALL:

@@ -1,13 +1,16 @@
 import random
+import re
 import sqlite3
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from helpers import random_query, rewrite_time_anchor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlscore import DEFAULT_ANCHOR, FIXTURE_QUESTIONS, ExecutionError, ParseError, anchor_sql, execute, parse, score_pair
+from sqlscore import DEFAULT_ANCHOR, FIXTURE_QUESTIONS, BenchmarkQuestion, ExecutionError, ParseError, anchor_sql, execute, parse, score_pair, validate_corpus
+from sqlscore import anchor as anchor_module
 from sqlscore.anchor import anchored_time_calls
 from sqlscore.runner import EvalOptions
 
@@ -94,6 +97,40 @@ def test_commutes_with_render_parse_round_trip():
 
 def test_anchor_accepts_iso_string():
     assert anchor_sql("SELECT now()", "2024-06-30T12:30:00") == "SELECT '2024-06-30 12:30:00'"
+
+
+def test_anchor_text_is_its_wall_clock_time():
+    assert anchor_sql("SELECT now()", "1000-01-02T03:04:05") == "SELECT '1000-01-02 03:04:05'"
+    # an aware anchor reads its own offset's wall clock, so two equal instants give two texts
+    plus5 = datetime(2024, 5, 6, 7, 8, 9, tzinfo=timezone(timedelta(hours=5)))
+    utc = plus5.astimezone(timezone.utc)
+    assert plus5 == utc
+    sql = "SELECT current_timestamp, current_date, current_time"
+    assert anchor_sql(sql, plus5) == "SELECT '2024-05-06 07:08:09', '2024-05-06', '07:08:09'"
+    assert anchor_sql(sql, utc) == "SELECT '2024-05-06 02:08:09', '2024-05-06', '02:08:09'"
+    assert anchor_sql(sql, "2024-05-06T07:08:09.999+05:00") == anchor_sql(sql, plus5)
+
+
+def test_anchor_before_year_1000_has_a_four_digit_year(tmp_path):
+    """SQLite reads only four-digit years, so an early anchor is padded wherever it is written."""
+    anchor = "0999-06-01T12:00:00"
+    sql = "SELECT date('now', '-1 day'), current_timestamp, julianday() = julianday('0999-06-01 12:00:00')"
+    assert anchor_sql(sql, anchor) == (
+        "SELECT date('0999-06-01 12:00:00', '-1 day'), '0999-06-01 12:00:00', julianday('0999-06-01 12:00:00') = julianday('0999-06-01 12:00:00')"
+    )
+    db_dir = tmp_path / "db"
+    db_dir.mkdir()
+    conn = sqlite3.connect(db_dir / "early.sqlite")
+    conn.execute("CREATE TABLE log (ts TIMESTAMP, v INTEGER)")
+    conn.executemany("INSERT INTO log VALUES (?, ?)", [(f"0999-05-{day:02d} 00:00:00", day) for day in range(25, 32)])
+    conn.commit()
+    conn.close()
+    assert execute(sql, db_dir / "early.sqlite", anchor).columns == (("0999-05-31",), ("0999-06-01 12:00:00",), (1,))
+    window = "SELECT v FROM log WHERE ts >= datetime('now', '-14 days')"
+    assert validate_corpus([BenchmarkQuestion("early", window, "q", "en", "time_period", id="w")], db_dir, anchor) == [
+        "question w: table log data range [0999-05-25 00:00:00, 0999-05-31 00:00:00] "
+        "does not bracket the anchor-relative window [0999-05-18 12:00:00, 0999-06-01 12:00:00]"
+    ]
 
 
 def test_anchored_filter_matches_bruteforce_row_filter(tmp_path):
@@ -254,3 +291,43 @@ def test_generated_clock_expressions_agree_with_reference(items, alias):
     assert_agrees_with_reference(sql)
     anchored = anchor_sql(sql)
     assert anchor_sql(anchored) == anchored
+
+
+# Each clock word in any ASCII case, or with a letter swapped for a neighbour
+# that Unicode case folding relates to it: dotless and dotted I, long S,
+# the Kelvin sign, fullwidth letters.
+_NEIGHBOURS = {"i": "ıİ", "s": "ſ", "k": "K"}
+_CLOCK_WORDS = ["now", "date", "time", "datetime", "julianday", "unixepoch", "strftime", "current_date", "current_time", "current_timestamp"]
+
+
+def _respell(c, how):
+    if how == "fold":
+        return _NEIGHBOURS.get(c, c)[0]
+    if how == "fold2":
+        return _NEIGHBOURS.get(c, c)[-1]
+    if how.startswith("fullwidth") and c.isalpha():
+        return chr(ord(c) - ord("a") + (0xFF41 if how == "fullwidth" else 0xFF21))
+    return c.upper() if how == "upper" else c
+
+
+def _spelling(word):
+    hows = st.sampled_from(["lower", "upper", "fold", "fold2", "fullwidth", "fullwidth-upper"])
+    return st.lists(hows, min_size=len(word), max_size=len(word)).map(lambda how: "".join(map(_respell, word, how)))
+
+
+_CLOCK_FRAGMENTS = st.one_of(
+    st.sampled_from(_CLOCK_WORDS).flatmap(_spelling),
+    st.sampled_from(["SELECT ", "(", ")", "()", ", ", "'", "'now'", "'%Y'", " AS ", ".", "+", " ", "--", "\n", "/*", "*/", '"', "t", "1"]),
+)
+
+
+_ONE_CLOCK_WORD = st.tuples(st.sampled_from(_CLOCK_WORDS).flatmap(_spelling), st.sampled_from(["", "()", "('now')", "('%Y')"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_ONE_CLOCK_WORD.map(lambda call: "SELECT " + "".join(call)), st.lists(_CLOCK_FRAGMENTS, max_size=12).map("".join)))
+def test_clock_word_prefilter_drops_no_text_the_pass_changes(sql):
+    anchored, calls = anchor_sql(sql), anchored_time_calls(sql)
+    with mock.patch.object(anchor_module, "_CLOCK_WORD_RE", re.compile("")):  # every text passes
+        assert anchor_sql(sql) == anchored
+        assert anchored_time_calls(sql) == calls

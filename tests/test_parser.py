@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlscore import NodeKind, ParseError, parse, render, tokenize
+from sqlscore import NodeKind, ParseError, anchor_sql, parse, render, tokenize
 from sqlscore.parser import _ARITHMETIC, Token, split_qualified
 from sqlscore.sqlast import Node, physical_tables
 
@@ -290,6 +290,18 @@ def test_tokenize_returns_tokens():
     assert {type(tok) for tok in tokens} == {Token}
 
 
+def test_tokenize_returns_a_fresh_list_each_call():
+    """The memoized tokens of a text stay as lexed whatever a caller does to its list."""
+    sql = "SELECT date('now', '-1 day') AS d FROM t"
+    tokens = tokenize(sql)
+    expected, tree, anchored = list(tokens), parse(sql), anchor_sql(sql)
+    tokens[1:] = [Token("bad", "?", 7)]
+    tokenize(sql).append(Token("eof", "", 0))
+    assert tokenize(sql) == expected and tokenize(sql) is not tokenize(sql)
+    assert parse(sql) == tree
+    assert anchor_sql(sql) == anchored == "SELECT date('2023-01-17 00:00:00', '-1 day') AS d FROM t"
+
+
 def test_node_is_an_immutable_value():
     node = Node(NodeKind.OPERATOR, "=", (Node(NodeKind.COLUMN_REF, "a"), Node(NodeKind.LITERAL, "'x'")))
     with pytest.raises(AttributeError):
@@ -396,6 +408,15 @@ def test_tokenizer_positions_monotonic():
         ("a /* now() 'x", [("ident", "a", 0), ("unterminated", "/* now() 'x", 2), ("eof", "", 13)]),
         ("f('now) |", [("ident", "f", 0), ("punct", "(", 1), ("unterminated", "'now) |", 2), ("eof", "", 9)]),
         ('[a "b', [("unterminated", '[a "b', 0), ("eof", "", 5)]),
+        # where two token kinds start alike, SQLite's reading wins: a "." before
+        # a digit starts a number, "--" and "/*" start comments, else "-" and "/" are operators
+        ("t.5 t.a", [("ident", "t", 0), ("number", ".5", 1), ("ident", "t", 4), ("punct", ".", 5), ("ident", "a", 6), ("eof", "", 7)]),
+        ("t.* .e1", [("ident", "t", 0), ("punct", ".", 1), ("op", "*", 2), ("punct", ".", 4), ("ident", "e1", 5), ("eof", "", 7)]),
+        ("a-b - -c--d", [("ident", "a", 0), ("op", "-", 1), ("ident", "b", 2), ("op", "-", 4), ("op", "-", 6), ("ident", "c", 7), ("eof", "", 11)]),
+        ("a-", [("ident", "a", 0), ("op", "-", 1), ("eof", "", 2)]),
+        ("a/b/ *c/**/d", [("ident", "a", 0), ("op", "/", 1), ("ident", "b", 2), ("op", "/", 3), ("op", "*", 5), ("ident", "c", 6), ("ident", "d", 11), ("eof", "", 12)]),
+        ("*/-/*x*/-/", [("op", "*", 0), ("op", "/", 1), ("op", "-", 2), ("op", "-", 8), ("op", "/", 9), ("eof", "", 10)]),
+        ("a/-b", [("ident", "a", 0), ("op", "/", 1), ("op", "-", 2), ("ident", "b", 3), ("eof", "", 4)]),
     ],
 )
 def test_tokens_pinned(sql, tokens):

@@ -16,6 +16,7 @@ from sqlscore import (
     EvalOptions,
     Prediction,
     ResultTable,
+    anchor_sql,
     build_fixture_database,
     evaluate,
     get_predictions,
@@ -214,6 +215,21 @@ def assert_all_closed(connections) -> None:
             conn.execute("SELECT 1")
 
 
+def count_lexings(monkeypatch) -> list:
+    """Record each text the tokenizer lexes, not each ``tokenize`` call: its
+    memo starts empty and its regex is routed through a recorder."""
+    pattern, lexed = parser._TOKEN_RE, []
+
+    class Recorder:
+        def finditer(self, sql):
+            lexed.append(sql)
+            return pattern.finditer(sql)
+
+    monkeypatch.setattr(parser, "_TOKEN_RE", Recorder())
+    parser._lex.cache_clear()
+    return lexed
+
+
 def tripled(questions) -> list:
     """Three copies of every question, with fresh ids, copy after copy."""
     return [dataclasses.replace(q, id=f"{q.id}-copy{k}") for k in range(3) for q in questions]
@@ -245,6 +261,21 @@ class TestTruthSharing:
         calls.clear()
         assert validate_corpus(copies, db_dir) == []
         assert len(calls) == distinct
+
+    def test_each_distinct_text_lexed_once(self, questions, db_dir, monkeypatch):
+        """A text is parsed and then run with its clock anchored; both read one lexing."""
+        copies = tripled(questions)
+        distinct = len({(q.db_id, q.query) for q in copies})
+        assert len({q.query for q in copies}) == distinct
+        assert sum(anchor_sql(q.query) != q.query for q in questions) >= 5  # the clock pass runs
+        # per truth: itself and two respellings as predictions
+        predictions = [Prediction(c.id, c.query + " " * (i // len(questions))) for i, c in enumerate(copies)]
+        lexed = count_lexings(monkeypatch)
+        evaluate(copies, predictions, db_dir)
+        assert len(lexed) == len(set(lexed)) == 3 * distinct
+        lexed.clear()
+        assert validate_corpus(copies, db_dir) == []
+        assert sorted(lexed) == sorted({q.query for q in copies})
 
     def test_one_connection_per_database(self, questions, db_dir, monkeypatch):
         copies = tripled(questions)
