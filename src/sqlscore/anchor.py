@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from datetime import datetime
-from functools import lru_cache
 
-from .parser import BARE_TIME_FUNCTIONS, tokenize
+from .parser import BARE_TIME_FUNCTIONS, Token, tokenize
 
 DEFAULT_ANCHOR = datetime(2023, 1, 17, 0, 0, 0)
 
@@ -34,20 +33,15 @@ def parse_anchor(value: str | datetime) -> datetime:
     return datetime.fromisoformat(value)
 
 
-@lru_cache(maxsize=1)
-def _literals(wall: datetime) -> tuple[dict[str, str], frozenset[str]]:
-    """Each current-time word's literal at the naive time ``wall``, and the anchors: its timestamp and date."""
-    now, date = f"'{wall.isoformat(' ', 'seconds')}'", f"'{wall.date()}'"  # these pad the year to 4 digits; %Y may not
-    return {"now": now, "current_timestamp": now, "current_date": date, "current_time": f"'{wall:%H:%M:%S}'"}, frozenset((now, date))
-
-
-def _anchor(sql: str, anchor: str | datetime) -> tuple[str, list[str]]:
+def _anchor(sql: str, anchor: datetime, tokens: list[Token] | None = None) -> tuple[str, list[str]]:
     """``sql`` anchored, and the anchored text of each date/time call in it that has
-    the anchor's timestamp or date as a whole argument, innermost first."""
+    the anchor's timestamp or date as a whole argument, innermost first; ``tokens`` are ``tokenize(sql)``."""
     if not _CLOCK_WORD_RE.search(sql.lower()):
         return sql, []
-    literals, anchors = _literals(parse_anchor(anchor).replace(tzinfo=None))
-    tokens = tokenize(sql)
+    wall = anchor.replace(tzinfo=None)  # an aware anchor reads its own offset's wall clock
+    now, date = f"'{wall.isoformat(' ', 'seconds')}'", f"'{wall.date()}'"  # these pad the year to 4 digits; %Y may not
+    literals, anchors = {"now": now, "current_timestamp": now, "current_date": date, "current_time": f"'{wall:%H:%M:%S}'"}, {now, date}
+    tokens = tokens or tokenize(sql)
     edits, calls = [], []  # edits as (start, end, literal), in source order
     frames: list[list] = []  # per open parenthesis: [its token index, the name it calls or None, commas, anchored]
 
@@ -109,10 +103,6 @@ def anchor_sql(sql: str, anchor: str | datetime = DEFAULT_ANCHOR) -> str:
     ``'now'`` in any ASCII case that is a whole argument of a date/time function
     is replaced, and a date/time call with no time value (``date()``,
     ``strftime('%Y')``) gets the anchor as one.  A text with no clock word is
-    the very same object; a clock word in an unterminated string or comment is kept."""
-    return _anchor(sql, anchor)[0]
-
-
-def anchored_time_calls(sql: str, anchor: str | datetime = DEFAULT_ANCHOR) -> list[str]:
-    """The anchored date/time calls of ``sql`` that have the anchor as a whole argument."""
-    return _anchor(sql, anchor)[1]
+    the very same object; a clock word in an unterminated string or comment is kept.
+    Raises ValueError for an ``anchor`` string that is not ISO 8601, whatever ``sql`` is."""
+    return _anchor(sql, parse_anchor(anchor))[0]

@@ -11,14 +11,13 @@ canonicalized to ``!=``, explicit ASC and ALL quantifiers removed, AND/OR
 chains flattened into n-ary nodes, and table aliases that bind an
 unambiguous table are resolved away (their qualifiers rewritten to the
 table name).  Case-folding lowers ASCII letters only, as SQLite does, and
-never touches quoted identifiers or string literals.  ``tokenize`` memoizes
-the last text's tokens, so a text parsed and then anchored is lexed once.
+never touches quoted identifiers or string literals.  ``parse`` takes the
+tokens a caller has, so a text parsed and then anchored is lexed once.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .sqlast import Node, NodeKind, ParseError, from_items
@@ -108,15 +107,7 @@ def quote_identifier(name: str) -> str:
 def tokenize(sql: str) -> list[Token]:
     """The tokens of ``sql``, then ``eof``; never raises.  Only ``parse`` refuses
     a ``bad`` token or an ``unterminated`` one, which runs to the end of the text.
-    The last text's tokens are memoized; each call returns a fresh list."""
-    return list(_lex(sql))
-
-
-# One entry: a text is lexed again, if at all, before the next text is lexed
-# (parsed, then anchored for execution and, in validation, for the range
-# check); more entries would only keep large texts' tokens alive.
-@lru_cache(maxsize=1)
-def _lex(sql: str) -> tuple[Token, ...]:
+    Each call lexes the text and returns a new list."""
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(sql):
         group = m.lastindex  # an index into _GROUP_KINDS
@@ -140,7 +131,7 @@ def _lex(sql: str) -> tuple[Token, ...]:
             text = text[1:-1] if quote == "[" else text[1:-1].replace(quote * 2, quote)
         tokens.append(_new_tuple(Token, (_GROUP_KINDS[group], text, start)))
     tokens.append(Token("eof", "", len(sql)))
-    return tuple(tokens)
+    return tokens
 
 
 _PREDICATE_WORDS = {"not", "in", "like", "between", "is"}
@@ -636,16 +627,15 @@ def _resolve_aliases(statement: Node, env: dict[str, str]) -> Node:
     return statement.map_children(rewrite)
 
 
-def parse(sql: str) -> Node:
-    """Parse one SELECT statement into a normalized AST: its statement node.
+def parse(sql: str, tokens: list[Token] | None = None) -> Node:
+    """Parse one SELECT statement (lexed as ``tokens``, if given) into a normalized AST: its statement node.
 
     Raises ParseError for empty input, multiple statements, or anything
     outside the supported surface; never aborts the process.
     """
     if not isinstance(sql, str) or not sql.strip(" \t\n\f\r"):
         raise ParseError("empty SQL text", 0)
-    tokens = tokenize(sql)
-    parser = _Parser(tokens)
+    parser = _Parser(tokens or tokenize(sql))
     if not parser.at_kw("select", "with"):
         raise parser.error("expected SELECT or WITH")
     root = parser.parse_statement()

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 
-from .anchor import DEFAULT_ANCHOR, anchor_sql
+from .anchor import DEFAULT_ANCHOR, _anchor, parse_anchor
 
 DEFAULT_TIMEOUT_S = 10.0
 DEFAULT_ROW_CAP = 100_000
@@ -70,7 +70,7 @@ def valid_timeout(seconds: object) -> bool:
 class ExecutionError(Exception):
     """A query could not be executed; ``stage`` says why.
 
-    stage is one of: engine, timeout, row-cap, database.
+    stage is one of: engine, timeout, row-cap, database, anchor.
     """
 
     def __init__(self, message: str, stage: str):
@@ -322,12 +322,20 @@ def execute(
     not load_extension, so ATTACH, PRAGMA and DML fail.  The result is
     materialized fully; a timeout and ``DEFAULT_ROW_CAP`` bound runaway
     predictions.  Raises ExecutionError on any failure, no result columns
-    included, and with stage ``timeout`` on a bad ``timeout_s``.
+    included, with stage ``timeout`` on a bad ``timeout_s``, and with stage
+    ``anchor`` on an ``anchor`` that is not an ISO 8601 instant, whatever ``sql`` is.
     """
     if not valid_timeout(timeout_s):
         raise ExecutionError(f"timeout_s must be a finite number of seconds above 0, got {timeout_s!r}", stage="timeout")
-    sql = anchor_sql(sql, anchor)
+    try:
+        instant = parse_anchor(anchor)
+    except (TypeError, ValueError) as exc:
+        raise ExecutionError(f"invalid anchor: {exc}", stage="anchor") from exc
+    return _run(_anchor(sql, instant)[0], db, timeout_s)
 
+
+def _run(sql: str, db: str | Path | sqlite3.Connection, timeout_s: float) -> ResultTable:
+    """``execute`` for a text whose clock is already anchored, with a valid ``timeout_s``."""
     own_connection = not isinstance(db, sqlite3.Connection)
     conn = _open_readonly(db) if own_connection else db
     deadline = time.monotonic() + timeout_s

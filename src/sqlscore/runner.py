@@ -29,10 +29,10 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from .adapters import Prediction
-from .anchor import DEFAULT_ANCHOR, anchored_time_calls, parse_anchor
+from .anchor import DEFAULT_ANCHOR, _anchor, parse_anchor
 from .corpus import BenchmarkQuestion, database_path, id_key, is_json_scalar
 from .diff import _TreeIndex
-from .parser import parse, quote_identifier
+from .parser import parse, quote_identifier, tokenize
 from .results import (
     DEFAULT_TIMEOUT_S,
     VERDICT_EXECUTION_ERROR,
@@ -41,12 +41,12 @@ from .results import (
     ResultScore,
     ResultTable,
     _open_readonly,
-    execute,
+    _run,
     match_columns,
     score_result_pair,
     valid_timeout,
 )
-from .semantic import CorpusError, SemanticScore, invalid_prediction_score, parse_truth, semantic_score_from_asts
+from .semantic import CorpusError, SemanticScore, invalid_prediction_score, semantic_score_from_asts
 from .sqlast import Node, ParseError, physical_tables
 
 __all__ = [
@@ -135,10 +135,12 @@ def missing_databases(questions: list[BenchmarkQuestion], db_dir: str | Path) ->
 
 @dataclass(frozen=True)
 class Truth:
-    """A ground-truth query that parsed and executed: its statement and result."""
+    """A ground-truth query that parsed and executed: its text, statement, result and anchored date/time calls."""
 
+    sql: str
     root: Node
     table: ResultTable
+    time_calls: list[str]
 
     @cached_property
     def tables(self) -> frozenset[str]:
@@ -152,22 +154,39 @@ class Truth:
         return _TreeIndex(self.root)
 
 
+def _instant(anchor: str | datetime) -> datetime:
+    """``anchor`` as a datetime; raises ConfigError unless it is an ISO 8601 instant."""
+    try:
+        return parse_anchor(anchor)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid anchor: {exc}") from exc
+
+
+def _read(sql: str, anchor: datetime) -> tuple[Node | str, str, list[str]]:
+    """From one lexing: the statement of ``sql`` or its ParseError's message, then ``_anchor(sql, anchor)``."""
+    tokens = tokenize(sql)
+    try:
+        statement = parse(sql, tokens)
+    except ParseError as exc:
+        statement = str(exc)
+    return (statement, *_anchor(sql, anchor, tokens))
+
+
 def _truth(
     sql: str,
     db: sqlite3.Connection,
     anchor: datetime,
     options: EvalOptions,
-) -> Truth:
-    """Parse a ground-truth query and execute its text.
-
-    Raises CorpusError when it does not parse or execute.
-    """
-    root = parse_truth(sql)
+) -> Truth | str:
+    """Parse a ground-truth query and execute its anchored text; the corpus error's message if either fails."""
+    root, anchored, time_calls = _read(sql, anchor)
+    if isinstance(root, str):
+        return f"truth query does not parse: {root}"
     try:
-        table = execute(sql, db, anchor, timeout_s=options.query_timeout_s)
+        table = _run(anchored, db, options.query_timeout_s)
     except ExecutionError as exc:
-        raise CorpusError(f"truth query failed to execute: {exc}") from exc
-    return Truth(root, table)
+        return f"truth query failed to execute: {exc}"
+    return Truth(sql, root, table, time_calls)
 
 
 def _score_prediction(
@@ -177,37 +196,38 @@ def _score_prediction(
     anchor: datetime,
     options: EvalOptions,
 ) -> tuple[SemanticScore, ResultScore]:
+    """Score one prediction; a text equal to the truth's takes its reading, so a text has one outcome per run."""
+    statement, anchored, _ = (truth.root, None, None) if predicted_sql == truth.sql else _read(predicted_sql, anchor)
+    invalid = isinstance(statement, str)  # its text may still run, and then its rows are scored
+    semantic = invalid_prediction_score() if invalid else semantic_score_from_asts(truth.index, statement)
     try:
-        predicted = parse(predicted_sql)
-    except ParseError:  # its text may still run, and then its rows are scored
-        semantic = None
-    else:
-        semantic = semantic_score_from_asts(truth.index, predicted)
-    try:
-        predicted_table = execute(predicted_sql, db, anchor, timeout_s=options.query_timeout_s)
+        predicted_table = truth.table if anchored is None else _run(anchored, db, options.query_timeout_s)
     except ExecutionError:
-        failure = VERDICT_INVALID if semantic is None else VERDICT_EXECUTION_ERROR
-        return semantic or invalid_prediction_score(), ResultScore.failure(failure)
-    return semantic or invalid_prediction_score(), score_result_pair(predicted_table, truth.table, options.order_insensitive)
+        return semantic, ResultScore.failure(VERDICT_INVALID if invalid else VERDICT_EXECUTION_ERROR)
+    return semantic, score_result_pair(predicted_table, truth.table, options.order_insensitive)
 
 
 def score_pair(
     truth_sql: str,
     predicted_sql: str,
     db_path: str | Path,
-    anchor: datetime,
+    anchor: str | datetime,
     options: EvalOptions,
 ) -> tuple[SemanticScore, ResultScore]:
     """Statement and result similarity of one prediction, parsing each query
     once and running both over one read-only connection.
 
-    Raises ConfigError when the database file is missing, and CorpusError
-    when the truth query does not parse or execute.
+    Raises ConfigError for a bad anchor or a missing database file, and
+    CorpusError when the truth query does not parse or execute.
     """
+    instant = _instant(anchor)
     if not Path(db_path).is_file():
         raise ConfigError(f"database file not found: {db_path}")
     with closing(_open_readonly(db_path)) as db:
-        return _score_prediction(_truth(truth_sql, db, anchor, options), predicted_sql, db, anchor, options)
+        truth = _truth(truth_sql, db, instant, options)
+        if isinstance(truth, str):
+            raise CorpusError(truth)
+        return _score_prediction(truth, predicted_sql, db, instant, options)
 
 
 def _open_databases(stack: ExitStack, db_dir: str | Path, db_ids) -> dict[str, sqlite3.Connection]:
@@ -220,20 +240,16 @@ def _prepared_truths(
     conns: dict[str, sqlite3.Connection],
     instant: datetime,
     options: EvalOptions,
-) -> Iterator[tuple[list[int], Truth | CorpusError]]:
+) -> Iterator[tuple[list[int], Truth | str]]:
     """Each distinct (database, truth query) whose database is open, in
-    first-use order: the positions of its questions, and its Truth or the
-    CorpusError that preparing it raised."""
+    first-use order: the positions of its questions, and its Truth or
+    corpus error message."""
     groups: dict[tuple[str, str], list[int]] = defaultdict(list)
     for i, q in enumerate(questions):
         if q.db_id in conns:
             groups[q.db_id, q.query].append(i)
     for (db_id, query), positions in groups.items():
-        try:
-            truth = _truth(query, conns[db_id], instant, options)
-        except CorpusError as exc:
-            truth = exc
-        yield positions, truth
+        yield positions, _truth(query, conns[db_id], instant, options)
 
 
 def check_inputs(questions: list[BenchmarkQuestion], db_dir: str | Path) -> None:
@@ -262,11 +278,11 @@ def evaluate(
 
     A question gets the prediction whose id equals its own as a JSON value
     (``1``, ``"1"`` and ``True`` are three ids), else the empty SQL.  Raises
-    ConfigError where ``check_inputs`` does, and when a prediction id is not
-    a JSON scalar (None, bool, int, finite float or str).
+    ConfigError where ``check_inputs`` does, for a bad anchor, and when a
+    prediction id is not a JSON scalar (None, bool, int, finite float or str).
     """
     options = options or EvalOptions()
-    instant = parse_anchor(anchor)
+    instant = _instant(anchor)
     check_inputs(questions, db_dir)
     for p in predictions:
         if not is_json_scalar(p.question_id):
@@ -277,7 +293,7 @@ def evaluate(
     with ExitStack() as stack:
         conns = _open_databases(stack, db_dir, {q.db_id for q in questions})
         for positions, truth in _prepared_truths(questions, conns, instant, options):
-            failed = isinstance(truth, CorpusError)
+            failed = isinstance(truth, str)
             scores: dict[str, tuple[SemanticScore | None, ResultScore | None]] = {}
             for i in positions:
                 q = questions[i]
@@ -286,7 +302,7 @@ def evaluate(
                     scores[sql] = (None, None) if failed else _score_prediction(truth, sql, conns[q.db_id], instant, options)
                 semantic, result = scores[sql]
                 instances[i] = InstanceResult(
-                    q.id, q.db_id, q.case_type, q.language, sql, semantic, result, excluded=failed, warning=str(truth) if failed else None
+                    q.id, q.db_id, q.case_type, q.language, sql, semantic, result, excluded=failed, warning=truth if failed else None
                 )
 
     def by(group: Callable[[InstanceResult], str]) -> dict[str, Aggregate]:
@@ -320,11 +336,10 @@ def _timestamp_columns(conn: sqlite3.Connection, table: str) -> list[str]:
 def _range_problems(
     conn: sqlite3.Connection,
     scratch: sqlite3.Connection,
-    sql: str,
     truth: Truth,
     instant: datetime,
 ) -> list[str]:
-    """Each table the truth ``sql`` reads whose timestamped data does not
+    """Each table ``truth`` reads whose timestamped data does not
     bracket its anchor-relative window, as one message per table in name order.
 
     A bound is the date a date/time call with the anchor or current_date's
@@ -333,7 +348,7 @@ def _range_problems(
     as the truth's ``WHERE`` does, so values of any type get a message.
     """
     bounds: list[str] = []
-    for call in anchored_time_calls(sql, instant):
+    for call in truth.time_calls:
         try:
             value = scratch.execute(f"SELECT {call}").fetchone()[0]
         except sqlite3.Error:
@@ -382,9 +397,9 @@ def validate_corpus(
     Each check runs once per distinct truth and warns once per question.
     Missing databases come first; then each check's warnings follow in
     question order: corpus errors and zero rows, coinciding pairs by
-    (first, second) question, range problems.
+    (first, second) question, range problems.  A bad anchor raises ConfigError.
     """
-    instant = parse_anchor(anchor)
+    instant = _instant(anchor)
     missing = missing_databases(questions, db_dir)
     # (sort key, message): key (0, i) corpus error or zero rows, (1, i, j) a
     # coinciding pair, (2, i) a range problem, for question positions i < j
@@ -395,7 +410,7 @@ def validate_corpus(
         scopes: dict[tuple[str, frozenset], list[tuple[list[int], Truth]]] = defaultdict(list)
         for positions, truth in _prepared_truths(questions, conns, instant, EvalOptions()):
             db_id = questions[positions[0]].db_id
-            if isinstance(truth, CorpusError):
+            if isinstance(truth, str):
                 keyed.extend(((0, i), f"question {questions[i].id}: {truth}") for i in positions)
                 continue
             if truth.table.row_count == 0:
@@ -413,7 +428,7 @@ def validate_corpus(
             # anchor-relative windows must fall inside the fixture data range
             timed = [i for i in positions if questions[i].case_type in _TIME_SENSITIVE_CASE_TYPES]
             if timed:
-                problems = _range_problems(conns[db_id], scratch, questions[positions[0]].query, truth, instant)
+                problems = _range_problems(conns[db_id], scratch, truth, instant)
                 keyed.extend(((2, i), f"question {questions[i].id}: {problem}") for i in timed for problem in problems)
     keyed.sort(key=itemgetter(0))
     return [f"db {db_id}: database file missing: {path}" for db_id, path in missing.items()] + [m for _, m in keyed]

@@ -50,7 +50,8 @@ class SemanticScore:
     breakdown: ScoreBreakdown
 
     def __post_init__(self) -> None:
-        assert 0.0 <= self.value <= 1.0
+        if not 0.0 <= self.value <= 1.0:
+            raise ValueError(f"a semantic score is in [0, 1], got {self.value!r}")
 
 
 def semantic_score_from_asts(truth: Node | _TreeIndex, predicted: Node) -> SemanticScore:
@@ -93,14 +94,6 @@ def semantic_score_from_asts(truth: Node | _TreeIndex, predicted: Node) -> Seman
     return SemanticScore(value=1.0 - breakdown.raw_ratio, verdict=VERDICT_SCORED, breakdown=breakdown)
 
 
-def parse_truth(sql: str) -> Node:
-    """Parse a ground-truth query; raises CorpusError when it does not parse."""
-    try:
-        return parse(sql)
-    except ParseError as exc:
-        raise CorpusError(f"truth query does not parse: {exc}") from exc
-
-
 def invalid_prediction_score() -> SemanticScore:
     return SemanticScore(value=0.0, verdict=VERDICT_INVALID, breakdown=ScoreBreakdown())
 
@@ -110,7 +103,10 @@ def semantic_similarity(query_true: str, query_predicted: str) -> SemanticScore:
 
     The score is directional: (truth, predicted) is not symmetrized.
     """
-    truth = parse_truth(query_true)
+    try:
+        truth = parse(query_true)
+    except ParseError as exc:
+        raise CorpusError(f"truth query does not parse: {exc}") from exc
     try:
         predicted = parse(query_predicted)
     except ParseError:

@@ -6,7 +6,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from sqlscore import load_corpus, write_fixtures
 
-from helpers import ConstantModel, serve_model
+# the helpers' asserts are checks too, and must hold under python -O as well
+pytest.register_assert_rewrite("helpers")
+
+from helpers import ConstantModel, serve_model  # noqa: E402
 
 # Same examples on every run, and no example database written to disk.
 settings.register_profile("repeatable", derandomize=True, database=None)

@@ -9,9 +9,23 @@ from helpers import random_query, rewrite_time_anchor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlscore import DEFAULT_ANCHOR, FIXTURE_QUESTIONS, BenchmarkQuestion, ExecutionError, ParseError, anchor_sql, execute, parse, score_pair, validate_corpus
+from sqlscore import (
+    DEFAULT_ANCHOR,
+    FIXTURE_QUESTIONS,
+    BenchmarkQuestion,
+    ConfigError,
+    ExecutionError,
+    ParseError,
+    Prediction,
+    anchor_sql,
+    evaluate,
+    execute,
+    parse,
+    score_pair,
+    validate_corpus,
+)
 from sqlscore import anchor as anchor_module
-from sqlscore.anchor import anchored_time_calls
+from sqlscore.anchor import _anchor
 from sqlscore.runner import EvalOptions
 
 
@@ -196,13 +210,13 @@ def test_clock_text_reaches_sqlite_whatever_its_characters(db_dir):
 
 def test_anchored_time_calls():
     sql = "SELECT a FROM t WHERE ts >= DATETIME(current_date, '-7 days') AND ts < date(datetime('now'), '+1 day') OR strftime('%Y')"
-    assert anchored_time_calls(sql) == [
+    assert _anchor(sql, DEFAULT_ANCHOR)[1] == [
         "DATETIME('2023-01-17', '-7 days')",
         "datetime('2023-01-17 00:00:00')",
         "strftime('%Y', '2023-01-17 00:00:00')",
     ]
     # the anchor written out counts, current_time's time of day does not
-    assert anchored_time_calls("SELECT date('2023-01-17 00:00:00'), time(current_time), date(x)") == ["date('2023-01-17 00:00:00')"]
+    assert _anchor("SELECT date('2023-01-17 00:00:00'), time(current_time), date(x)", DEFAULT_ANCHOR)[1] == ["date('2023-01-17 00:00:00')"]
 
 
 # -- agreement with the tree-level reference ------------------------------------------------
@@ -327,7 +341,45 @@ _ONE_CLOCK_WORD = st.tuples(st.sampled_from(_CLOCK_WORDS).flatmap(_spelling), st
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_ONE_CLOCK_WORD.map(lambda call: "SELECT " + "".join(call)), st.lists(_CLOCK_FRAGMENTS, max_size=12).map("".join)))
 def test_clock_word_prefilter_drops_no_text_the_pass_changes(sql):
-    anchored, calls = anchor_sql(sql), anchored_time_calls(sql)
+    anchored, calls = anchor_sql(sql), _anchor(sql, DEFAULT_ANCHOR)[1]
     with mock.patch.object(anchor_module, "_CLOCK_WORD_RE", re.compile("")):  # every text passes
         assert anchor_sql(sql) == anchored
-        assert anchored_time_calls(sql) == calls
+        assert _anchor(sql, DEFAULT_ANCHOR)[1] == calls
+
+
+# -- a bad anchor fails the same way for every text ---------------------------------------
+
+_WITH_AND_WITHOUT_CLOCK = pytest.mark.parametrize("sql", ["SELECT 1", "SELECT date('now')"])
+
+
+@_WITH_AND_WITHOUT_CLOCK
+def test_bad_anchor_in_anchor_sql_raises_value_error(sql):
+    with pytest.raises(ValueError):
+        anchor_sql(sql, "bad")
+
+
+@_WITH_AND_WITHOUT_CLOCK
+def test_bad_anchor_in_execute_raises_execution_error(sql, db_dir):
+    with pytest.raises(ExecutionError) as exc_info:
+        execute(sql, db_dir / "benchmark_1.sqlite", anchor="bad")
+    assert exc_info.value.stage == "anchor"
+
+
+@_WITH_AND_WITHOUT_CLOCK
+def test_bad_anchor_in_evaluate_raises_config_error(sql, db_dir):
+    question = BenchmarkQuestion("benchmark_1", sql, "q", "en", "aggregation", id="q")
+    with pytest.raises(ConfigError, match="invalid anchor"):
+        evaluate([question], [Prediction("q", sql)], db_dir, "bad")
+
+
+@_WITH_AND_WITHOUT_CLOCK
+def test_bad_anchor_in_validate_corpus_raises_config_error(sql, db_dir):
+    question = BenchmarkQuestion("benchmark_1", sql, "q", "en", "time_period", id="q")
+    with pytest.raises(ConfigError, match="invalid anchor"):
+        validate_corpus([question], db_dir, "bad")
+
+
+@_WITH_AND_WITHOUT_CLOCK
+def test_bad_anchor_in_score_pair_raises_config_error(sql, db_dir):
+    with pytest.raises(ConfigError, match="invalid anchor"):
+        score_pair(sql, sql, db_dir / "benchmark_1.sqlite", "bad", EvalOptions())

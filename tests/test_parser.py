@@ -291,7 +291,7 @@ def test_tokenize_returns_tokens():
 
 
 def test_tokenize_returns_a_fresh_list_each_call():
-    """The memoized tokens of a text stay as lexed whatever a caller does to its list."""
+    """A text's tokens stay as lexed whatever a caller does to a list ``tokenize`` returned."""
     sql = "SELECT date('now', '-1 day') AS d FROM t"
     tokens = tokenize(sql)
     expected, tree, anchored = list(tokens), parse(sql), anchor_sql(sql)

@@ -5,6 +5,7 @@ import random
 import re
 import sqlite3
 import sys
+import types
 import weakref
 
 import pytest
@@ -94,7 +95,7 @@ class TestEvaluate:
     def test_each_query_parsed_once(self, questions, db_dir, monkeypatch):
         calls = count_parse_calls(monkeypatch)
         evaluate(questions, identity_predictions(questions), db_dir)
-        assert len(calls) == 2 * len(questions)
+        assert len(calls) == len(questions)  # an identity prediction takes its truth's reading
 
     def test_executable_but_wrong_prediction(self, questions, db_dir):
         q = questions[0]
@@ -216,8 +217,7 @@ def assert_all_closed(connections) -> None:
 
 
 def count_lexings(monkeypatch) -> list:
-    """Record each text the tokenizer lexes, not each ``tokenize`` call: its
-    memo starts empty and its regex is routed through a recorder."""
+    """Record each text the tokenizer lexes: its regex is routed through a recorder."""
     pattern, lexed = parser._TOKEN_RE, []
 
     class Recorder:
@@ -226,7 +226,6 @@ def count_lexings(monkeypatch) -> list:
             return pattern.finditer(sql)
 
     monkeypatch.setattr(parser, "_TOKEN_RE", Recorder())
-    parser._lex.cache_clear()
     return lexed
 
 
@@ -257,7 +256,7 @@ class TestTruthSharing:
         distinct = len({(q.db_id, q.query) for q in copies})
         calls = count_parse_calls(monkeypatch)
         evaluate(copies, identity_predictions(copies), db_dir)
-        assert len(calls) == 2 * distinct  # each truth once, each (db, truth, prediction) once
+        assert len(calls) == distinct  # each truth once, and its identity prediction takes that reading
         calls.clear()
         assert validate_corpus(copies, db_dir) == []
         assert len(calls) == distinct
@@ -360,6 +359,32 @@ class TestScoreSharing:
         assert [r.result.f1 for r in report.instances] == [1.0, 0.0, 1.0, 0.0]
 
 
+def test_no_reading_outlives_its_instance(questions, db_dir):
+    """Broken truths and predictions that do not parse or fail in SQLite
+    leave no sqlscore frame in a reference cycle."""
+    corpus = questions + [
+        BenchmarkQuestion("benchmark_1", "SELECT definitely FROM", "q", "en", "filtering", id="unparsed"),
+        BenchmarkQuestion("benchmark_1", "SELECT nope FROM campaigns", "q", "en", "filtering", id="unrun"),
+    ]
+    sqls = ["not sql", "SELECT nope FROM campaigns", "SELECT name FROM campaigns WHERE"]
+    predictions = [Prediction(q.id, sqls[i % 4] if i % 4 < 3 else q.query) for i, q in enumerate(corpus)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        evaluate(corpus, predictions, db_dir)
+        validate_corpus(corpus, db_dir)
+        gc.collect()
+        frames = [(o.f_globals.get("__name__", ""), o.f_code.co_name) for o in gc.garbage if isinstance(o, types.FrameType)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert [(module, name) for module, name in frames if module.partition(".")[0] == "sqlscore"] == []
+
+
 class TestPreparedTruth:
     def test_prepared_truth_scores_like_a_fresh_diff(self):
         rng = random.Random(0)
@@ -368,7 +393,7 @@ class TestPreparedTruth:
         predictions += [parse(random_query(rng)) for _ in range(40)]
         predictions += [parse("WITH d AS (SELECT a, count(*) AS n FROM t WHERE c = 'x' AND b > 1 GROUP BY a) SELECT a, n AS m FROM d")]
         rng.shuffle(predictions)
-        index = runner.Truth(root, ResultTable((), ())).index
+        index = runner.Truth("", root, ResultTable((), ()), []).index
         keys = len(index.keys)
         scores = [semantic_score_from_asts(index, p) for p in predictions]
         assert scores == [semantic_score_from_asts(root, p) for p in predictions]
@@ -679,6 +704,15 @@ class TestScorePair:
         semantic, result = score_pair(sql, sql, db_dir / "benchmark_1.sqlite", DEFAULT_ANCHOR, EvalOptions())
         assert semantic.value == result.f1 == 1.0
         assert opened == [db_dir / "benchmark_1.sqlite"]
+
+    def test_one_outcome_per_text_per_run(self, db_dir):
+        """A prediction whose text is its truth's takes the truth's rows; any
+        other text is run on its own, so random() differs between the two."""
+        truth, db = "SELECT name, random() AS r FROM campaigns", db_dir / "benchmark_1.sqlite"
+        semantic, result = score_pair(truth, truth, db, DEFAULT_ANCHOR, EvalOptions())
+        assert (semantic.value, result.precision, result.recall) == (1.0, 1.0, 1.0)
+        semantic, result = score_pair(truth, truth + " ", db, DEFAULT_ANCHOR, EvalOptions())
+        assert (semantic.value, result.precision, result.recall) == (1.0, 0.5, 0.5)
 
 
 class TestTextExecution:

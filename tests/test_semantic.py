@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sqlscore import CorpusError, diff, parse, render, semantic_score_from_asts, semantic_similarity
+from sqlscore import CorpusError, ScoreBreakdown, SemanticScore, diff, parse, render, semantic, semantic_score_from_asts, semantic_similarity
 from sqlscore.diff import _TreeIndex
 from sqlscore.fixtures import FIXTURE_QUESTIONS
 from sqlscore.semantic import RULE_NORMAL, RULE_TABLE_MISMATCH, VERDICT_INVALID, VERDICT_SCORED
@@ -180,6 +184,17 @@ class TestRange:
             assert pairs + b.deletes == truth.node_count
             assert pairs + b.inserts == predicted.node_count
             assert b.size_union == pairs + b.deletes + b.inserts
+
+    @pytest.mark.parametrize("value", [-0.01, 1.01, float("nan")])
+    def test_value_outside_unit_interval_raises_value_error(self, value):
+        with pytest.raises(ValueError):
+            SemanticScore(value, VERDICT_SCORED, ScoreBreakdown())
+
+    def test_range_is_checked_with_assertions_off(self):
+        code = "from sqlscore import ScoreBreakdown, SemanticScore\ntry:\n    SemanticScore(1.5, 'scored', ScoreBreakdown())\nexcept ValueError:\n    print('refused')"
+        src = str(Path(semantic.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr
 
 
 def test_score_agrees_with_the_edit_script_reference():
