@@ -80,7 +80,7 @@ def _load_predictions_file(path: str) -> dict[tuple[bool, Any], tuple[str, int |
         raise AdapterError(f"predictions file {path}: cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise AdapterError(f"predictions file {path}: not UTF-8: {exc}") from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):  # read_text made every line end \n; a JSON string may hold U+2028 raw
         if not line.strip():
             continue
         try:

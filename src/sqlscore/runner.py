@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 import sqlite3
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from datetime import datetime
@@ -40,6 +40,7 @@ from .results import (
     ExecutionError,
     ResultScore,
     ResultTable,
+    _bucket_key,
     _open_readonly,
     _run,
     match_columns,
@@ -407,7 +408,8 @@ def validate_corpus(
     with ExitStack() as stack:
         conns = _open_databases(stack, db_dir, {q.db_id for q in questions}.difference(missing))
         scratch = stack.enter_context(closing(sqlite3.connect(":memory:")))
-        scopes: dict[tuple[str, frozenset], list[tuple[list[int], Truth]]] = defaultdict(list)
+        # the truths of one (database, tables, row count, column count), with their key multisets
+        scopes: dict[tuple, list[tuple[frozenset | None, list[int], Truth]]] = defaultdict(list)
         for positions, truth in _prepared_truths(questions, conns, instant, EvalOptions()):
             db_id = questions[positions[0]].db_id
             if isinstance(truth, str):
@@ -416,14 +418,19 @@ def validate_corpus(
             if truth.table.row_count == 0:
                 keyed.extend(((0, i), f"question {questions[i].id}: truth result has zero rows") for i in positions)
 
-            # distinct queries over the same tables must not coincide on results
-            earlier = scopes[db_id, truth.tables]
-            for other_positions, other in earlier:
-                if other.root != truth.root and other.table.column_count == truth.table.column_count == len(match_columns(other.table, truth.table)):
+            # distinct queries over the same tables must not coincide on results; a full
+            # matching pairs columns of equal bucket keys, so unless a loose column (key
+            # None) is in play, only truths whose keys form the same multiset can coincide
+            keys = Counter(map(_bucket_key, truth.table.columns))
+            multiset = None if None in keys else frozenset(keys.items())
+            earlier = scopes[db_id, truth.tables, truth.table.row_count, truth.table.column_count]
+            for other_multiset, other_positions, other in earlier:
+                meets = multiset == other_multiset or None in (multiset, other_multiset)
+                if meets and other.root != truth.root and truth.table.column_count == len(match_columns(other.table, truth.table)):
                     message = f"distinct queries over {'/'.join(sorted(truth.tables))} produce identical results (degenerate fixture data)"
                     for i, j in map(sorted, product(other_positions, positions)):
                         keyed.append(((1, i, j), f"questions {questions[i].id} and {questions[j].id}: {message}"))
-            earlier.append((positions, truth))
+            earlier.append((multiset, positions, truth))
 
             # anchor-relative windows must fall inside the fixture data range
             timed = [i for i in positions if questions[i].case_type in _TIME_SENSITIVE_CASE_TYPES]

@@ -95,9 +95,13 @@ def physical_tables(root: Node) -> set[str]:
     """Table references that do not resolve to a CTE defined in the tree."""
     tables: set[str] = set()
     ctes: set[str] = set()
-    for n in root.walk():
-        if n.kind is NodeKind.TABLE_REF:
-            tables.add(n.text)
-        elif n.kind is NodeKind.CTE:
-            ctes.add(n.text)
+    # a flat loop, with the members in locals: on 3.10 and 3.11 each NodeKind.X read goes through EnumType.__getattr__
+    table_ref, cte, stack = NodeKind.TABLE_REF, NodeKind.CTE, [root]
+    while stack:
+        kind, text, children = stack.pop()
+        if kind is table_ref:
+            tables.add(text)
+        elif kind is cte:
+            ctes.add(text)
+        stack += children
     return tables - ctes

@@ -11,13 +11,85 @@ import random
 import threading
 from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import product
+from operator import itemgetter
+from pathlib import Path
 
-from sqlscore import DEFAULT_ANCHOR, EditOpKind, EditScript, Node, NodeKind, ResultTable, parse, parse_anchor
+from sqlscore import (
+    CASE_TYPES,
+    DEFAULT_ANCHOR,
+    BenchmarkQuestion,
+    CorpusLoadError,
+    EditOpKind,
+    EditScript,
+    ExecutionError,
+    Node,
+    NodeKind,
+    ParseError,
+    ResultTable,
+    execute,
+    match_columns,
+    parse,
+    parse_anchor,
+)
 from sqlscore.anchor import TIME_VALUE_FUNCTIONS
+from sqlscore.corpus import _REQUIRED_FIELDS, is_json_scalar
 from sqlscore.diff import _CLAUSE_KINDS  # clause buckets are part of the matcher contract
 from sqlscore.parser import split_qualified
 from sqlscore.results import VERDICT_SCORED
 from sqlscore.semantic import RULE_NORMAL, RULE_TABLE_MISMATCH, ScoreBreakdown, SemanticScore
+
+# -- corpus loading and validation --------------------------------------------
+
+
+def question_from_mapping_reference(raw: dict, index: int) -> BenchmarkQuestion:
+    """One question from one corpus instance, checked field by field: the
+    reference for ``corpus.question_from_mapping``, which checks in one pass."""
+    for name in _REQUIRED_FIELDS:
+        if name not in raw:
+            raise CorpusLoadError(f"instance {index}: missing required field {name!r}")
+        if not isinstance(raw[name], str):
+            raise CorpusLoadError(f"instance {index}: field {name!r} must be a string")
+    if raw["case_type"] not in CASE_TYPES:
+        raise CorpusLoadError(f"instance {index}: unknown case_type {raw['case_type']!r}")
+    if not is_json_scalar(raw.get("id")):
+        raise CorpusLoadError(f"instance {index}: 'id' must be a JSON scalar (null, boolean, finite number or string), not {raw['id']!r}")
+    extra = {k: v for k, v in raw.items() if k not in _REQUIRED_FIELDS and k != "id"}
+    return BenchmarkQuestion(*map(raw.__getitem__, _REQUIRED_FIELDS), id=raw.get("id", index), extra=extra)
+
+
+def physical_tables_reference(root: Node) -> set[str]:
+    """The tables a tree reads that no CTE of it defines, by ``Node.walk``:
+    the reference for ``sqlast.physical_tables``."""
+    tables = {n.text for n in root.walk() if n.kind is NodeKind.TABLE_REF}
+    return tables - {n.text for n in root.walk() if n.kind is NodeKind.CTE}
+
+
+def coinciding_warnings(questions: list[BenchmarkQuestion], db_dir, anchor=DEFAULT_ANCHOR) -> list[str]:
+    """The coinciding-results warnings of ``validate_corpus``, in its order,
+    found by matching the columns of every pair of distinct truths over the
+    same tables of one database: the reference for its check, which matches
+    only the pairs whose column keys can pair up."""
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, q in enumerate(questions):
+        groups.setdefault((q.db_id, q.query), []).append(i)
+    truths = []  # (positions, scope, statement, result) of each truth that parses and runs, in first-use order
+    for (db_id, query), positions in groups.items():
+        path = Path(db_dir) / f"{db_id}.sqlite"
+        try:
+            root, table = parse(query), execute(query, path, anchor)
+        except (ParseError, ExecutionError):
+            continue
+        truths.append((positions, (db_id, frozenset(physical_tables_reference(root))), root, table))
+    keyed = []
+    for n, (positions, scope, root, table) in enumerate(truths):
+        for other_positions, other_scope, other_root, other_table in truths[:n]:
+            if other_scope == scope and other_root != root and other_table.column_count == table.column_count == len(match_columns(other_table, table)):
+                message = f"distinct queries over {'/'.join(sorted(scope[1]))} produce identical results (degenerate fixture data)"
+                for i, j in map(sorted, product(other_positions, positions)):
+                    keyed.append(((i, j), f"questions {questions[i].id} and {questions[j].id}: {message}"))
+    return [message for _, message in sorted(keyed, key=itemgetter(0))]
+
 
 # -- random query generation --------------------------------------------------
 

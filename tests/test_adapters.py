@@ -116,6 +116,18 @@ class TestFileAdapter:
         predictions = get_predictions(questions[:5], f"file:{path}")
         assert [p.latency_ms for p in predictions] == [7, None, None, None, None]
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+    def test_line_separator_inside_a_string(self, questions, tmp_path, separator):
+        # JSON allows these raw in a string, and json.dumps(ensure_ascii=False) writes them so; only \n ends a line
+        path = tmp_path / "preds.jsonl"
+        sql = f"SELECT 1 /*{separator}*/"
+        text = json.dumps({"id": 0, "sql": sql}, ensure_ascii=False) + "\r\n" + json.dumps({"id": 1, "sql": "SELECT 2"}) + "\r\n"
+        path.write_text(text, encoding="utf-8")
+        assert [p.sql for p in get_predictions(questions[:3], f"file:{path}")] == [sql, "SELECT 2", ""]
+        path.write_text(text + "not json\r\n", encoding="utf-8")
+        with pytest.raises(AdapterError, match=re.escape(f"{path}, line 3: invalid JSON: Expecting value: line 1 column 1 (char 0)")):
+            get_predictions(questions, f"file:{path}")
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
     def test_unreadable_file_raises(self, questions, tmp_path, kind):
         path = tmp_path / "preds.jsonl"

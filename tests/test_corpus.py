@@ -1,10 +1,16 @@
 import json
+import math
 import sqlite3
 from contextlib import closing
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sqlscore import CASE_TYPES, CorpusLoadError, build_fixture_database, category_counts, load_corpus
+from sqlscore.corpus import _REQUIRED_FIELDS, question_from_mapping
+
+from helpers import question_from_mapping_reference
 
 SAMPLE_INSTANCE = {
     "db_id": "benchmark_1",
@@ -120,6 +126,79 @@ def test_non_array_root_rejected(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(CorpusLoadError, match="cannot read"):
         load_corpus(tmp_path / "absent.json")
+
+
+_INSTANCE_TEXT = json.dumps(SAMPLE_INSTANCE)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # past the first 8 KiB, where a reader that decodes in chunks would count from the chunk
+        (
+            ("[" + "\r\n" * 5000 + _INSTANCE_TEXT + ",\r\n{,}]").encode(),
+            "is not valid JSON: Expecting property name enclosed in double quotes: line 5002 column 2 (char 5232)",
+        ),
+        ('[{"db_id": "a\rb"}]'.encode(), "is not valid JSON: Invalid control character at: line 1 column 14 (char 13)"),
+        (("\ufeff[" + _INSTANCE_TEXT + "]").encode(), "is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (
+            b"[" + b" " * 10000 + _INSTANCE_TEXT.replace("rta", "rt\xe9").encode("latin-1") + b"]",
+            "'utf-8' codec can't decode byte 0xe9 in position 10122: invalid continuation byte",
+        ),
+    ],
+    ids=["CRLF and a syntax error", "raw CR in a string", "UTF-8 BOM", "non-UTF-8 byte"],
+)
+def test_load_error_messages(tmp_path, content, message):
+    """Newlines count as ``read_text`` translates them, and byte positions from the file's start."""
+    path = tmp_path / "questions.json"
+    path.write_bytes(content)
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(path)
+    prefix = f"cannot read corpus file {path}: " if "codec" in message else f"corpus file {path} "
+    assert str(info.value) == prefix + message
+
+
+class _Text(str):
+    """A str subclass, which a field check by ``isinstance`` accepts."""
+
+
+_MISSING = object()
+_field_values = st.sampled_from((*CASE_TYPES, "trivia")) | st.sampled_from(CASE_TYPES).map(_Text)
+_bad_values = st.none() | st.booleans() | st.integers() | st.floats() | st.text("ab", max_size=3) | st.text("ab", max_size=3).map(_Text) | st.lists(st.none(), max_size=1) | st.just(_MISSING)
+# every JSON type, NaN and the infinities included
+_ids = st.none() | st.booleans() | st.integers() | st.floats() | st.text("ab", max_size=3) | st.lists(st.integers(), max_size=1) | st.dictionaries(st.text("ab", max_size=1), st.none(), max_size=1)
+
+
+@st.composite
+def _instances(draw) -> dict:
+    """An instance, valid but for an unknown case type and up to two fields that
+    are missing or not text, with or without an id and extra keys, in any key order."""
+    raw = {name: draw(_field_values) for name in _REQUIRED_FIELDS}
+    for name in draw(st.lists(st.sampled_from(_REQUIRED_FIELDS), max_size=2, unique=True)):
+        raw[name] = draw(_bad_values)
+    if draw(st.booleans()):
+        raw["id"] = draw(_ids)
+    raw.update(draw(st.dictionaries(st.sampled_from(["difficulty", "notes"]), st.integers() | st.text("ab", max_size=2), max_size=2)))
+    return dict(draw(st.permutations([(k, v) for k, v in raw.items() if v is not _MISSING])))
+
+
+@given(_instances())
+@example(dict(SAMPLE_INSTANCE, case_type="trivia"))
+@example(dict(SAMPLE_INSTANCE, case_type=_Text("trivia"), id=True))
+@example(dict(SAMPLE_INSTANCE, question=_Text("q"), notes=[1]))
+@example(dict(SAMPLE_INSTANCE, id=math.nan))
+@example(dict(SAMPLE_INSTANCE, id=math.inf))
+@example(dict(SAMPLE_INSTANCE, id=-math.inf))
+@example(dict(SAMPLE_INSTANCE, id={"n": 1}))
+def test_question_from_mapping_equals_the_field_by_field_check(raw):
+    def outcome(read):
+        try:
+            q = read(raw, 7)
+        except CorpusLoadError as exc:
+            return str(exc)
+        return q, q.extra, [type(v) for v in (*map(q.__getattribute__, _REQUIRED_FIELDS), q.id)]
+
+    assert outcome(question_from_mapping) == outcome(question_from_mapping_reference)
 
 
 def test_fixture_database_replaces_an_existing_file(tmp_path):

@@ -11,7 +11,7 @@ from sqlscore import NodeKind, ParseError, anchor_sql, parse, render, tokenize
 from sqlscore.parser import _ARITHMETIC, Token, split_qualified
 from sqlscore.sqlast import Node, physical_tables
 
-from helpers import random_query
+from helpers import physical_tables_reference, random_query
 
 
 ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
@@ -584,3 +584,26 @@ def test_non_ascii_names_fold_only_ascii_letters(sql, rendered):
 )
 def test_physical_tables(sql, tables):
     assert physical_tables(parse(sql)) == tables
+
+
+def random_tree(rng: random.Random) -> Node:
+    """A tree of any shape and kinds over three names, which table references and CTEs share."""
+    pool = [Node(rng.choice(list(NodeKind)), rng.choice("tuv")) for _ in range(rng.randint(1, 30))]
+    while len(pool) > 1:
+        children = tuple(pool.pop(rng.randrange(len(pool))) for _ in range(rng.randint(1, min(4, len(pool)))))
+        pool.append(Node(rng.choice(list(NodeKind)), rng.choice("tuv"), children))
+    return pool[0]
+
+
+def test_physical_tables_equals_the_walk():
+    rng = random.Random(11)
+    for root in [random_tree(rng) for _ in range(500)] + [parse(random_query(rng)) for _ in range(200)]:
+        assert physical_tables(root) == physical_tables_reference(root)
+
+
+def test_physical_tables_of_a_deep_chain():
+    root = Node(NodeKind.TABLE_REF, "base")
+    for depth in range(10_000):
+        root = Node(NodeKind.ALIAS, "x", (root, Node(NodeKind.TABLE_REF, f"t{depth % 100}")))
+    root = Node(NodeKind.STATEMENT, "", (Node(NodeKind.CTE, "t0"), root))
+    assert physical_tables(root) == physical_tables_reference(root) == {"base", *(f"t{i}" for i in range(1, 100))}

@@ -29,7 +29,7 @@ from sqlscore import adapters, parse, parser, results, runner, semantic
 from sqlscore.results import VERDICT_EXECUTION_ERROR, VERDICT_INVALID
 from sqlscore.semantic import semantic_score_from_asts
 
-from helpers import add_column_alias, drop_select_column, random_query, swap_table
+from helpers import add_column_alias, coinciding_warnings, drop_select_column, random_query, swap_table
 
 
 def identity_predictions(questions):
@@ -571,6 +571,49 @@ class TestValidateCorpus:
         expected = [(x.id, y.id) for i, x in enumerate(copies) for y in copies[i + 1 :] if x.query != y.query]
         warnings = validate_corpus(copies, db_dir)
         assert [tuple(w.split(":")[0].removeprefix("questions ").split(" and ")) for w in warnings] == expected
+
+    # truths over campaigns (6 rows), and whether some pair of them coincides
+    COINCIDING_CASES = {
+        "exact keys, columns swapped": (["SELECT campaign_id, name FROM campaigns", "SELECT name, campaign_id FROM campaigns"], True),
+        "a float within rel_tol of an integer": (
+            ["SELECT count(*) FROM campaigns", "SELECT count(*) * 1.0000000001 FROM campaigns", "SELECT count(*) * 1.1 FROM campaigns"],
+            True,
+        ),
+        "loose columns on both sides": (["SELECT campaign_id, budget / 7.0 FROM campaigns", "SELECT budget / 7.0, campaign_id FROM campaigns"], True),
+        "all-NULL columns": (
+            ["SELECT NULL FROM campaigns", "SELECT NULL AS n FROM campaigns", "SELECT NULL FROM campaigns WHERE campaign_id > 3", "SELECT max(NULL) FROM campaigns"],
+            True,
+        ),
+        "zero rows": (
+            ["SELECT name FROM campaigns WHERE 0", "SELECT budget FROM campaigns WHERE 0", "SELECT name, city FROM campaigns WHERE 0"],
+            True,
+        ),
+        "equal shapes, different key multisets": (
+            [
+                "SELECT campaign_id FROM campaigns",
+                "SELECT campaign_id + 1 FROM campaigns",
+                "SELECT city FROM campaigns",
+                "SELECT campaign_id, city FROM campaigns",
+                "SELECT campaign_id + 1, city FROM campaigns",
+            ],
+            False,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", COINCIDING_CASES)
+    def test_coinciding_check_equals_all_pairs(self, db_dir, case):
+        queries, coinciding = self.COINCIDING_CASES[case]
+        # every truth twice, so a shared truth is warned about per question pair
+        corpus = [BenchmarkQuestion("benchmark_1", sql, "q", "en", "filtering", id=f"{k}.{n}") for k in range(2) for n, sql in enumerate(queries)]
+        expected = coinciding_warnings(corpus, db_dir)
+        assert bool(expected) is coinciding
+        assert [w for w in validate_corpus(corpus, db_dir) if w.startswith("questions ")] == expected
+
+    def test_coinciding_check_matches_only_pairs_whose_keys_agree(self, questions, db_dir, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner, "match_columns", lambda *args: calls.append(args) or results.match_columns(*args))
+        assert validate_corpus(questions, db_dir) == coinciding_warnings(questions, db_dir) == []
+        assert len(calls) == 9  # of the 31 distinct pairs of equal column count over the same tables
 
     def test_data_range_must_bracket_time_window(self, questions, tmp_path):
         db_dir = tmp_path / "db"
