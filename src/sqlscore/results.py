@@ -21,8 +21,10 @@ the sorted column would.  A loose pair whose NULL counts or least cells
 differ is rejected; two plain columns ``==`` in row order are accepted, as a
 stable sort moves equal plain cells alike; only the pairs left sort their
 columns, each once per call, and compare them by one C-level ``==`` (both
-plain) or by ``cells_equal``.  Ordered mode has no accept: with no sort to
-pay for it, the type scan costs as much as the accept saves.
+plain) or by ``cells_equal``.  Ordered mode accepts a pair by one C-level
+``==`` in row order when both tables are plain by construction, read over a
+connection sqlscore opened, whose cells Python's sqlite3 gives as NULL, int,
+float, text or bytes and SQLite never as NaN; it needs no type scan.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ class ResultTable:
 
     labels: tuple[str, ...]
     columns: tuple[tuple[Cell, ...], ...]
+    _plain = False  # not a field: True on a table ``_run`` read over a connection sqlscore opened
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.columns) or len({len(c) for c in self.columns}) > 1:
@@ -239,6 +242,7 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
 
     else:
         p_keys, t_keys = list(map(_bucket_key, p_cols)), list(map(_bucket_key, t_cols))
+        plain = predicted._plain and truth._plain
 
     # a compatible pair has its NULLs in the same rows (sorted, in the same
     # number) and equal first non-NULL cells, so each predicted column meets
@@ -256,8 +260,8 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
         candidates = every if key is None else sorted(buckets.get(key, []) + loose)
         if order_insensitive:
             compat.append([t for t in candidates if equal_sorted(p_idx, t)])
-        else:
-            compat.append([t for t in candidates if all(map(cells_equal, p_col, t_cols[t]))])
+        else:  # == implies cells_equal for plain cells
+            compat.append([t for t in candidates if (plain and p_col == t_cols[t]) or all(map(cells_equal, p_col, t_cols[t]))])
 
     # augmenting paths, searched depth-first on a stack of [column, untried candidates, candidate tried]
     match_t: dict[int, int] = {}
@@ -294,12 +298,16 @@ def score_result_pair(predicted: ResultTable, truth: ResultTable, order_insensit
     return ResultScore(precision, recall, f1, tuple(matched), VERDICT_SCORED)
 
 
-def _open_readonly(db_path: str | Path) -> sqlite3.Connection:
+class _ReadOnly(sqlite3.Connection):
+    """A connection ``_open_readonly`` made: no converters, ``str`` text."""
+
+
+def _open_readonly(db_path: str | Path) -> _ReadOnly:
     path = Path(db_path)
     if not path.is_file():
         raise ExecutionError(f"database file not found: {path}", stage="database")
     # each statement text runs once per run, so caching it only holds memory
-    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, cached_statements=0)
+    conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True, cached_statements=0, factory=_ReadOnly)
     conn.execute("PRAGMA query_only = ON")
     return conn
 
@@ -324,6 +332,9 @@ def execute(
     predictions.  Raises ExecutionError on any failure, no result columns
     included, with stage ``timeout`` on a bad ``timeout_s``, and with stage
     ``anchor`` on an ``anchor`` that is not an ISO 8601 instant, whatever ``sql`` is.
+    A connection passed as ``db`` has its ``row_factory`` ignored and its
+    authorizer and progress handler cleared on return; its converters and
+    ``text_factory`` apply, so its tables match by ``cells_equal`` alone.
     """
     if not valid_timeout(timeout_s):
         raise ExecutionError(f"timeout_s must be a finite number of seconds above 0, got {timeout_s!r}", stage="timeout")
@@ -342,6 +353,7 @@ def _run(sql: str, db: str | Path | sqlite3.Connection, timeout_s: float) -> Res
     conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, 10_000)
     conn.set_authorizer(_authorize)
     cursor = conn.cursor()
+    cursor.row_factory = None  # rows as tuples of cells, whatever the connection's factory
     try:
         cursor.execute(sql)
         if cursor.description is None:
@@ -349,7 +361,9 @@ def _run(sql: str, db: str | Path | sqlite3.Connection, timeout_s: float) -> Res
         rows = cursor.fetchmany(DEFAULT_ROW_CAP + 1)
         if len(rows) > DEFAULT_ROW_CAP:
             raise ExecutionError(f"result exceeds row cap of {DEFAULT_ROW_CAP}", stage="row-cap")
-        return ResultTable.from_rows([d[0] for d in cursor.description], rows)
+        table = ResultTable.from_rows([d[0] for d in cursor.description], rows)
+        object.__setattr__(table, "_plain", isinstance(conn, _ReadOnly))  # a caller's converters may give bools
+        return table
     except (sqlite3.Error, sqlite3.Warning, ValueError) as exc:  # Python refuses some texts itself: a NUL, a lone surrogate
         if isinstance(exc, sqlite3.OperationalError) and "interrupted" in str(exc).lower():
             raise ExecutionError(f"query timed out after {timeout_s}s", stage="timeout") from exc

@@ -3,7 +3,10 @@ import os
 import random
 import sqlite3
 import subprocess
+import struct
 import sys
+from dataclasses import asdict, fields, replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlscore import ExecutionError, ResultTable, cells_equal, execute, match_columns, parse, render, results, score_result_pair
-from sqlscore.results import VERDICT_SCORED, _sort_key, _sorted_column
+from sqlscore.results import VERDICT_SCORED, _open_readonly, _sort_key, _sorted_column
 
 from helpers import max_matching_oracle, random_result_table
 
@@ -657,6 +660,18 @@ class TestExecute:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("row_factory", [lambda cursor, row: {d[0]: v for d, v in zip(cursor.description, row)}, sqlite3.Row], ids=["dict", "Row"])
+    def test_connection_row_factory_is_ignored(self, db_dir, row_factory):
+        sql = "SELECT name, budget, name FROM campaigns ORDER BY campaign_id"
+        conn = sqlite3.connect(db_dir / "benchmark_1.sqlite")
+        try:
+            expected = execute(sql, conn)
+            conn.row_factory = row_factory
+            assert execute(sql, conn) == expected == execute(sql, db_dir / "benchmark_1.sqlite")
+            assert conn.row_factory is row_factory  # the connection keeps its own factory
+        finally:
+            conn.close()
+
     def test_anchored_execution_matches_manual_literal(self, db_dir, questions):
         automatic = execute(
             "SELECT ts FROM system_metrics WHERE metric = 'cpu_util' AND host_id = 1 AND ts >= datetime('now', '-14 days') ORDER BY ts",
@@ -670,6 +685,123 @@ class TestExecute:
         for q in questions:  # a parsed and rendered tree runs exactly like its source text
             db = db_dir / f"{q.db_id}.sqlite"
             assert execute(render(parse(q.query)), db) == execute(q.query, db)
+
+
+
+def _mixed_type_database(path: Path, seed: int) -> Path:
+    """A table of ints beyond 2**53, floats, text with trailing blanks, NULLs
+    and blobs, with columns that equal others exactly or only by ``cells_equal``."""
+    rng = random.Random(seed)
+    pool = [None, 0, 7, 7.0, 2**53 + 1, -(2**62), 2.5, 1e300, -0.0, "a", "a ", "b\t", "", b"\x00x", b""]
+    base = [[rng.choice(pool) for _ in range(60)] for _ in range(6)]
+    loose = {7: 7.0, 7.0: 7, "a": "a ", "a ": "a", 2**53 + 1: float(2**53)}
+    near = [[loose.get(c, c) if type(c) is not bytes else c for c in col] for col in base[:3]]
+    columns = base + [list(base[0]), list(base[4]), *near]
+    with sqlite3.connect(path) as conn:
+        conn.execute(f"CREATE TABLE t ({', '.join(f'c{i}' for i in range(len(columns)))})")
+        conn.executemany(f"INSERT INTO t VALUES ({', '.join('?' * len(columns))})", zip(*columns))
+    conn.close()
+    return path
+
+
+class TestPlainTables:
+    """Tables read over a connection sqlscore opened hold only NULL, int,
+    float, text and bytes cells, never NaN, so ordered matching accepts equal
+    columns by ``==``; every other table takes ``cells_equal``."""
+
+    @pytest.mark.parametrize("expression", ["0.0 / 0.0", "1e999 - 1e999", "(SELECT sum(v) FROM (SELECT 1e999 AS v UNION ALL SELECT -1e999))", "1e999 * 0"])
+    def test_nan_expressions_give_null(self, db_dir, expression):
+        conn = _open_readonly(db_dir / "benchmark_1.sqlite")
+        try:
+            assert execute(f"SELECT {expression}", conn).columns == ((None,),)
+        finally:
+            conn.close()
+
+    def test_nan_stored_in_the_file_reads_as_null(self, tmp_path):
+        db = tmp_path / "nan.sqlite"
+        with sqlite3.connect(db) as conn:
+            conn.execute("CREATE TABLE t (x REAL, y)")
+            conn.execute("INSERT INTO t VALUES (1.5, 1.5)")
+        conn.close()
+        data = db.read_bytes()
+        assert data.count(struct.pack(">d", 1.5)) == 2
+        db.write_bytes(data.replace(struct.pack(">d", 1.5), struct.pack(">d", math.nan)))
+        assert execute("SELECT x, y, typeof(x) FROM t", db).columns == ((None,), (None,), ("null",))
+
+    def test_infinity_matches_itself(self, db_dir):
+        db = db_dir / "benchmark_1.sqlite"
+        infinite = execute("SELECT 1e999, -1e999", db)
+        assert infinite.columns == ((math.inf,), (-math.inf,))
+        assert match_columns(infinite, execute("SELECT -1e999, 1e999", db)) == [(0, 1), (1, 0)]
+
+    def test_mixed_type_table_has_only_plain_cells(self, tmp_path):
+        db = _mixed_type_database(tmp_path / "mixed.sqlite", seed=3)
+        conn = _open_readonly(db)
+        try:
+            for t in (execute("SELECT * FROM t", conn), execute("SELECT * FROM t", db)):
+                assert t._plain
+                assert {type(c) for column in t.columns for c in column} == {type(None), int, float, str, bytes}
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("order_insensitive", [False, True])
+    def test_same_pairs_as_guarded_path_on_fixture_truths(self, questions, db_dir, order_insensitive):
+        tables = [execute(q.query, db_dir / f"{q.db_id}.sqlite") for q in questions]
+        assert all(t._plain for t in tables)
+        matched = 0
+        for predicted, truth in product(tables, repeat=2):
+            pairs = match_columns(predicted, truth, order_insensitive)
+            assert pairs == match_columns(ResultTable(predicted.labels, predicted.columns), ResultTable(truth.labels, truth.columns), order_insensitive)
+            matched += len(pairs)
+        assert matched > sum(t.column_count for t in tables)  # distinct truths share columns too
+
+    @pytest.mark.parametrize("order_insensitive", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_pairs_as_guarded_path_on_mixed_types(self, tmp_path, order_insensitive, seed):
+        db = _mixed_type_database(tmp_path / "mixed.sqlite", seed)
+        rng = random.Random(seed)
+        selects = [[f"c{rng.randrange(11)}" for _ in range(rng.randint(1, 8))] for _ in range(6)]
+        tables = [execute(f"SELECT {', '.join(names)} FROM t ORDER BY rowid", db) for names in selects]
+        for predicted, truth in product(tables, repeat=2):
+            guarded = match_columns(ResultTable(predicted.labels, predicted.columns), ResultTable(truth.labels, truth.columns), order_insensitive)
+            assert match_columns(predicted, truth, order_insensitive) == guarded
+            assert len(guarded) == max_matching_oracle([[all(map(cells_equal, p, t)) for t in truth.columns] for p in predicted.columns])
+
+    def test_equal_columns_are_accepted_without_cell_comparisons(self, monkeypatch, db_dir):
+        calls = TestMatchColumns._count_calls(monkeypatch, "cells_equal")
+        db = db_dir / "benchmark_1.sqlite"
+        truth = execute("SELECT campaign_id, name, budget FROM campaigns ORDER BY campaign_id", db)
+        assert truth.row_count > 1
+        assert match_columns(execute("SELECT budget, name, campaign_id FROM campaigns ORDER BY campaign_id", db), truth) == [(0, 2), (1, 1), (2, 0)]
+        assert calls == []
+        # a copy made by dataclasses.replace is not known to be plain, so it compares cell by cell
+        assert match_columns(replace(truth), truth) == [(0, 0), (1, 1), (2, 2)]
+        assert len(calls) == 3 * truth.row_count
+
+    def test_converted_bools_do_not_match_ints(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(sqlite3.converters, "BOOL", lambda raw: bool(int(raw)))
+        db = tmp_path / "flags.sqlite"
+        with sqlite3.connect(db) as conn:
+            conn.execute("CREATE TABLE t (flag BOOL, n INTEGER)")
+            conn.executemany("INSERT INTO t VALUES (?, ?)", [(1, 1), (0, 0), (1, 1)])
+        conn.close()
+        conn = sqlite3.connect(db, detect_types=sqlite3.PARSE_DECLTYPES)
+        try:
+            flags = execute("SELECT flag FROM t", conn)
+            assert flags.columns == ((True, False, True),)
+            for numbers in (execute("SELECT n FROM t", conn), execute("SELECT n FROM t", db)):
+                assert numbers.columns == ((1, 0, 1),) == flags.columns  # == as Python values, but a bool is no number
+                assert match_columns(numbers, flags) == match_columns(flags, numbers) == []
+        finally:
+            conn.close()
+
+    def test_mark_is_no_field(self, db_dir):
+        read = execute("SELECT campaign_id, name FROM campaigns", db_dir / "benchmark_1.sqlite")
+        hand = ResultTable(read.labels, read.columns)
+        assert read._plain and not hand._plain and not replace(read)._plain
+        assert [f.name for f in fields(ResultTable)] == ["labels", "columns"]
+        assert read == hand and hash(read) == hash(hand)
+        assert repr(read) == repr(hand) and asdict(read) == asdict(hand) == {"labels": read.labels, "columns": read.columns}
 
 
 def test_verdict_default_is_scored():
