@@ -105,7 +105,7 @@ def quote_identifier(name: str) -> str:
 
 
 def tokenize(sql: str) -> list[Token]:
-    """The tokens of ``sql``, then ``eof``; never raises.  Only ``parse`` refuses
+    """The tokens of ``sql``, then ``eof``; never raises for a str.  Only ``parse`` refuses
     a ``bad`` token or an ``unterminated`` one, which runs to the end of the text.
     Each call lexes the text and returns a new list."""
     tokens: list[Token] = []

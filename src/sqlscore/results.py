@@ -13,18 +13,16 @@ exact key (a non-integer float, say) is compared with every column.  NULL
 equals only NULL, so the pruning is exact in both row-order modes and scores
 are the same as comparing all M x N pairs.
 
-Order-insensitive mode decides each candidate pair cheapest first.  One type
-scan per column marks it plain (only NULL, int, float, text and bytes cells
-and no NaN, since ``True == 1`` and two lists holding one NaN object are
-``==``) and finds its NULL count and least non-NULL cell, which give the key
-the sorted column would.  A loose pair whose NULL counts or least cells
-differ is rejected; two plain columns ``==`` in row order are accepted, as a
-stable sort moves equal plain cells alike; only the pairs left sort their
-columns, each once per call, and compare them by one C-level ``==`` (both
-plain) or by ``cells_equal``.  Ordered mode accepts a pair by one C-level
-``==`` in row order when both tables are plain by construction, read over a
-connection sqlscore opened, whose cells Python's sqlite3 gives as NULL, int,
-float, text or bytes and SQLite never as NaN; it needs no type scan.
+A table is plain when ``_run`` read it over a connection sqlscore opened:
+Python's sqlite3 gives its cells as NULL, int, float, text or bytes and SQLite
+never as NaN, so ``==`` implies ``cells_equal`` for them (unlike ``True == 1``
+or two lists holding one NaN object).  Between two plain tables, columns
+``==`` in row order are accepted by that one comparison in both row-order
+modes; every other table compares cell by cell.  Order-insensitive mode scans
+each column once for its NULL count and least non-NULL cell, which give the
+key the sorted column would, rejects a loose pair whose NULL counts or least
+cells differ, and sorts the columns of the pairs left, each once per call, to
+compare them by one ``==`` (plain tables) or by ``cells_equal``.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ DEFAULT_REL_TOL = 1e-9
 _EXACT_INT_BOUND = 2**29
 # below 2**53 every integer converts to float exactly, so native order is float order
 _NATIVE_SORT_BOUND = 2**53
-_PLAIN_KINDS, _NUMBER_KINDS, _TEXT_KINDS = {type(None), int, float, str, bytes}, {type(None), int, float}, {type(None), str}
+_NUMBER_KINDS, _TEXT_KINDS = {type(None), int, float}, {type(None), str}
 _not_null = functools.partial(operator.is_not, None)
 
 # a statement may read and call functions, load_extension aside, and do nothing else
@@ -66,7 +64,7 @@ Cell = object  # None | int | float | str | bytes
 def valid_timeout(seconds: object) -> bool:
     """True for a finite number of seconds above 0.  A NaN deadline never
     passes, and one at or before the start interrupts every query."""
-    return isinstance(seconds, (int, float)) and 0 < seconds < math.inf
+    return isinstance(seconds, (int, float)) and not isinstance(seconds, bool) and 0 < seconds < math.inf
 
 
 class ExecutionError(Exception):
@@ -157,39 +155,38 @@ def _sort_key(cell: Cell):
     return (3, repr(cell))
 
 
-def _scan(column: tuple[Cell, ...]) -> tuple[object, bool, int, Cell, object, tuple | list]:
-    """One type scan of a column: the ``_bucket_key`` of it sorted, whether it
-    is plain, its NULL count, its least non-NULL cell (the first of ties, as a
-    stable sort leaves it; None if all are NULL), the key that sorts its
-    non-NULL cells (None: natively, if ``_sorted_column`` finds both ends in
-    range) and those cells."""
+def _scan(column: tuple[Cell, ...], plain: bool = False) -> tuple[object, int, Cell, object, tuple | list]:
+    """One type scan of a column of a table that is ``plain`` or not: the
+    ``_bucket_key`` of it sorted, its NULL count, its least non-NULL cell (the
+    first of ties, as a stable sort leaves it; None if all are NULL), the key
+    that sorts its non-NULL cells (None: natively, only for a plain table's
+    numbers, if ``_sorted_column`` finds both ends in range) and those cells."""
     kinds = set(map(type, column))
-    plain = kinds <= _PLAIN_KINDS and (float not in kinds or not any(map(operator.ne, column, column)))
     cells = list(filter(_not_null, column)) if type(None) in kinds else column
     nulls = len(column) - len(cells)
     # native order is sort order but for ints beyond 2**53, which share a float
-    sort_key = str.rstrip if kinds <= _TEXT_KINDS else None if kinds <= _NUMBER_KINDS and plain else _sort_key
+    sort_key = str.rstrip if kinds <= _TEXT_KINDS else None if plain and kinds <= _NUMBER_KINDS else _sort_key
     if not cells:
-        return nulls, plain, nulls, None, sort_key, cells
+        return nulls, nulls, None, sort_key, cells
     least = min(cells, key=sort_key)
     if sort_key is None and not -_NATIVE_SORT_BOUND < least < _NATIVE_SORT_BOUND:
         sort_key = _sort_key
         least = min(cells, key=sort_key)
     key = _exact_key(least)
-    return None if key is None else (nulls, key), plain, nulls, least, sort_key, cells
+    return None if key is None else (nulls, key), nulls, least, sort_key, cells
 
 
-def _sorted_column(column: tuple[Cell, ...], scan=None) -> tuple[list[Cell], bool]:
+def _sorted_column(column: tuple[Cell, ...], scan=None) -> list[Cell]:
     """The same list as ``sorted(column, key=_sort_key)``, mostly without that key
-    (text stripped if all cells are), and whether the column is plain; ``scan`` is its ``_scan``."""
-    _, plain, nulls, _, sort_key, cells = scan or _scan(column)
+    (text stripped if all cells are); ``scan`` is its ``_scan``."""
+    _, nulls, _, sort_key, cells = scan or _scan(column)
     if sort_key is str.rstrip:  # stripped, as cells_equal compares text, so it sorts natively and == decides
-        return [None] * nulls + sorted(map(str.rstrip, cells)), plain
+        return [None] * nulls + sorted(map(str.rstrip, cells))
     if sort_key is None:
         rest = sorted(cells)
         if -_NATIVE_SORT_BOUND < rest[0] and rest[-1] < _NATIVE_SORT_BOUND:
-            return [None] * nulls + rest, plain
-    return sorted(column, key=_sort_key), plain
+            return [None] * nulls + rest
+    return sorted(column, key=_sort_key)
 
 
 def _exact_key(cell: Cell):
@@ -225,24 +222,26 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
     if predicted.row_count != truth.row_count:
         return []
     p_cols, t_cols = predicted.columns, truth.columns
+    plain = predicted._plain and truth._plain  # == implies cells_equal for their cells
     if order_insensitive:
-        p_scans, t_scans = list(map(_scan, p_cols)), list(map(_scan, t_cols))
+        p_scans, t_scans = [_scan(c, plain) for c in p_cols], [_scan(c, plain) for c in t_cols]
         p_keys, t_keys = [s[0] for s in p_scans], [s[0] for s in t_scans]
-        sort = functools.cache(lambda side, idx: _sorted_column((p_cols, t_cols)[side][idx], (p_scans, t_scans)[side][idx])[0])
-
-        def equal_sorted(p_idx: int, t_idx: int) -> bool:
-            (p_key, p_plain, p_nulls, p_least, _, _), (t_key, t_plain, t_nulls, t_least, _, _) = p_scans[p_idx], t_scans[t_idx]
-            if (p_key is None or t_key is None) and (p_nulls != t_nulls or not (p_least == t_least or cells_equal(p_least, t_least))):
-                return False  # a loose pair whose sorted columns differ at the first non-NULL cell
-            plain = p_plain and t_plain
-            if plain and p_cols[p_idx] == t_cols[t_idx]:
-                return True  # equal plain cells have equal sort keys, so a stable sort keeps them paired
-            p_col, t_col = sort(0, p_idx), sort(1, t_idx)
-            return (plain and p_col == t_col) or all(map(cells_equal, p_col, t_col))
-
+        sort = functools.cache(lambda side, idx: _sorted_column((p_cols, t_cols)[side][idx], (p_scans, t_scans)[side][idx]))
     else:
         p_keys, t_keys = list(map(_bucket_key, p_cols)), list(map(_bucket_key, t_cols))
-        plain = predicted._plain and truth._plain
+
+    def compatible(p_idx: int, t_idx: int) -> bool:
+        p_col, t_col = p_cols[p_idx], t_cols[t_idx]
+        if plain and p_col == t_col:
+            return True  # in row order; a stable sort moves equal plain cells alike
+        if order_insensitive:
+            (p_key, p_nulls, p_least, _, _), (t_key, t_nulls, t_least, _, _) = p_scans[p_idx], t_scans[t_idx]
+            if (p_key is None or t_key is None) and (p_nulls != t_nulls or not (p_least == t_least or cells_equal(p_least, t_least))):
+                return False  # a loose pair whose sorted columns differ at the first non-NULL cell
+            p_col, t_col = sort(0, p_idx), sort(1, t_idx)
+            if plain and p_col == t_col:
+                return True
+        return all(map(cells_equal, p_col, t_col))
 
     # a compatible pair has its NULLs in the same rows (sorted, in the same
     # number) and equal first non-NULL cells, so each predicted column meets
@@ -256,12 +255,9 @@ def match_columns(predicted: ResultTable, truth: ResultTable, order_insensitive:
         else:
             buckets.setdefault(key, []).append(t_idx)
     compat = []
-    for p_idx, (p_col, key) in enumerate(zip(p_cols, p_keys)):
+    for p_idx, key in enumerate(p_keys):
         candidates = every if key is None else sorted(buckets.get(key, []) + loose)
-        if order_insensitive:
-            compat.append([t for t in candidates if equal_sorted(p_idx, t)])
-        else:  # == implies cells_equal for plain cells
-            compat.append([t for t in candidates if (plain and p_col == t_cols[t]) or all(map(cells_equal, p_col, t_cols[t]))])
+        compat.append([t for t in candidates if compatible(p_idx, t)])
 
     # augmenting paths, searched depth-first on a stack of [column, untried candidates, candidate tried]
     match_t: dict[int, int] = {}
@@ -324,7 +320,8 @@ def execute(
     *,
     timeout_s: float = DEFAULT_TIMEOUT_S,
 ) -> ResultTable:
-    """Anchor the clock in the SQL text ``sql`` with ``anchor_sql`` and run it read-only.
+    """Anchor the clock in the SQL text ``sql`` with ``anchor_sql`` and run it read-only;
+    any ``sql`` but a str reads as the empty text.
 
     An authorizer, set for this call only, lets it read and call functions but
     not load_extension, so ATTACH, PRAGMA and DML fail.  The result is
@@ -342,7 +339,7 @@ def execute(
         instant = parse_anchor(anchor)
     except (TypeError, ValueError) as exc:
         raise ExecutionError(f"invalid anchor: {exc}", stage="anchor") from exc
-    return _run(_anchor(sql, instant)[0], db, timeout_s)
+    return _run(_anchor(sql if isinstance(sql, str) else "", instant)[0], db, timeout_s)
 
 
 def _run(sql: str, db: str | Path | sqlite3.Connection, timeout_s: float) -> ResultTable:

@@ -164,7 +164,9 @@ def _instant(anchor: str | datetime) -> datetime:
 
 
 def _read(sql: str, anchor: datetime) -> tuple[Node | str, str, list[str]]:
-    """From one lexing: the statement of ``sql`` or its ParseError's message, then ``_anchor(sql, anchor)``."""
+    """From one lexing: the statement of ``sql`` or its ParseError's message, then ``_anchor(sql, anchor)``;
+    any ``sql`` but a str reads as the empty text."""
+    sql = sql if isinstance(sql, str) else ""
     tokens = tokenize(sql)
     try:
         statement = parse(sql, tokens)
@@ -277,8 +279,8 @@ def evaluate(
 ) -> EvalReport:
     """Score every instance with both metrics and aggregate the results.
 
-    A question gets the prediction whose id equals its own as a JSON value
-    (``1``, ``"1"`` and ``True`` are three ids), else the empty SQL.  Raises
+    A question gets the SQL of the prediction whose id equals its own as a JSON
+    value (``1``, ``"1"`` and ``True`` are three ids) if it is a str, else the empty SQL.  Raises
     ConfigError where ``check_inputs`` does, for a bad anchor, and when a
     prediction id is not a JSON scalar (None, bool, int, finite float or str).
     """
@@ -289,7 +291,7 @@ def evaluate(
         if not is_json_scalar(p.question_id):
             raise ConfigError(f"prediction id {p.question_id!r} is not a JSON scalar")
 
-    by_id = {id_key(p.question_id): p.sql for p in predictions}
+    by_id = {id_key(p.question_id): p.sql if isinstance(p.sql, str) else "" for p in predictions}
     instances: list[InstanceResult | None] = [None] * len(questions)
     with ExitStack() as stack:
         conns = _open_databases(stack, db_dir, {q.db_id for q in questions})

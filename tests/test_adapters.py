@@ -36,7 +36,7 @@ def test_unusable_spec_raises_adapter_error(questions, spec, message):
     assert str(exc_info.value) == message
 
 
-@pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), 0, -1])
+@pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), 0, -1, True])
 def test_bad_timeout_raises_adapter_error(questions, timeout_s):
     with pytest.raises(AdapterError) as exc_info:
         get_predictions(questions[:2], f"cmd:{sys.executable} -c \"print('SELECT 1')\"", timeout_s=timeout_s)

@@ -24,6 +24,19 @@ def table(*columns, labels=None):
     return ResultTable(tuple(labels), tuple(tuple(c) for c in columns))
 
 
+def read_back(path: Path, *columns) -> ResultTable:
+    """A table of ``columns`` written to a new SQLite file at ``path`` and read
+    back by ``execute``, over a connection sqlscore opens, so marked plain."""
+    names = [f"c{i}" for i in range(len(columns))]
+    with sqlite3.connect(path) as conn:
+        conn.execute(f"CREATE TABLE t ({', '.join(names)})")
+        conn.executemany(f"INSERT INTO t VALUES ({', '.join('?' * len(names))})", zip(*columns))
+    conn.close()
+    read = execute(f"SELECT {', '.join(names)} FROM t ORDER BY rowid", path)
+    assert read._plain and read == table(*columns)
+    return read
+
+
 class TestCellEquality:
     def test_null_equals_null_only(self):
         assert cells_equal(None, None)
@@ -221,7 +234,7 @@ class TestMatchColumns:
         ],
         ids=["int", "non-integer float", "text with trailing whitespace", "80% NULL", "text differing in trailing blanks"],
     )
-    def test_plain_columns_in_shuffled_rows_match_without_cell_comparisons(self, monkeypatch, columns):
+    def test_plain_columns_in_shuffled_rows_match_without_cell_comparisons(self, monkeypatch, tmp_path, columns):
         calls = 0
 
         def counting_cells_equal(a, b):
@@ -231,8 +244,8 @@ class TestMatchColumns:
 
         monkeypatch.setattr(results, "cells_equal", counting_cells_equal)
         rng = random.Random(11)
-        truth = table(*columns)
-        predicted = table(*(rng.sample(c, len(c)) for c in reversed(columns)))
+        truth = read_back(tmp_path / "truth.sqlite", *columns)
+        predicted = read_back(tmp_path / "predicted.sqlite", *(rng.sample(c, len(c)) for c in reversed(columns)))
         n = len(columns)
         assert match_columns(predicted, truth, order_insensitive=True) == [(i, n - 1 - i) for i in range(n)]
         assert calls == 0  # each sorted pair is accepted by one list ==
@@ -254,7 +267,7 @@ class TestMatchColumns:
         monkeypatch.setattr(results, name, counting)
         return calls
 
-    def test_order_insensitive_sorts_only_when_a_pair_needs_it(self, monkeypatch):
+    def test_order_insensitive_sorts_only_when_a_pair_needs_it(self, monkeypatch, tmp_path):
         sorts, comparisons = self._count_calls(monkeypatch, "_sorted_column"), self._count_calls(monkeypatch, "cells_equal")
         rng = random.Random(23)
 
@@ -264,14 +277,15 @@ class TestMatchColumns:
         columns += [[f"name {j} {r}" + " " * (r % 2) for r in range(50)] for j in range(4)]
         columns += [[1000 * j + r if r % 5 == 0 else None for r in range(50)] for j in range(4, 8)]
         order = rng.sample(range(12), 12)
-        assert match_columns(table(*(columns[j] for j in order)), table(*columns), order_insensitive=True) == sorted(enumerate(order))
+        predicted, truth = read_back(tmp_path / "p1.sqlite", *(columns[j] for j in order)), read_back(tmp_path / "t1.sqlite", *columns)
+        assert match_columns(predicted, truth, order_insensitive=True) == sorted(enumerate(order))
         assert (len(sorts), len(comparisons)) == (0, 0)
 
         # shuffled rows, and every column starts at 0, so each predicted column meets all eight truth
         # columns: each column is sorted once, not once per candidate (fails with the sort cache dropped)
         columns = [[0] + [1000 * j + r for r in range(1, 50)] for j in range(8)]
-        predicted = table(*(rng.sample(c, len(c)) for c in reversed(columns)))
-        assert match_columns(predicted, table(*columns), order_insensitive=True) == [(i, 7 - i) for i in range(8)]
+        predicted = read_back(tmp_path / "p2.sqlite", *(rng.sample(c, len(c)) for c in reversed(columns)))
+        assert match_columns(predicted, read_back(tmp_path / "t2.sqlite", *columns), order_insensitive=True) == [(i, 7 - i) for i in range(8)]
         assert sorted(len(c) for c, *_ in sorts) == [50] * 16 and len({id(c) for c, *_ in sorts}) == 16
 
         # non-integer floats have loose keys and meet every column; those whose NULL counts or least cells
@@ -280,8 +294,8 @@ class TestMatchColumns:
         sorts.clear()
         columns = [[j + 0.5 + r / 8 for r in range(50)] for j in range(8)]
         strangers = [[j + 0.25 + r / 8 for r in range(50)] for j in range(8, 11)] + [columns[5][:-1] + [None]]
-        predicted = table(*(rng.sample(c, len(c)) for c in columns[:4]), *strangers)
-        assert match_columns(predicted, table(*columns), order_insensitive=True) == [(i, i) for i in range(4)]
+        predicted = read_back(tmp_path / "p3.sqlite", *(rng.sample(c, len(c)) for c in columns[:4]), *strangers)
+        assert match_columns(predicted, read_back(tmp_path / "t3.sqlite", *columns), order_insensitive=True) == [(i, i) for i in range(4)]
         assert len(sorts) == 8
 
 
@@ -367,7 +381,7 @@ def test_matching_equals_all_pairs_reference_on_boundary_cells(order_insensitive
         expected = _reference_match_columns(predicted, truth, order_insensitive)
         assert match_columns(predicted, truth, order_insensitive) == expected, (predicted, truth)
         for column in predicted.columns + truth.columns:
-            typed = [(type(x), x) for x in _sorted_column(column)[0]]
+            typed = [(type(x), x) for x in _sorted_column(column)]
             text = all(x is None or type(x) is str for x in column)  # a text column sorts its cells stripped
             assert typed == [(type(x), x.rstrip() if text and x is not None else x) for x in sorted(column, key=_sort_key)], column
 
@@ -645,12 +659,18 @@ class TestExecute:
             )
         assert exc_info.value.stage == "timeout"
 
-    @pytest.mark.parametrize("timeout_s", [math.nan, math.inf, 0, -1])
+    @pytest.mark.parametrize("timeout_s", [math.nan, math.inf, 0, -1, True])
     def test_bad_timeout_is_refused(self, db_dir, timeout_s):
         with pytest.raises(ExecutionError) as exc_info:
             execute("SELECT 1", db_dir / "benchmark_1.sqlite", timeout_s=timeout_s)
         assert exc_info.value.stage == "timeout"
         assert str(exc_info.value) == f"timeout_s must be a finite number of seconds above 0, got {timeout_s!r}"
+
+    @pytest.mark.parametrize("sql", [None, 5, b"SELECT 1"], ids=["None", "int", "bytes"])
+    def test_sql_that_is_no_str_runs_as_the_empty_text(self, db_dir, sql):
+        with pytest.raises(ExecutionError) as exc_info:
+            execute(sql, db_dir / "benchmark_1.sqlite")
+        assert (exc_info.value.stage, str(exc_info.value)) == ("engine", "statement returns no result columns")
 
     def test_accepts_open_connection(self, db_dir):
         conn = sqlite3.connect(f"file:{db_dir / 'benchmark_2.sqlite'}?mode=ro", uri=True)
@@ -706,8 +726,8 @@ def _mixed_type_database(path: Path, seed: int) -> Path:
 
 class TestPlainTables:
     """Tables read over a connection sqlscore opened hold only NULL, int,
-    float, text and bytes cells, never NaN, so ordered matching accepts equal
-    columns by ``==``; every other table takes ``cells_equal``."""
+    float, text and bytes cells, never NaN, so matching in either row-order
+    mode accepts equal columns by ``==``; every other table takes ``cells_equal``."""
 
     @pytest.mark.parametrize("expression", ["0.0 / 0.0", "1e999 - 1e999", "(SELECT sum(v) FROM (SELECT 1e999 AS v UNION ALL SELECT -1e999))", "1e999 * 0"])
     def test_nan_expressions_give_null(self, db_dir, expression):
@@ -776,6 +796,18 @@ class TestPlainTables:
         assert calls == []
         # a copy made by dataclasses.replace is not known to be plain, so it compares cell by cell
         assert match_columns(replace(truth), truth) == [(0, 0), (1, 1), (2, 2)]
+        assert len(calls) == 3 * truth.row_count
+
+    def test_shuffled_equal_columns_are_accepted_without_cell_comparisons(self, monkeypatch, db_dir):
+        calls = TestMatchColumns._count_calls(monkeypatch, "cells_equal")
+        db = db_dir / "benchmark_1.sqlite"
+        truth = execute("SELECT campaign_id, name, budget FROM campaigns ORDER BY campaign_id", db)
+        predicted = execute("SELECT budget, name, campaign_id FROM campaigns ORDER BY name", db)
+        assert predicted.columns[2] != truth.columns[0]  # the same cells in another row order
+        assert match_columns(predicted, truth, order_insensitive=True) == [(0, 2), (1, 1), (2, 0)]
+        assert calls == []  # each pair's sorted columns are accepted by one ==
+        # a copy made by dataclasses.replace is not known to be plain, so its sorted columns compare cell by cell
+        assert match_columns(replace(predicted), truth, order_insensitive=True) == [(0, 2), (1, 1), (2, 0)]
         assert len(calls) == 3 * truth.row_count
 
     def test_converted_bools_do_not_match_ints(self, monkeypatch, tmp_path):

@@ -14,6 +14,7 @@ from sqlscore import (
     DEFAULT_ANCHOR,
     BenchmarkQuestion,
     ConfigError,
+    CorpusError,
     EvalOptions,
     Prediction,
     ResultTable,
@@ -785,6 +786,22 @@ class TestTextExecution:
         r = report.instances[0]
         assert (r.semantic.verdict, r.result.verdict, r.result.f1) == (VERDICT_INVALID, VERDICT_INVALID, 0.0)
 
+    @pytest.mark.parametrize("sql", [None, 5, b"SELECT 1"], ids=["None", "int", "bytes"])
+    def test_sql_that_is_no_str_reads_as_the_empty_text(self, questions, db_dir, sql):
+        q = questions[0]
+        report = evaluate([q], [Prediction(q.id, sql)], db_dir)
+        r = report.instances[0]
+        assert (r.predicted_sql, r.semantic.verdict, r.result.verdict, r.result.f1) == ("", VERDICT_INVALID, VERDICT_INVALID, 0.0)
+        assert json.loads(report_to_json(report))["instances"][0]["predicted_sql"] == ""
+        db = db_dir / f"{q.db_id}.sqlite"
+        semantic, result = score_pair(q.query, sql, db, DEFAULT_ANCHOR, EvalOptions())
+        assert (semantic.verdict, result.verdict) == (VERDICT_INVALID, VERDICT_INVALID)
+        # as a truth it is a corpus error
+        with pytest.raises(CorpusError, match="truth query does not parse"):
+            score_pair(sql, q.query, db, DEFAULT_ANCHOR, EvalOptions())
+        r = evaluate([dataclasses.replace(q, query=sql)], [Prediction(q.id, q.query)], db_dir).instances[0]
+        assert r.excluded and r.warning.startswith("truth query does not parse")
+
     def test_text_sqlite_cannot_encode_is_an_execution_error(self, questions, db_dir, tmp_path):
         # a JSON escape gives a lone surrogate, which parses but has no UTF-8 form
         path = tmp_path / "preds.jsonl"
@@ -865,7 +882,7 @@ def test_constant_model_completes_with_low_scores(questions, db_dir):
     assert report.overall.semantic < 0.5
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1], ids=["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0, -1, True], ids=["nan", "inf", "0", "-1", "True"])
 def test_eval_options_refuse_bad_query_timeout(value):
     # one check for the library and the CLI: NaN would run with no timeout
     # and write NaN into the JSON report, 0 or less would interrupt every query
