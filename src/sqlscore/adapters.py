@@ -18,6 +18,7 @@ produced nothing at all raises AdapterError.
 from __future__ import annotations
 
 import json
+import sqlite3
 import time
 from contextlib import closing
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from .corpus import BenchmarkQuestion, database_path, id_key, is_json_scalar
-from .results import _open_readonly, valid_timeout
+from .results import ExecutionError, _open_readonly, valid_timeout
 
 DEFAULT_ADAPTER_TIMEOUT_S = 60.0
 HTTP_RETRIES = 3
@@ -65,10 +66,12 @@ def _question_payload(question: BenchmarkQuestion) -> dict:
 
 
 def _schema_text(db_path: Path) -> str:
-    if not db_path.is_file():
+    """The CREATE TABLE statements of a database; "" for a file that is missing or that SQLite cannot read."""
+    try:
+        with closing(_open_readonly(db_path)) as conn:
+            rows = conn.execute("SELECT sql FROM sqlite_master WHERE type = 'table' AND sql IS NOT NULL ORDER BY name").fetchall()
+    except (ExecutionError, sqlite3.Error):
         return ""
-    with closing(_open_readonly(db_path)) as conn:
-        rows = conn.execute("SELECT sql FROM sqlite_master WHERE type = 'table' AND sql IS NOT NULL ORDER BY name").fetchall()
     return ";\n".join(r[0] for r in rows)
 
 
@@ -85,7 +88,7 @@ def _load_predictions_file(path: str) -> dict[tuple[bool, Any], tuple[str, int |
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, an int of too many digits, or nesting too deep
             raise AdapterError(f"predictions file {path}, line {line_no}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or "id" not in record or "sql" not in record:
             raise AdapterError(f"predictions file {path}, line {line_no}: expected an object with 'id' and 'sql'")
@@ -130,9 +133,9 @@ def _post_http(url: str, payload: dict, timeout_s: float) -> str:
                 body = json.loads(response.read())
             sql = body.get("sql") if isinstance(body, dict) else None
             return sql if isinstance(sql, str) else ""
-        except (OSError, ValueError, http.client.HTTPException):
-            # OSError covers URLError, HTTPError (non-2xx status), timeouts and
-            # resets; ValueError covers malformed URLs and bodies that are not JSON
+        except (OSError, ValueError, RecursionError, http.client.HTTPException):
+            # OSError covers URLError, HTTPError (non-2xx status), timeouts and resets; ValueError malformed URLs
+            # and bodies that are not JSON or hold an int of too many digits; RecursionError bodies nested too deep
             if attempt + 1 < HTTP_RETRIES:
                 time.sleep(HTTP_BACKOFF_S * (2**attempt))
     return ""

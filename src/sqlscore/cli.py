@@ -81,7 +81,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for path, write in reports:
         if path:
             try:
-                Path(path).write_text(write(report), encoding="utf-8")
+                Path(path).write_text(write(report), encoding="utf-8", errors="backslashreplace")  # a lone surrogate in the JSON report as its escape
             except OSError as exc:
                 raise ConfigError(f"cannot write report {path}: {exc.strerror or exc}") from exc
 

@@ -86,7 +86,7 @@ def load_corpus(path: str | Path) -> list[BenchmarkQuestion]:
         raw = json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusLoadError(f"cannot read corpus file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, an int of too many digits, or nesting too deep
         raise CorpusLoadError(f"corpus file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise CorpusLoadError(f"corpus file {path} must contain a JSON array of instances")

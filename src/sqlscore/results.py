@@ -45,8 +45,6 @@ DEFAULT_REL_TOL = 1e-9
 
 # below 2**29 two distinct integers are never within DEFAULT_REL_TOL of each other
 _EXACT_INT_BOUND = 2**29
-# below 2**53 every integer converts to float exactly, so native order is float order
-_NATIVE_SORT_BOUND = 2**53
 _NUMBER_KINDS, _TEXT_KINDS = {type(None), int, float}, {type(None), str}
 _not_null = functools.partial(operator.is_not, None)
 
@@ -146,10 +144,7 @@ def _sort_key(cell: Cell):
     if cell is None:
         return (0, "")
     if isinstance(cell, (int, float)):
-        try:
-            return (1, float(cell))
-        except OverflowError:  # an int beyond float range; Python compares ints and floats exactly
-            return (1, cell)
+        return (1, cell)  # by exact value, as Python compares ints and floats, so native order is sort order
     if isinstance(cell, str):
         return (2, cell.rstrip())  # as cells_equal compares text, so equal keys mean equal cells
     return (3, repr(cell))
@@ -160,18 +155,14 @@ def _scan(column: tuple[Cell, ...], plain: bool = False) -> tuple[object, int, C
     ``_bucket_key`` of it sorted, its NULL count, its least non-NULL cell (the
     first of ties, as a stable sort leaves it; None if all are NULL), the key
     that sorts its non-NULL cells (None: natively, only for a plain table's
-    numbers, if ``_sorted_column`` finds both ends in range) and those cells."""
+    numbers) and those cells."""
     kinds = set(map(type, column))
     cells = list(filter(_not_null, column)) if type(None) in kinds else column
     nulls = len(column) - len(cells)
-    # native order is sort order but for ints beyond 2**53, which share a float
     sort_key = str.rstrip if kinds <= _TEXT_KINDS else None if plain and kinds <= _NUMBER_KINDS else _sort_key
     if not cells:
         return nulls, nulls, None, sort_key, cells
     least = min(cells, key=sort_key)
-    if sort_key is None and not -_NATIVE_SORT_BOUND < least < _NATIVE_SORT_BOUND:
-        sort_key = _sort_key
-        least = min(cells, key=sort_key)
     key = _exact_key(least)
     return None if key is None else (nulls, key), nulls, least, sort_key, cells
 
@@ -183,9 +174,7 @@ def _sorted_column(column: tuple[Cell, ...], scan=None) -> list[Cell]:
     if sort_key is str.rstrip:  # stripped, as cells_equal compares text, so it sorts natively and == decides
         return [None] * nulls + sorted(map(str.rstrip, cells))
     if sort_key is None:
-        rest = sorted(cells)
-        if -_NATIVE_SORT_BOUND < rest[0] and rest[-1] < _NATIVE_SORT_BOUND:
-            return [None] * nulls + rest
+        return [None] * nulls + sorted(cells)
     return sorted(column, key=_sort_key)
 
 

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
 from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
+
+import pytest
 
 from sqlscore import (
     CASE_TYPES,
@@ -373,8 +376,39 @@ def random_result_table(rng: random.Random, max_columns: int = 4, max_rows: int 
     return ResultTable(labels, tuple(columns))
 
 
+def float_sort_key_reference(cell):
+    """The order-insensitive sort key that keys a number by its float image
+    (exact value only for an int beyond float range), so ints past 2**53 that
+    share a float tie: the reference for ``results._sort_key``, which keys a
+    number by its exact value and gives the same matches."""
+    if cell is None:
+        return (0, "")
+    if isinstance(cell, (int, float)):
+        try:
+            return (1, float(cell))
+        except OverflowError:
+            return (1, cell)
+    if isinstance(cell, str):
+        return (2, cell.rstrip())
+    return (3, repr(cell))
+
+
 def parse_pair(truth_sql: str, predicted_sql: str) -> tuple[Node, Node]:
     return parse(truth_sql), parse(predicted_sql)
+
+
+# -- inputs the JSON decoder refuses ----------------------------------------------
+
+# texts that json.loads refuses with no JSONDecodeError: a RecursionError, and a
+# ValueError from the int digit limit (from Python 3.10.7 on)
+UNDECODABLE_JSON = [
+    pytest.param("[" * 100_000, id="nesting too deep"),
+    pytest.param(
+        '{"id": ' + "1" * 4301 + ', "sql": "SELECT 1"}',
+        id="an int of too many digits",
+        marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"),
+    ),
+]
 
 
 # -- model servers for the http adapter ---------------------------------------------

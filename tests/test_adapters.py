@@ -228,3 +228,24 @@ class TestHttpAdapter:
         monkeypatch.setattr(adapters, "HTTP_BACKOFF_S", 0.01)
         with pytest.raises(AdapterError, match="no predictions"):
             get_predictions(questions[:2], "http://127.0.0.1:1/predict", timeout_s=0.2)
+
+    def test_reply_nested_too_deep_is_a_bad_reply(self, questions, db_dir, monkeypatch):
+        monkeypatch.setattr(adapters, "HTTP_BACKOFF_S", 0.01)
+        asked = []
+
+        class Model(ConstantModel):
+            def do_POST(self):
+                asked.append(json.loads(self.rfile.read(int(self.headers["Content-Length"])))["question"])
+                body = b"[" * 100_000 if asked[-1] == questions[1].question else b'{"sql": "SELECT 1"}'
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        server = serve_model(Model)
+        try:
+            predictions = get_predictions(questions[:3], next(server), db_dir=db_dir, timeout_s=5)
+        finally:
+            next(server, None)
+        assert [p.sql for p in predictions] == ["SELECT 1", "", "SELECT 1"]
+        assert asked.count(questions[1].question) == adapters.HTTP_RETRIES

@@ -13,7 +13,7 @@ from sqlscore import DEFAULT_ANCHOR, ConfigError, EvalOptions, NodeKind, Predict
 from sqlscore import cli
 from sqlscore.cli import main
 
-from helpers import add_column_alias, drop_select_column, rename_column_alias
+from helpers import UNDECODABLE_JSON, add_column_alias, drop_select_column, rename_column_alias
 
 
 def run_cli(capsys, *argv):
@@ -287,6 +287,22 @@ class TestRun:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write report {report}: No such file or directory\n"
 
+    def test_http_adapter_on_a_database_sqlite_cannot_read_exits_three(self, capsys, corpus_path, db_dir, tmp_path, constant_model_url):
+        broken = tmp_path / "db"
+        shutil.copytree(db_dir, broken)
+        (broken / "benchmark_1.sqlite").write_text("not a database\n" * 100, encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(broken), "--adapter", constant_model_url)
+        assert (code, err) == (3, "")
+        assert "corpus error" in out
+
+    def test_lone_surrogate_in_predicted_sql_round_trips_through_the_json_report(self, capsys, corpus_path, db_dir, tmp_path):
+        predictions, report = tmp_path / "preds.jsonl", tmp_path / "report.json"
+        predictions.write_text(json.dumps({"id": 0, "sql": "SELECT '\ud800'"}) + "\n", encoding="utf-8")  # valid JSON: the escape \ud800
+        reports = ["--report-json", str(report), "--report-csv", str(tmp_path / "report.csv"), "--report-md", str(tmp_path / "report.md")]
+        code, _, err = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), "--adapter", f"file:{predictions}", *reports)
+        assert (code, err) == (0, "")
+        assert json.loads(report.read_text(encoding="utf-8"))["instances"][0]["predicted_sql"] == "SELECT '\ud800'"
+
 
 def marker_model(tmp_path: Path) -> tuple[str, Path]:
     """A ``cmd:`` adapter that creates a marker file when it is called."""
@@ -367,6 +383,21 @@ def test_malformed_corpus_exits_two(capsys, db_dir, tmp_path, command, defect):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", UNDECODABLE_JSON)
+@pytest.mark.parametrize("reader", ["corpus", "predictions file"])
+def test_json_the_decoder_refuses_exits_two(capsys, corpus_path, db_dir, tmp_path, reader, text):
+    path = tmp_path / "input.json"
+    if reader == "corpus":
+        path.write_text(text, encoding="utf-8")
+        argv, message = ["validate", "--corpus", str(path)], f"error: corpus file {path} is not valid JSON: "
+    else:
+        path.write_text('{"id": 0, "sql": "SELECT 1"}\n' + text + "\n", encoding="utf-8")
+        argv, message = ["run", "--corpus", str(corpus_path), "--adapter", f"file:{path}"], f"error: predictions file {path}, line 2: invalid JSON: "
+    code, out, err = run_cli(capsys, *argv, "--db-dir", str(db_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "abc"])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from sqlscore import ExecutionError, ResultTable, cells_equal, execute, match_columns, parse, render, results, score_result_pair
 from sqlscore.results import VERDICT_SCORED, _open_readonly, _sort_key, _sorted_column
 
-from helpers import max_matching_oracle, random_result_table
+from helpers import float_sort_key_reference, max_matching_oracle, random_result_table
 
 
 def table(*columns, labels=None):
@@ -839,3 +839,69 @@ class TestPlainTables:
 def test_verdict_default_is_scored():
     score = score_result_pair(table([1]), table([1]))
     assert score.verdict == VERDICT_SCORED
+
+
+# numbers at the ends of the integers a float holds exactly and of SQLite's integers, several sharing a float
+_WIDE_NUMBER_POOL = [
+    None, 0, 1, 1.0, 2.5, 2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, float(2**53), float(2**53 + 2),
+    -(2**53) + 1, -(2**53), -(2**53) - 1, -(2**53) - 2, float(-(2**53)),
+    2**63 - 1, 2**63 - 2, 2**63 - 1000, float(2**63 - 1), -(2**63 - 1), -(2**63 - 2), float(-(2**63 - 1)),
+]  # fmt: skip
+# cells only a hand-built table holds
+_HAND_BUILT_CELLS = [_NAN, True, False, 2**64, 10**400, -(10**400), float("inf")]
+
+
+def _float_twin(rng: random.Random, cell, pool: list):
+    """A cell of ``pool`` with the float image of ``cell``; ``cell`` itself for NULL, NaN, inf and ints beyond float range."""
+    image = float(cell) if cell is not None and -(2**1000) < cell < 2**1000 else None
+    return rng.choice([x for x in pool if x is not None and -(2**1000) < x < 2**1000 and float(x) == image] or [cell])
+
+
+def _wide_number_pair(rng: random.Random, pool: list) -> tuple[list, list]:
+    """Predicted and truth columns: shuffled copies of truth columns, half their cells swapped for float twins, and fresh ones."""
+    n_rows = rng.randint(1, 6)
+    truth = [[rng.choice(pool) for _ in range(n_rows)] for _ in range(rng.randint(1, 4))]
+    predicted = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.2:
+            column = [rng.choice(pool) for _ in range(n_rows)]
+        else:
+            column = [_float_twin(rng, cell, pool) if rng.random() < 0.5 else cell for cell in rng.choice(truth)]
+            rng.shuffle(column)
+        predicted.append(column)
+    return predicted, truth
+
+
+def test_order_insensitive_matching_equals_float_keyed_reference(tmp_path):
+    """Sorting numbers by exact value moves only cells that share a float, so
+    the matches are those of all pairs sorted by float image, for hand-built
+    tables and for plain ones, whose columns sort natively."""
+
+    def reference(predicted: list, truth: list) -> list[tuple[int, int]]:
+        def by_float(columns):
+            return table(*(sorted(c, key=float_sort_key_reference) for c in columns))
+
+        return _reference_match_columns(by_float(predicted), by_float(truth), order_insensitive=False)
+
+    rng = random.Random(5303)
+    for _ in range(1500):
+        predicted, truth = _wide_number_pair(rng, _WIDE_NUMBER_POOL + _HAND_BUILT_CELLS)
+        assert match_columns(table(*predicted), table(*truth), order_insensitive=True) == reference(predicted, truth), (predicted, truth)
+    for n in range(30):
+        predicted, truth = _wide_number_pair(rng, _WIDE_NUMBER_POOL)
+        p, t = read_back(tmp_path / f"p{n}.sqlite", *predicted), read_back(tmp_path / f"t{n}.sqlite", *truth)
+        assert match_columns(p, t, order_insensitive=True) == reference(predicted, truth), (predicted, truth)
+        for column in p.columns + t.columns:  # natively, as the key sorts them
+            assert _sorted_column(column, results._scan(column, plain=True)) == sorted(column, key=_sort_key)
+
+
+def test_plain_integers_past_2_53_sort_natively(monkeypatch, tmp_path):
+    """SQLite integers that share a float sort by native order, with no key
+    (fails where numbers are keyed by float image, as native order is then no sort order)."""
+    calls = TestMatchColumns._count_calls(monkeypatch, "_sort_key")
+    path = tmp_path / "big.sqlite"
+    read_back(path, [2**53 + r for r in range(12)], [2**63 - 1 - r for r in range(12)])
+    descending, ascending = execute("SELECT c0, c1 FROM t ORDER BY c0 DESC", path), execute("SELECT c0, c1 FROM t ORDER BY c0", path)
+    assert descending._plain and ascending._plain and descending != ascending
+    assert match_columns(descending, ascending, order_insensitive=True) == [(0, 0), (1, 1)]
+    assert calls == []
