@@ -127,10 +127,18 @@ def _post_http(url: str, payload: dict, timeout_s: float) -> str:
 
     data = json.dumps(payload).encode("utf-8")
     for attempt in range(HTTP_RETRIES):
+        deadline = time.monotonic() + timeout_s  # urlopen's timeout bounds each read, this one the whole body
         try:
             request = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"}, method="POST")
             with urllib.request.urlopen(request, timeout=timeout_s) as response:
-                body = json.loads(response.read())
+                body = bytearray()
+                while chunk := response.read1(65536):
+                    body += chunk
+                    if time.monotonic() > deadline:
+                        raise TimeoutError(f"reply still arriving after {timeout_s} s")
+                if getattr(response, "length", None):  # the connection closed short of the declared Content-Length
+                    raise http.client.IncompleteRead(bytes(body), response.length)
+            body = json.loads(body)
             sql = body.get("sql") if isinstance(body, dict) else None
             return sql if isinstance(sql, str) else ""
         except (OSError, ValueError, RecursionError, http.client.HTTPException):

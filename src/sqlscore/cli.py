@@ -9,6 +9,7 @@ when --anchor is not given.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -170,6 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command.  The documented errors end it with EXIT_CONFIG and one
     ``error:`` line on stderr, a closed standard output with EXIT_BROKEN_PIPE
     and no message; any other exception is a bug and propagates."""
+    if isinstance(sys.stdout, io.TextIOWrapper):  # a lone surrogate in corpus text prints as its escape, as in the reports
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

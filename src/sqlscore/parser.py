@@ -167,35 +167,21 @@ class _Parser:
 
     # -- token helpers -----------------------------------------------------
 
-    def at_kw(self, *words: str) -> bool:
+    def at(self, kind: str, *values: str) -> bool:
         tok = self.tokens[self.pos]
-        return tok.kind == "kw" and tok.value in words
+        return tok.kind == kind and tok.value in values
 
-    def accept_kw(self, *words: str) -> bool:
-        if self.at_kw(*words):
+    def accept(self, kind: str, *values: str) -> bool:
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and tok.value in values:
             self.pos += 1
             return True
         return False
 
-    def expect_kw(self, word: str) -> None:
+    def expect(self, kind: str, value: str) -> None:
         tok = self.tokens[self.pos]
-        if tok.kind != "kw" or tok.value != word:
-            raise self.error(f"expected {word.upper()}")
-        self.pos += 1
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == "punct" and tok.value == ch
-
-    def accept_punct(self, ch: str) -> bool:
-        if self.at_punct(ch):
-            self.pos += 1
-            return True
-        return False
-
-    def expect_punct(self, ch: str) -> None:
-        if not self.at_punct(ch):
-            raise self.error(f"expected {ch!r}")
+        if tok.kind != kind or tok.value != value:
+            raise self.error(f"expected {value.upper()}" if kind == "kw" else f"expected {value!r}")
         self.pos += 1
 
     def error(self, message: str) -> ParseError:
@@ -244,42 +230,40 @@ class _Parser:
     # -- statement ---------------------------------------------------------
 
     def parse_statement(self) -> Node:
-        ctes: list[Node] = []
-        if self.accept_kw("with"):
-            while True:
-                name = self.identifier("CTE name")
-                self.expect_kw("as")
-                self.expect_punct("(")
-                body = self.parse_select_core()
-                self.expect_punct(")")
-                ctes.append(Node(NodeKind.CTE, name, (body,)))
-                if not self.accept_punct(","):
-                    break
+        ctes = self._comma_list(self.parse_cte) if self.accept("kw", "with") else []
         select = self.parse_select_core()
         return Node(NodeKind.STATEMENT, "", tuple(ctes) + select.children)
 
+    def parse_cte(self) -> Node:
+        name = self.identifier("CTE name")
+        self.expect("kw", "as")
+        self.expect("punct", "(")
+        body = self.parse_select_core()
+        self.expect("punct", ")")
+        return Node(NodeKind.CTE, name, (body,))
+
     def parse_select_core(self) -> Node:
         self._deeper()
-        self.expect_kw("select")
+        self.expect("kw", "select")
         quantifier = ""
-        if self.accept_kw("distinct"):
+        if self.accept("kw", "distinct"):
             quantifier = "distinct"
         else:
-            self.accept_kw("all")
+            self.accept("kw", "all")
         children = [Node(NodeKind.SELECT_LIST, quantifier, tuple(self._comma_list(self.parse_select_item)))]
-        if self.accept_kw("from"):
+        if self.accept("kw", "from"):
             children += self._comma_list(self.parse_from_item)
-        if self.accept_kw("where"):
+        if self.accept("kw", "where"):
             children.append(Node(NodeKind.WHERE, "", (self.parse_expr(),)))
-        if self.accept_kw("group"):
-            self.expect_kw("by")
+        if self.accept("kw", "group"):
+            self.expect("kw", "by")
             children.append(Node(NodeKind.GROUP_BY, "", tuple(self._comma_list(self.parse_expr))))
-        if self.accept_kw("order"):
-            self.expect_kw("by")
+        if self.accept("kw", "order"):
+            self.expect("kw", "by")
             children.append(Node(NodeKind.ORDER_BY, "", tuple(self._comma_list(self.parse_order_item))))
-        if self.accept_kw("limit"):
+        if self.accept("kw", "limit"):
             limits = [self.parse_expr()]
-            if self.accept_kw("offset"):
+            if self.accept("kw", "offset"):
                 limits.append(self.parse_expr())
             children.append(Node(NodeKind.LIMIT, "", tuple(limits)))
         self.depth -= 1
@@ -301,9 +285,9 @@ class _Parser:
 
     def parse_order_item(self) -> Node:
         expr = self.parse_expr()
-        if self.accept_kw("desc"):
+        if self.accept("kw", "desc"):
             return Node(NodeKind.OPERATOR, "desc", (expr,))
-        self.accept_kw("asc")
+        self.accept("kw", "asc")
         return expr
 
     # -- FROM --------------------------------------------------------------
@@ -311,40 +295,40 @@ class _Parser:
     def parse_from_item(self) -> Node:
         item = self.parse_table_primary()
         depth = self.depth
-        while self.at_kw("join", "inner", "left", "cross"):
+        while self.at("kw", "join", "inner", "left", "cross"):
             join_type = "inner"
-            if self.accept_kw("left"):
-                self.accept_kw("outer")
+            if self.accept("kw", "left"):
+                self.accept("kw", "outer")
                 join_type = "left"
-            elif self.accept_kw("cross"):
+            elif self.accept("kw", "cross"):
                 join_type = "cross"
             else:
-                self.accept_kw("inner")
-            self.expect_kw("join")
+                self.accept("kw", "inner")
+            self.expect("kw", "join")
             self._deeper()  # joins nest left-deep, like operator chains
             right = self.parse_table_primary()
             children = [item, right]
             if join_type == "cross":
-                if self.at_kw("on"):
+                if self.at("kw", "on"):
                     raise self.error("CROSS JOIN takes no ON clause")
             else:
-                self.expect_kw("on")
+                self.expect("kw", "on")
                 children.append(self.parse_expr())
             item = Node(NodeKind.JOIN, join_type, tuple(children))
         self.depth = depth
         return item
 
     def parse_table_primary(self) -> Node:
-        if self.accept_punct("("):
+        if self.accept("punct", "("):
             body = self.parse_select_core()
-            self.expect_punct(")")
-            self.accept_kw("as")
+            self.expect("punct", ")")
+            self.accept("kw", "as")
             name = self.identifier("derived table alias")
             return Node(NodeKind.ALIAS, name, (body,))
         name = self.identifier("table name")
         table = Node(NodeKind.TABLE_REF, name)
         alias = None
-        if self.accept_kw("as"):
+        if self.accept("kw", "as"):
             alias = self.identifier("table alias")
         elif self.tokens[self.pos].kind in ("ident", "qident"):
             alias = self.identifier()
@@ -416,24 +400,24 @@ class _Parser:
             op = "not " + tok.value
         self.pos += 1
         if op == "is":
-            negated = self.accept_kw("not")
-            self.expect_kw("null")
+            negated = self.accept("kw", "not")
+            self.expect("kw", "null")
             return Node(NodeKind.OPERATOR, "is not null" if negated else "is null", (left,))
         if tok.value == "in":
-            self.expect_punct("(")
-            if self.at_kw("select", "with"):
+            self.expect("punct", "(")
+            if self.at("kw", "select", "with"):
                 sub = self.parse_select_core()
-                self.expect_punct(")")
+                self.expect("punct", ")")
                 return Node(NodeKind.OPERATOR, op, (left, sub))
             self._deeper()
             items = self._comma_list(self.parse_expr)
             self.depth -= 1
-            self.expect_punct(")")
+            self.expect("punct", ")")
             return Node(NodeKind.OPERATOR, op, (left, *items))
         if tok.value == "like":
             return Node(NodeKind.OPERATOR, op, (left, self.parse_additive()))
         low = self.parse_additive()
-        self.expect_kw("and")
+        self.expect("kw", "and")
         high = self.parse_additive()
         return Node(NodeKind.OPERATOR, op, (left, low, high))
 
@@ -499,19 +483,19 @@ class _Parser:
                 return Node(NodeKind.LITERAL, "null")
             if tok.value == "cast":
                 self.pos += 1
-                self.expect_punct("(")
+                self.expect("punct", "(")
                 self._deeper()
                 value = self.parse_expr()
                 self.depth -= 1
-                self.expect_kw("as")
+                self.expect("kw", "as")
                 type_name = self.identifier("type name")
-                self.expect_punct(")")
+                self.expect("punct", ")")
                 return Node(NodeKind.FUNCTION_CALL, "cast", (value, Node(NodeKind.LITERAL, type_name)))
         elif kind == "punct" and tok.value == "(":
             self.pos += 1
             self._deeper()
-            expr = self.parse_select_core() if self.at_kw("select", "with") else self.parse_expr()
-            self.expect_punct(")")
+            expr = self.parse_select_core() if self.at("kw", "select", "with") else self.parse_expr()
+            self.expect("punct", ")")
             self.depth -= 1
             return expr
         elif kind == "op" and (tok.value == "-" or tok.value == "+"):
@@ -538,11 +522,11 @@ class _Parser:
             self.pos += 1
             args = [Node(NodeKind.COLUMN_REF, "*")]
         else:
-            distinct = self.accept_kw("distinct")
+            distinct = self.accept("kw", "distinct")
             args = self._comma_list(self.parse_expr)
             if distinct:
                 args[0] = Node(NodeKind.OPERATOR, "distinct", (args[0],))
-        self.expect_punct(")")
+        self.expect("punct", ")")
         self.depth -= 1
         return Node(NodeKind.FUNCTION_CALL, name, tuple(args))
 
@@ -636,10 +620,10 @@ def parse(sql: str, tokens: list[Token] | None = None) -> Node:
     if not isinstance(sql, str) or not sql.strip(" \t\n\f\r"):
         raise ParseError("empty SQL text", 0)
     parser = _Parser(tokens or tokenize(sql))
-    if not parser.at_kw("select", "with"):
+    if not parser.at("kw", "select", "with"):
         raise parser.error("expected SELECT or WITH")
     root = parser.parse_statement()
-    parser.accept_punct(";")
+    parser.accept("punct", ";")
     if parser.tokens[parser.pos].kind != "eof":
-        raise parser.error("multiple statements are not supported" if parser.at_kw("select", "with") else "trailing input after statement")
+        raise parser.error("multiple statements are not supported" if parser.at("kw", "select", "with") else "trailing input after statement")
     return _resolve_aliases(root, {}) if parser.needs_resolution else root

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import sys
+import time
 
 import pytest
 
@@ -249,3 +250,29 @@ class TestHttpAdapter:
             next(server, None)
         assert [p.sql for p in predictions] == ["SELECT 1", "", "SELECT 1"]
         assert asked.count(questions[1].question) == adapters.HTTP_RETRIES
+
+    def test_reply_body_that_trickles_past_the_timeout_is_a_timeout(self, questions, monkeypatch):
+        monkeypatch.setattr(adapters, "HTTP_BACKOFF_S", 0.01)
+        body = b'{"sql": "SELECT 1"}'.ljust(100)  # valid JSON, one byte per 0.05 s: 5 s in all
+
+        class Model(ConstantModel):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                try:
+                    for i in range(len(body)):
+                        self.wfile.write(body[i : i + 1])
+                        time.sleep(0.05)
+                except OSError:  # the client gave up
+                    pass
+
+        server = serve_model(Model)
+        try:
+            started = time.monotonic()
+            sql = adapters._post_http(next(server), {"question": questions[0].question, "db_id": "x", "schema": ""}, 0.3)
+            elapsed = time.monotonic() - started
+        finally:
+            next(server, None)
+        assert (sql, elapsed < 2.5) == ("", True), elapsed

@@ -304,6 +304,21 @@ class TestRun:
         assert json.loads(report.read_text(encoding="utf-8"))["instances"][0]["predicted_sql"] == "SELECT '\ud800'"
 
 
+@pytest.mark.parametrize(
+    "command, fields, exit_code, line",
+    [
+        ("run", {"id": "\ud800", "query": "SELECT broken FROM"}, 3, "corpus error: "),
+        ("validate", {"id": "\ud800", "query": "SELECT broken FROM"}, 1, "warning: "),
+        ("run", {"language": "\ud800"}, 0, ""),
+    ],
+)
+def test_lone_surrogate_in_corpus_text_prints_as_its_escape(capsys, corpus_path, db_dir, tmp_path, command, fields, exit_code, line):
+    corpus = tmp_path / "surrogate.json"  # the first fixture question with ``fields`` set
+    corpus.write_text(json.dumps([json.loads(corpus_path.read_text(encoding="utf-8"))[0] | fields]), encoding="utf-8")  # valid JSON: the escape \ud800
+    code, out, err = run_cli(capsys, command, "--corpus", str(corpus), "--db-dir", str(db_dir))
+    assert (code, err) == (exit_code, "")
+    assert any(text.startswith(line) and "\\ud800" in text for text in out.splitlines()), out
+
 def marker_model(tmp_path: Path) -> tuple[str, Path]:
     """A ``cmd:`` adapter that creates a marker file when it is called."""
     marker, script = tmp_path / "model-called", tmp_path / "model.py"

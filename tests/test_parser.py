@@ -499,6 +499,41 @@ def test_parse_errors_pinned(sql, message, position):
 
 
 @pytest.mark.parametrize(
+    "sql, message, position",
+    [
+        # a keyword the grammar requires is named in upper case, a punctuation mark quoted
+        ("SELECT a FROM t GROUP a", "expected BY near 'a'", 22),
+        ("SELECT a FROM t ORDER a", "expected BY near 'a'", 22),
+        ("SELECT a FROM t LEFT u", "expected JOIN near 'u'", 21),
+        ("SELECT a FROM t JOIN u", "expected ON at end of input", 22),
+        ("SELECT a FROM t JOIN u WHERE 1", "expected ON near 'where'", 23),
+        ("SELECT a FROM t WHERE a IS 1", "expected NULL near '1'", 27),
+        ("SELECT a FROM t WHERE a BETWEEN 1", "expected AND at end of input", 33),
+        ("SELECT a FROM t WHERE a BETWEEN 1 OR 2", "expected AND near 'or'", 34),
+        ("SELECT a FROM t WHERE a IN 1", "expected '(' near '1'", 27),
+        ("SELECT a FROM t WHERE a NOT IN 1", "expected '(' near '1'", 31),
+        ("SELECT a FROM t WHERE a IN (1, 2", "expected ')' at end of input", 32),
+        ("SELECT a FROM t WHERE a IN (SELECT b FROM u", "expected ')' at end of input", 43),
+        ("SELECT a FROM (SELECT b FROM u", "expected ')' at end of input", 30),
+        ("SELECT cast(a AS int", "expected ')' at end of input", 20),
+        ("SELECT f(a, b", "expected ')' at end of input", 13),
+        ("SELECT (a", "expected ')' at end of input", 9),
+        ("SELECT cast(a int)", "expected AS near 'int'", 14),
+        ("SELECT cast a", "expected '(' near 'a'", 12),
+        ("WITH c SELECT 1", "expected AS near 'select'", 7),
+        ("WITH c AS SELECT 1", "expected '(' near 'select'", 10),
+        ("WITH c AS (x)", "expected SELECT near 'x'", 11),
+        ("WITH c AS (SELECT 1), d AS (SELECT 2 SELECT 1", "expected ')' near 'select'", 37),
+        ("FROM t", "expected SELECT or WITH near 'from'", 0),
+    ],
+)
+def test_expected_token_errors_pinned(sql, message, position):
+    with pytest.raises(ParseError) as exc_info:
+        parse(sql)
+    assert (exc_info.value.message, exc_info.value.position) == (message, position)
+
+
+@pytest.mark.parametrize(
     "sql",
     [
         # at or just under the limit that rows above cross: a chain gives
