@@ -1,9 +1,9 @@
-"""Command-line interface.
+"""Command-line interface; README's "Command-line options" lists each option.
 
 Exit codes: 0 success, 1 validation warnings, 2 configuration or input
 errors, 3 corpus errors during a run, 141 stdout closed early by its reader.
-The BIS_ANCHOR environment variable overrides the default clock anchor
-when --anchor is not given.
+The BIS_ANCHOR environment variable, when set and not empty, replaces the
+default clock anchor of score, run and validate when --anchor is not given.
 """
 
 from __future__ import annotations
@@ -54,12 +54,15 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _options(args: argparse.Namespace) -> EvalOptions:
+    return EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     if args.db is None:
         semantic, result = semantic_similarity(args.truth, args.predicted), None
     else:
-        options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
-        semantic, result = score_pair(args.truth, args.predicted, args.db, args.anchor, options)
+        semantic, result = score_pair(args.truth, args.predicted, args.db, args.anchor, _options(args))
     print(f"semantic: {semantic.value:.3f}")
     if result is not None:
         print(f"precision: {result.precision:.3f}")
@@ -76,8 +79,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
             raise ConfigError(f"cannot write report {path}: " + ("it is a directory" if Path(path).is_dir() else f"no directory {Path(path).parent}"))
     predictions = get_predictions(questions, args.adapter, db_dir=args.db_dir, timeout_s=args.adapter_timeout_s)
-    options = EvalOptions(order_insensitive=args.order_insensitive, query_timeout_s=args.timeout_s)
-    report = evaluate(questions, predictions, args.db_dir, args.anchor, options)
+    report = evaluate(questions, predictions, args.db_dir, args.anchor, _options(args))
 
     for path, write in reports:
         if path:
@@ -124,8 +126,6 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # a string default goes through the type only when the flag is absent
-    anchor = {"type": _anchor, "default": os.environ.get("BIS_ANCHOR") or DEFAULT_ANCHOR.isoformat()}
     parser = argparse.ArgumentParser(prog="sqlscore", description="Partial-credit scoring for NL2SQL predictions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -133,36 +133,35 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("truth", help="ground-truth SQL")
     score.add_argument("predicted", help="predicted SQL")
     score.add_argument("--db", help="fixture database; adds result-similarity scores")
-    score.add_argument("--anchor", **anchor, help=f"ISO-8601 clock anchor (default {DEFAULT_ANCHOR.isoformat()})")
-    score.add_argument("--order-insensitive", action="store_true", help="sort column values before comparing")
-    score.add_argument("--timeout-s", type=_seconds, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
     score.set_defaults(func=cmd_score)
 
     run = sub.add_parser("run", help="evaluate a whole corpus")
-    run.add_argument("--corpus", required=True, help="question file (JSON array)")
-    run.add_argument("--db-dir", required=True, help="directory with <db_id>.sqlite files")
     run.add_argument("--adapter", default="identity", help="identity | file:preds.jsonl | cmd:command | http(s)://url")
-    run.add_argument("--anchor", **anchor, help="ISO-8601 clock anchor")
-    run.add_argument("--order-insensitive", action="store_true")
-    run.add_argument("--timeout-s", type=_seconds, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
     run.add_argument("--adapter-timeout-s", type=_seconds, default=DEFAULT_ADAPTER_TIMEOUT_S, help="per-question adapter timeout")
-    run.add_argument("--report-json")
-    run.add_argument("--report-csv")
-    run.add_argument("--report-md")
+    run.add_argument("--report-json", help="write the JSON report to this file")
+    run.add_argument("--report-csv", help="write the per-question CSV report to this file")
+    run.add_argument("--report-md", help="write the Markdown report to this file")
     run.set_defaults(func=cmd_run)
 
     validate = sub.add_parser("validate", help="check corpus and fixture-data health")
-    validate.add_argument("--corpus", required=True)
-    validate.add_argument("--db-dir", required=True)
-    validate.add_argument("--anchor", **anchor)
     validate.set_defaults(func=cmd_validate)
+
+    # the options that several commands take, each declared once; a string default goes through the type only when the flag is absent
+    for command in (score, run, validate):
+        command.add_argument("--anchor", type=_anchor, default=os.environ.get("BIS_ANCHOR") or DEFAULT_ANCHOR.isoformat(), help=f"ISO-8601 clock anchor (default {DEFAULT_ANCHOR.isoformat()}, or $BIS_ANCHOR if set)")
+    for command in (score, run):
+        command.add_argument("--order-insensitive", action="store_true", help="sort column values before comparing")
+        command.add_argument("--timeout-s", type=_seconds, default=DEFAULT_TIMEOUT_S, help="per-query execution timeout")
+    for command in (run, validate):
+        command.add_argument("--corpus", required=True, help="question file (JSON array)")
+        command.add_argument("--db-dir", required=True, help="directory with <db_id>.sqlite files")
 
     fixtures = sub.add_parser("fixtures", help="write the built-in fixture corpus and databases")
     fixtures.add_argument("--out", required=True, help="output directory")
     fixtures.set_defaults(func=cmd_fixtures)
 
     normalize = sub.add_parser("normalize", help="parse and re-render a statement in canonical form")
-    normalize.add_argument("sql")
+    normalize.add_argument("sql", help="the SQL statement")
     normalize.set_defaults(func=cmd_normalize)
     return parser
 

@@ -28,7 +28,6 @@ CASE_TYPES = (
 
 # the leading fields of BenchmarkQuestion, in its order: they are passed by position
 _REQUIRED_FIELDS = ("db_id", "query", "question", "language", "case_type")
-_CASE_TYPE_SET = frozenset(CASE_TYPES)
 
 
 class CorpusLoadError(Exception):
@@ -62,19 +61,17 @@ def id_key(value: object) -> tuple[bool, object]:
 
 
 def question_from_mapping(raw: dict, index: int) -> BenchmarkQuestion:
-    values = tuple(map(raw.get, _REQUIRED_FIELDS))
-    if set(map(type, values)) != {str} or values[-1] not in _CASE_TYPE_SET:  # one pass; the field loop names a defect
-        for name in _REQUIRED_FIELDS:
-            if name not in raw:
-                raise CorpusLoadError(f"instance {index}: missing required field {name!r}")
-            if not isinstance(raw[name], str):
-                raise CorpusLoadError(f"instance {index}: field {name!r} must be a string")
-        if raw["case_type"] not in CASE_TYPES:
-            raise CorpusLoadError(f"instance {index}: unknown case_type {raw['case_type']!r}")
+    for name in _REQUIRED_FIELDS:
+        if name not in raw:
+            raise CorpusLoadError(f"instance {index}: missing required field {name!r}")
+        if not isinstance(raw[name], str):
+            raise CorpusLoadError(f"instance {index}: field {name!r} must be a string")
+    if raw["case_type"] not in CASE_TYPES:
+        raise CorpusLoadError(f"instance {index}: unknown case_type {raw['case_type']!r}")
     if not is_json_scalar(raw.get("id")):
         raise CorpusLoadError(f"instance {index}: 'id' must be a JSON scalar (null, boolean, finite number or string), not {raw['id']!r}")
-    extra = {k: v for k, v in raw.items() if k not in _REQUIRED_FIELDS and k != "id"} if len(raw) > len(values) + ("id" in raw) else {}
-    return BenchmarkQuestion(*values, id=raw.get("id", index), extra=extra)
+    extra = {k: v for k, v in raw.items() if k not in _REQUIRED_FIELDS and k != "id"}
+    return BenchmarkQuestion(*map(raw.__getitem__, _REQUIRED_FIELDS), id=raw.get("id", index), extra=extra)
 
 
 def load_corpus(path: str | Path) -> list[BenchmarkQuestion]:

@@ -47,7 +47,7 @@ from sqlscore.semantic import RULE_NORMAL, RULE_TABLE_MISMATCH, ScoreBreakdown, 
 
 def question_from_mapping_reference(raw: dict, index: int) -> BenchmarkQuestion:
     """One question from one corpus instance, checked field by field: the
-    reference for ``corpus.question_from_mapping``, which checks in one pass."""
+    reference for ``corpus.question_from_mapping``."""
     for name in _REQUIRED_FIELDS:
         if name not in raw:
             raise CorpusLoadError(f"instance {index}: missing required field {name!r}")

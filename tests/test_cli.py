@@ -436,8 +436,10 @@ def test_bad_timeout_exits_two(capsys, argv, value):
         (["run", "--corpus", "q.json", "--db-dir", "db", "--anchor", "yesterday"], None),
         (["validate", "--corpus", "q.json", "--db-dir", "db", "--anchor", "yesterday"], None),
         (["run", "--corpus", "q.json", "--db-dir", "db"], "yesterday"),
+        (["score", "SELECT 1", "SELECT 1"], "yesterday"),
+        (["validate", "--corpus", "q.json", "--db-dir", "db"], "yesterday"),
     ],
-    ids=["score", "run", "validate", "env"],
+    ids=["score", "run", "validate", "env", "score-env", "validate-env"],
 )
 def test_bad_anchor_exits_two(capsys, monkeypatch, argv, env):
     if env is None:
@@ -455,6 +457,23 @@ def assert_bad_option_exits_two(capsys, argv, message):
     assert captured.out == ""
     assert [line for line in captured.err.splitlines() if "error:" in line] == [captured.err.splitlines()[-1]]
     assert message in captured.err
+
+
+def test_every_option_and_positional_has_help():
+    commands = next(action for action in cli.build_parser()._actions if action.dest == "command")
+    assert all(choice.help for choice in commands._choices_actions)
+    undocumented = [(name, action.dest) for name, command in commands.choices.items() for action in command._actions if not action.help]
+    assert undocumented == []
+
+
+def test_score_and_run_pass_the_same_options(capsys, corpus_path, db_dir, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "score_pair", lambda *args: seen.append(args[-1]) or score_pair(*args))
+    monkeypatch.setattr(cli, "evaluate", lambda *args: seen.append(args[-1]) or evaluate(*args))
+    flags = ("--order-insensitive", "--timeout-s", "2.5")
+    assert run_cli(capsys, "score", "SELECT 1", "SELECT 1", "--db", str(db_dir / "benchmark_1.sqlite"), *flags)[0] == 0
+    assert run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), *flags)[0] == 0
+    assert seen == [EvalOptions(order_insensitive=True, query_timeout_s=2.5)] * 2
 
 
 class TestFixturesCommand:

@@ -225,3 +225,13 @@ def test_score_agrees_with_the_edit_script_reference():
         assert {"keep": b.keeps, "move": b.moves, "update": b.updates, "insert": b.inserts, "delete": b.deletes} == script.counts()
         rules.add(b.rule)
     assert rules == {RULE_NORMAL, RULE_TABLE_MISMATCH}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 17: _resolve_aliases rewrites the outer alias c inside the subquery that reads campaigns itself, so both comparisons read city = city",
+)
+def test_correlated_comparison_with_a_wrong_correlation_scores_below_one():
+    truth = "SELECT c.name FROM campaigns c WHERE c.budget > (SELECT avg(x.budget) FROM campaigns x WHERE x.city = c.city)"
+    wrong = truth.replace("x.city = c.city", "x.city = x.city")
+    assert semantic_similarity(truth, wrong).value < 1
