@@ -22,7 +22,7 @@ from .corpus import CorpusLoadError, load_corpus
 from .fixtures import write_fixtures
 from .parser import parse
 from .render import render
-from .report import report_to_csv, report_to_json, report_to_markdown, summary_text
+from .report import report_to_markdown, summary_text, write_csv, write_json
 from .results import DEFAULT_TIMEOUT_S, valid_timeout
 from .runner import ConfigError, EvalOptions, check_inputs, evaluate, score_pair, validate_corpus
 from .semantic import CorpusError, semantic_similarity
@@ -74,7 +74,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     questions = load_corpus(args.corpus)
     check_inputs(questions, args.db_dir)  # before any model call
-    reports = ((args.report_json, report_to_json), (args.report_csv, report_to_csv), (args.report_md, report_to_markdown))
+    reports = ((args.report_json, write_json), (args.report_csv, write_csv), (args.report_md, lambda report, stream: stream.write(report_to_markdown(report))))  # the ~1 KB summary is built whole
     for path, _ in reports:
         if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
             raise ConfigError(f"cannot write report {path}: " + ("it is a directory" if Path(path).is_dir() else f"no directory {Path(path).parent}"))
@@ -83,8 +83,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     for path, write in reports:
         if path:
-            try:
-                Path(path).write_text(write(report), encoding="utf-8", errors="backslashreplace")  # a lone surrogate in the JSON report as its escape
+            try:  # each report streamed into its file; a lone surrogate in the JSON report as its escape
+                with open(path, "w", encoding="utf-8", errors="backslashreplace") as stream:
+                    write(report, stream)
             except OSError as exc:
                 raise ConfigError(f"cannot write report {path}: {exc.strerror or exc}") from exc
 

@@ -1,5 +1,8 @@
 """Report serialization: JSON detail, CSV per-instance rows, Markdown summary.
 
+``write_json`` and ``write_csv`` fill a text stream instance by instance, so
+a file gets its report without the whole text in memory; ``report_to_json``
+and ``report_to_csv`` return what they write into an ``io.StringIO``.
 Output is deterministic: fixed key order, sorted group keys, no wall-clock
 values beyond the evaluation anchor.
 """
@@ -9,7 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import asdict, fields
+from typing import TextIO
 
 from .results import DEFAULT_REL_TOL, DEFAULT_ROW_CAP
 from .runner import Aggregate, EvalReport, InstanceResult
@@ -90,30 +95,48 @@ def _instance_text(r: InstanceResult) -> str:
     return f"    {{\n      {text[1:-1]}\n    }}"
 
 
-def report_to_json(report: EvalReport) -> str:
-    """Byte for byte ``json.dumps(report_to_dict(report), indent=2,
-    ensure_ascii=False) + "\\n"`` when every question id is a JSON scalar,
-    with the instances written by the C encoder, which ``indent`` turns off."""
+def write_json(report: EvalReport, stream: TextIO) -> None:
+    """Write the JSON report to ``stream`` one instance at a time: byte for
+    byte ``json.dumps(report_to_dict(report), indent=2, ensure_ascii=False)
+    + "\\n"`` when every question id is a JSON scalar, with the instances
+    written by the C encoder, which ``indent`` turns off."""
     head = json.dumps(_head_dict(report), indent=2, ensure_ascii=False)
+    stream.write(f'{head[:-2]},\n  "instances": [')
+    for i, r in enumerate(report.instances):
+        stream.write((",\n" if i else "\n") + _instance_text(r))
     errors = json.dumps({"corpus_errors": list(report.corpus_errors)}, indent=2, ensure_ascii=False)
-    instances = ",\n".join(map(_instance_text, report.instances))
-    instances = f"[\n{instances}\n  ]" if instances else "[]"
-    return f'{head[:-2]},\n  "instances": {instances},{errors[1:]}\n'
+    stream.write(("\n  ]," if report.instances else "],") + errors[1:] + "\n")
 
 
 _CSV_FIELDS = ["id", "db_id", "case_type", "language", "semantic", "precision", "recall", "f1", "semantic_verdict", "result_verdict", "excluded", "warning"]
 
 
-def report_to_csv(report: EvalReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=_CSV_FIELDS, extrasaction="ignore", lineterminator="\n")
+def write_csv(report: EvalReport, stream: TextIO) -> None:
+    """Write the CSV report to ``stream``, one row per instance."""
+    writer = csv.DictWriter(stream, fieldnames=_CSV_FIELDS, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
     writer.writerows(map(_instance_dict, report.instances))
+
+
+def report_to_json(report: EvalReport) -> str:
+    """The whole text that ``write_json`` writes."""
+    buffer = io.StringIO()
+    write_json(report, buffer)
+    return buffer.getvalue()
+
+
+def report_to_csv(report: EvalReport) -> str:
+    """The whole text that ``write_csv`` writes."""
+    buffer = io.StringIO()
+    write_csv(report, buffer)
     return buffer.getvalue()
 
 
 def _format_score(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
+
+
+_LINE_BREAK = re.compile(r"\r\n?|\n")  # a Markdown line ending; corpus text writes it as <br> to keep to one line
 
 
 def _aggregate_table(rows: list[tuple[str, Aggregate]], label: str) -> list[str]:
@@ -122,6 +145,7 @@ def _aggregate_table(rows: list[tuple[str, Aggregate]], label: str) -> list[str]
         "| --- | --- | --- | --- | --- | --- |",
     ]
     for name, agg in rows:
+        name = _LINE_BREAK.sub("<br>", name.replace("\\", "\\\\").replace("|", "\\|"))  # a | would end its cell; a backslash would void its escape
         lines.append(
             f"| {name} | {agg.count} | {_format_score(agg.semantic)} | "
             f"{_format_score(agg.precision)} | {_format_score(agg.recall)} | {_format_score(agg.f1)} |"
@@ -130,6 +154,8 @@ def _aggregate_table(rows: list[tuple[str, Aggregate]], label: str) -> list[str]
 
 
 def report_to_markdown(report: EvalReport) -> str:
+    """The Markdown summary; corpus text in it keeps each table row and each
+    corpus error on one line, where the JSON and CSV reports keep it exact."""
     lines = [
         "# Evaluation summary",
         "",
@@ -152,7 +178,7 @@ def report_to_markdown(report: EvalReport) -> str:
     ]
     if report.corpus_errors:
         lines += ["", "## Corpus errors", ""]
-        lines += [f"- {message}" for message in report.corpus_errors]
+        lines += [f"- {_LINE_BREAK.sub('<br>', message)}" for message in report.corpus_errors]
     return "\n".join(lines) + "\n"
 
 

@@ -1,17 +1,21 @@
 import ast
+import dataclasses
 import json
 import os
 import shutil
 import sqlite3
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from sqlscore import DEFAULT_ANCHOR, ConfigError, EvalOptions, NodeKind, Prediction, evaluate, parse, render, score_pair
+from sqlscore import DEFAULT_ANCHOR, ConfigError, EvalOptions, NodeKind, Prediction, evaluate, get_predictions, parse, render, score_pair
+from sqlscore import report_to_csv, report_to_json, report_to_markdown
 from sqlscore import cli
 from sqlscore.cli import main
+from sqlscore.report import write_csv, write_json
 
 from helpers import UNDECODABLE_JSON, add_column_alias, drop_select_column, rename_column_alias
 
@@ -302,6 +306,39 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), "--adapter", f"file:{predictions}", *reports)
         assert (code, err) == (0, "")
         assert json.loads(report.read_text(encoding="utf-8"))["instances"][0]["predicted_sql"] == "SELECT '\ud800'"
+
+
+@pytest.mark.parametrize("order_insensitive", [False, True])
+def test_report_files_equal_the_report_strings(capsys, questions, corpus_path, db_dir, tmp_path, order_insensitive):
+    predictions = [Prediction(q.id, "SELECT '\ud800'" if i == 0 else q.query) for i, q in enumerate(questions)]
+    jsonl = tmp_path / "preds.jsonl"  # valid JSON: the escape \ud800
+    jsonl.write_text("".join(json.dumps({"id": p.question_id, "sql": p.sql}) + "\n" for p in predictions), encoding="utf-8")
+    paths = {fmt: tmp_path / f"report.{fmt}" for fmt in ("json", "csv", "md")}
+    argv = ["run", "--corpus", str(corpus_path), "--db-dir", str(db_dir), "--adapter", f"file:{jsonl}"]
+    argv += ["--report-json", str(paths["json"]), "--report-csv", str(paths["csv"]), "--report-md", str(paths["md"])]
+    code, _, err = run_cli(capsys, *argv, *(["--order-insensitive"] if order_insensitive else []))
+    assert (code, err) == (0, "")
+    report = evaluate(questions, predictions, db_dir, options=EvalOptions(order_insensitive=order_insensitive))
+    for fmt, text in (("json", report_to_json), ("csv", report_to_csv), ("md", report_to_markdown)):
+        assert paths[fmt].read_bytes() == text(report).encode("utf-8", "backslashreplace"), fmt
+    assert b"SELECT '\\ud800'" in paths["json"].read_bytes()
+
+
+def test_writing_a_report_holds_no_copy_of_it(questions, db_dir, tmp_path):
+    copies = [dataclasses.replace(q, id=f"{n}-{q.id}") for n in range(-(-5000 // len(questions))) for q in questions]
+    report = evaluate(copies, get_predictions(copies, "identity"), db_dir)
+    assert len(report.instances) >= 5000
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        for name, write in (("report.json", write_json), ("report.csv", write_csv)):  # as cmd_run writes them
+            with open(tmp_path / name, "w", encoding="utf-8", errors="backslashreplace") as stream:
+                write(report, stream)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "report.json").stat().st_size
+    assert peak < size / 10, (peak, size)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,17 @@
 """The JSON report writer against the generic ``indent=2`` dump of the same report."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
+import re
 from datetime import datetime
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqlscore import EvalOptions, Prediction, evaluate, report_to_dict, report_to_json, report_to_markdown
+from sqlscore import EvalOptions, Prediction, evaluate, report_to_csv, report_to_dict, report_to_json, report_to_markdown
 from sqlscore.results import ResultScore
 from sqlscore.runner import Aggregate, EvalReport, InstanceResult
 from sqlscore.semantic import ScoreBreakdown, SemanticScore
@@ -86,6 +89,23 @@ def test_markdown_lists_corpus_errors_last():
     assert "## Corpus errors" not in report_to_markdown(_EMPTY)
     report = EvalReport(_EMPTY.anchor, _EMPTY.options, (_EXCLUDED,), _EMPTY.overall, {}, {}, ("question a: x", "question b: y"))
     assert report_to_markdown(report).endswith("\n\n## Corpus errors\n\n- question a: x\n- question b: y\n")
+
+
+def test_markdown_keeps_each_row_and_corpus_error_on_one_line(questions, db_dir):
+    odd = {0: {"language": "en|zh"}, 1: {"language": "a\\\nb|"}, 2: {"id": "bad\r\nid", "query": "SELECT broken FROM"}, 3: {"id": "x\ry", "query": "SELECT"}}
+    corpus = [dataclasses.replace(q, **odd.get(i, {})) for i, q in enumerate(questions)]
+    report = evaluate(corpus, [Prediction(q.id, q.query) for q in corpus], db_dir)
+    lines = re.split(r"\r\n?|\n", report_to_markdown(report))
+    rows = [line for line in lines if line.startswith("|")]
+    assert len(rows) == 3 * 2 + 1 + len(report.by_case_type) + len(report.by_language)
+    assert all(re.sub(r"\\.", "", row).count("|") == 7 for row in rows), rows  # six cells, escapes aside
+    assert any(row.startswith("| en\\|zh | 1 |") for row in rows)
+    errors = lines[lines.index("## Corpus errors") + 2 : -1]
+    assert len(errors) == len(report.corpus_errors) == 2, errors
+    assert errors[0].startswith("- question bad<br>id: ") and errors[1].startswith("- question x<br>y: ")
+    # the JSON and CSV reports keep the text exact
+    assert [r["language"] for r in json.loads(report_to_json(report))["instances"][:2]] == ["en|zh", "a\\\nb|"]
+    assert [r["language"] for r in csv.DictReader(io.StringIO(report_to_csv(report), newline=""))][:2] == ["en|zh", "a\\\nb|"]
 
 
 # SHA-256 of the JSON report of every fixture truth scored against every truth
