@@ -148,8 +148,10 @@ class _Parser:
 
     The hot productions read ``self.tokens[self.pos]`` once and dispatch on
     its kind; they step ``pos`` past a token they have checked, which is
-    never eof.  A production that calls ``_deeper`` lowers ``depth`` again
-    only on return: a ParseError ends the whole parse.
+    never eof.  A production that nests runs through ``nested``, which
+    lowers ``depth`` again only on return: a ParseError ends the whole
+    parse.  Operator chains and joins count one level per fold and restore
+    ``depth`` themselves.  ``alias`` reads SQLite's ``[AS] name`` rule.
     """
 
     def __init__(self, tokens: list[Token]):
@@ -164,6 +166,13 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
             raise self.error("statement nesting too deep")
+
+    def nested(self, parse: Callable[..., Node], *args) -> Node:
+        """``parse(*args)``, run one nesting level deeper."""
+        self._deeper()
+        node = parse(*args)
+        self.depth -= 1
+        return node
 
     # -- token helpers -----------------------------------------------------
 
@@ -227,23 +236,32 @@ class _Parser:
             return quote_identifier(name)
         raise self.error(f"expected {what}")
 
+    def alias(self, what: str) -> str | None:
+        """The name of SQLite's ``[AS] name`` alias, or None when neither follows; AS without a name is "expected ``what``"."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "ident" or tok.kind == "qident":
+            return self.identifier()
+        if tok.kind == "kw" and tok.value == "as":
+            self.pos += 1
+            return self.identifier(what)
+        return None
+
     # -- statement ---------------------------------------------------------
 
     def parse_statement(self) -> Node:
         ctes = self._comma_list(self.parse_cte) if self.accept("kw", "with") else []
-        select = self.parse_select_core()
+        select = self.nested(self.parse_select_core)
         return Node(NodeKind.STATEMENT, "", tuple(ctes) + select.children)
 
     def parse_cte(self) -> Node:
         name = self.identifier("CTE name")
         self.expect("kw", "as")
         self.expect("punct", "(")
-        body = self.parse_select_core()
+        body = self.nested(self.parse_select_core)
         self.expect("punct", ")")
         return Node(NodeKind.CTE, name, (body,))
 
     def parse_select_core(self) -> Node:
-        self._deeper()
         self.expect("kw", "select")
         quantifier = ""
         if self.accept("kw", "distinct"):
@@ -266,7 +284,6 @@ class _Parser:
             if self.accept("kw", "offset"):
                 limits.append(self.parse_expr())
             children.append(Node(NodeKind.LIMIT, "", tuple(limits)))
-        self.depth -= 1
         return Node(NodeKind.STATEMENT, "", tuple(children))
 
     def parse_select_item(self) -> Node:
@@ -275,13 +292,8 @@ class _Parser:
             self.pos += 1
             return Node(NodeKind.COLUMN_REF, "*")
         expr = self.parse_expr()
-        tok = self.tokens[self.pos]
-        if tok.kind == "kw" and tok.value == "as":
-            self.pos += 1
-            return Node(NodeKind.ALIAS, self.identifier("alias name"), (expr,))
-        if tok.kind == "ident" or tok.kind == "qident":
-            return Node(NodeKind.ALIAS, self.identifier(), (expr,))
-        return expr
+        name = self.alias("alias name")
+        return expr if name is None else Node(NodeKind.ALIAS, name, (expr,))
 
     def parse_order_item(self) -> Node:
         expr = self.parse_expr()
@@ -320,22 +332,18 @@ class _Parser:
 
     def parse_table_primary(self) -> Node:
         if self.accept("punct", "("):
-            body = self.parse_select_core()
+            body = self.nested(self.parse_select_core)
             self.expect("punct", ")")
-            self.accept("kw", "as")
-            name = self.identifier("derived table alias")
+            name = self.alias("derived table alias")
+            if name is None:
+                raise self.error("expected derived table alias")
             return Node(NodeKind.ALIAS, name, (body,))
-        name = self.identifier("table name")
-        table = Node(NodeKind.TABLE_REF, name)
-        alias = None
-        if self.accept("kw", "as"):
-            alias = self.identifier("table alias")
-        elif self.tokens[self.pos].kind in ("ident", "qident"):
-            alias = self.identifier()
-        if alias is not None:
-            self.needs_resolution = True
-            return Node(NodeKind.ALIAS, alias, (table,))
-        return table
+        table = Node(NodeKind.TABLE_REF, self.identifier("table name"))
+        name = self.alias("table alias")
+        if name is None:
+            return table
+        self.needs_resolution = True
+        return Node(NodeKind.ALIAS, name, (table,))
 
     # -- expressions -------------------------------------------------------
 
@@ -377,10 +385,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok.kind == "kw" and tok.value == "not":
             self.pos += 1
-            self._deeper()
-            node = Node(NodeKind.OPERATOR, "not", (self.parse_not(),))
-            self.depth -= 1
-            return node
+            return Node(NodeKind.OPERATOR, "not", (self.nested(self.parse_not),))
         left = self.parse_primary()
         tok = self.tokens[self.pos]
         if tok.kind == "op" and tok.value in _ARITHMETIC:
@@ -406,12 +411,10 @@ class _Parser:
         if tok.value == "in":
             self.expect("punct", "(")
             if self.at("kw", "select", "with"):
-                sub = self.parse_select_core()
+                sub = self.nested(self.parse_select_core)
                 self.expect("punct", ")")
                 return Node(NodeKind.OPERATOR, op, (left, sub))
-            self._deeper()
-            items = self._comma_list(self.parse_expr)
-            self.depth -= 1
+            items = self.nested(self._comma_list, self.parse_expr)
             self.expect("punct", ")")
             return Node(NodeKind.OPERATOR, op, (left, *items))
         if tok.value == "like":
@@ -457,7 +460,7 @@ class _Parser:
             name = self.identifier()
             nxt = self.tokens[self.pos]
             if nxt.kind == "punct" and nxt.value == "(":
-                return self.parse_function_call(name)
+                return self.nested(self.parse_function_call, name)
             if name in BARE_TIME_FUNCTIONS:
                 return Node(NodeKind.FUNCTION_CALL, name)
             if nxt.kind == "punct" and nxt.value == ".":
@@ -484,25 +487,19 @@ class _Parser:
             if tok.value == "cast":
                 self.pos += 1
                 self.expect("punct", "(")
-                self._deeper()
-                value = self.parse_expr()
-                self.depth -= 1
+                value = self.nested(self.parse_expr)
                 self.expect("kw", "as")
                 type_name = self.identifier("type name")
                 self.expect("punct", ")")
                 return Node(NodeKind.FUNCTION_CALL, "cast", (value, Node(NodeKind.LITERAL, type_name)))
         elif kind == "punct" and tok.value == "(":
-            self.pos += 1
-            self._deeper()
-            expr = self.parse_select_core() if self.at("kw", "select", "with") else self.parse_expr()
+            self.pos += 1  # the parentheses nest once, and a select core inside them once more
+            expr = self.nested(self.nested, self.parse_select_core) if self.at("kw", "select", "with") else self.nested(self.parse_expr)
             self.expect("punct", ")")
-            self.depth -= 1
             return expr
         elif kind == "op" and (tok.value == "-" or tok.value == "+"):
             self.pos += 1
-            self._deeper()
-            operand = self.parse_primary()
-            self.depth -= 1
+            operand = self.nested(self.parse_primary)
             if tok.value == "+":
                 return operand
             if operand.kind is NodeKind.LITERAL and operand.text[:1].isdigit():
@@ -511,12 +508,10 @@ class _Parser:
         raise self.error("expected expression")
 
     def parse_function_call(self, name: str) -> Node:
-        self._deeper()
         self.pos += 1  # the "(" the caller saw
         tok = self.tokens[self.pos]
         if tok.kind == "punct" and tok.value == ")":
             self.pos += 1
-            self.depth -= 1
             return Node(NodeKind.FUNCTION_CALL, name)
         if tok.kind == "op" and tok.value == "*":
             self.pos += 1
@@ -527,7 +522,6 @@ class _Parser:
             if distinct:
                 args[0] = Node(NodeKind.OPERATOR, "distinct", (args[0],))
         self.expect("punct", ")")
-        self.depth -= 1
         return Node(NodeKind.FUNCTION_CALL, name, tuple(args))
 
 
