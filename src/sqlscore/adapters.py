@@ -3,8 +3,8 @@
 Any NL2SQL model can be hooked up through one of four adapters:
 
 - ``file:<path>``    pre-computed predictions, JSON-lines of {"id", "sql"}
-- ``cmd:<command>``  a subprocess run once per question; the question
-                     object arrives as JSON on stdin, raw SQL on stdout
+- ``cmd:<command>``  a subprocess run once per question; the question object,
+                     without its SQL, arrives as JSON on stdin, raw SQL on stdout
 - ``http(s)://url``  POST {"question", "db_id", "schema"}, {"sql"} back
 - ``identity``       echoes the ground-truth query (smoke-test baseline)
 
@@ -57,7 +57,6 @@ def _question_payload(question: BenchmarkQuestion) -> dict:
     return {
         "id": question.id,
         "db_id": question.db_id,
-        "query": question.query,
         "question": question.question,
         "language": question.language,
         "case_type": question.case_type,

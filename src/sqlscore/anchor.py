@@ -22,7 +22,7 @@ _ZERO_ARGUMENT_FUNCTIONS = TIME_VALUE_FUNCTIONS - {"strftime", "timediff"}
 # Every text that reads the clock holds one of these words in some ASCII case, which str.lower folds to this one.
 _CLOCK_WORD_RE = re.compile(r"now|date|time|julianday|unixepoch")
 # SQLite reads a name as an alias after AS or after a token that ends an expression: these kinds and (kind, value) pairs
-_BEFORE_ALIAS = {"ident", "qident", "string", "number", ("kw", "as"), ("kw", "null"), ("kw", "end"), ("punct", ")")}
+_BEFORE_ALIAS = {"ident", "qident", "string", "number", ("kw", "as"), ("kw", "null"), ("punct", ")")}
 _OPERATOR_WORDS = {("ident", w) for w in ("glob", "regexp", "match", "escape")}  # names to our tokenizer only
 _OPEN, _CLOSE, _COMMA, _DOT, _PLUS = ("punct", "("), ("punct", ")"), ("punct", ","), ("punct", "."), ("op", "+")
 

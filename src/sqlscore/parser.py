@@ -68,7 +68,7 @@ _TOKEN_RE = re.compile(
     (?:(?P<word>""" + _WORD + r""")
     |(?P<punct>[(),;]|\.(?![0-9]))
     |(?P<op><=|>=|!=|<>|\|\||-(?!-)|/(?!\*)|[=<>+*%])
-    |(?P<number>[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
+    |(?P<number>0[xX][0-9a-fA-F]+|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
     |(?P<string>'[^']*(?:''[^']*)*'(?!'))
     |(?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
     |--[^\n]*|/\*.*?\*/
@@ -82,7 +82,9 @@ _TOKEN_RE = re.compile(
 _GROUP_KINDS = (None, "word", "punct", "op", "number", "string", "qident", "unterminated", "bad")
 _UNTERMINATED = {"/": "block comment", "'": "string literal"}  # by first character; else a quoted identifier
 
-_RESERVED = KEYWORDS | UNSUPPORTED
+# SQLite takes "end", "partition" and "replace" as names, and so does the parser.  It keeps "right", "full" and
+# "natural" reserved (as names, "t right JOIN u" would read as an alias), and "over" and "window" (window functions)
+_RESERVED = KEYWORDS | UNSUPPORTED - {"end", "partition", "replace"}
 
 
 _new_tuple = tuple.__new__  # builds a Token without the Python-level __new__ of a named tuple
@@ -201,7 +203,7 @@ class _Parser:
             if tok.kind == "unterminated":
                 return ParseError(f"unterminated {_UNTERMINATED.get(tok.value[0], 'quoted identifier')}", tok.pos)
         tok = self.tokens[self.pos]
-        if tok.kind == "kw" and tok.value in UNSUPPORTED:
+        if tok.kind in ("kw", "ident") and tok.value in UNSUPPORTED:
             message = f"unsupported SQL construct {tok.value.upper()}"
         detail = f"near {tok.value!r}" if tok.kind != "eof" else "at end of input"
         return ParseError(f"{message} {detail}", tok.pos)
@@ -238,13 +240,9 @@ class _Parser:
 
     def alias(self, what: str) -> str | None:
         """The name of SQLite's ``[AS] name`` alias, or None when neither follows; AS without a name is "expected ``what``"."""
-        tok = self.tokens[self.pos]
-        if tok.kind == "ident" or tok.kind == "qident":
-            return self.identifier()
-        if tok.kind == "kw" and tok.value == "as":
-            self.pos += 1
+        if self.accept("kw", "as"):
             return self.identifier(what)
-        return None
+        return self.identifier() if self.tokens[self.pos].kind in ("ident", "qident") else None
 
     # -- statement ---------------------------------------------------------
 
@@ -287,9 +285,7 @@ class _Parser:
         return Node(NodeKind.STATEMENT, "", tuple(children))
 
     def parse_select_item(self) -> Node:
-        tok = self.tokens[self.pos]
-        if tok.kind == "op" and tok.value == "*":
-            self.pos += 1
+        if self.accept("op", "*"):
             return Node(NodeKind.COLUMN_REF, "*")
         expr = self.parse_expr()
         name = self.alias("alias name")
@@ -334,9 +330,7 @@ class _Parser:
         if self.accept("punct", "("):
             body = self.nested(self.parse_select_core)
             self.expect("punct", ")")
-            name = self.alias("derived table alias")
-            if name is None:
-                raise self.error("expected derived table alias")
+            name = self.alias("derived table alias") or self.identifier("derived table alias")  # required here
             return Node(NodeKind.ALIAS, name, (body,))
         table = Node(NodeKind.TABLE_REF, self.identifier("table name"))
         name = self.alias("table alias")
@@ -489,7 +483,13 @@ class _Parser:
                 self.expect("punct", "(")
                 value = self.nested(self.parse_expr)
                 self.expect("kw", "as")
-                type_name = self.identifier("type name")
+                type_name = self.identifier("type name")  # one or more names, then (n) or (n, m), as in SQLite
+                while self.tokens[self.pos].kind in ("ident", "qident"):
+                    type_name += " " + self.identifier()
+                if self.accept("punct", "("):
+                    size = self.type_size()
+                    type_name += f"({size}, {self.type_size()})" if self.accept("punct", ",") else f"({size})"
+                    self.expect("punct", ")")
                 self.expect("punct", ")")
                 return Node(NodeKind.FUNCTION_CALL, "cast", (value, Node(NodeKind.LITERAL, type_name)))
         elif kind == "punct" and tok.value == "(":
@@ -506,6 +506,15 @@ class _Parser:
                 return Node(NodeKind.LITERAL, "-" + operand.text)
             return Node(NodeKind.OPERATOR, "neg", (operand,))
         raise self.error("expected expression")
+
+    def type_size(self) -> str:
+        """A number after at most one sign, in a CAST type name's parentheses; a ``+`` is dropped."""
+        negative = not self.accept("op", "+") and self.accept("op", "-")
+        tok = self.tokens[self.pos]
+        if tok.kind != "number":
+            raise self.error("expected type size")
+        self.pos += 1
+        return "-" + tok.value if negative else tok.value
 
     def parse_function_call(self, name: str) -> Node:
         self.pos += 1  # the "(" the caller saw
@@ -537,9 +546,7 @@ def split_qualified(text: str) -> tuple[str | None, str]:
             return text[:end], text[end + 1 :]
         return None, text
     head, sep, tail = text.partition(".")
-    if sep:
-        return head, tail
-    return None, text
+    return (head, tail) if sep else (None, text)
 
 
 def _unambiguous_aliases(items: list[Node]) -> tuple[dict[str, str], dict[str, int]]:

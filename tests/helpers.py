@@ -411,6 +411,25 @@ UNDECODABLE_JSON = [
 ]
 
 
+# -- models --------------------------------------------------------------------------
+
+
+def lookup_model(tmp_path: Path, questions: list[BenchmarkQuestion]) -> str:
+    """A ``cmd:`` adapter spec whose model answers each question with its
+    ground-truth SQL, looked up by id in a file written here, since the
+    payload on its stdin holds no SQL."""
+    truths = tmp_path / "truths.json"
+    truths.write_text(json.dumps({json.dumps(q.id): q.query for q in questions}), encoding="utf-8")
+    script = tmp_path / "lookup_model.py"
+    script.write_text(
+        "import json, sys\n"
+        f"truths = json.load(open({str(truths)!r}, encoding='utf-8'))\n"
+        "print(truths[json.dumps(json.load(sys.stdin)['id'])])\n",
+        encoding="utf-8",
+    )
+    return f"cmd:{sys.executable} {script}"
+
+
 # -- model servers for the http adapter ---------------------------------------------
 
 

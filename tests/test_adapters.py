@@ -9,7 +9,7 @@ import pytest
 from sqlscore import AdapterError, adapters, evaluate, get_predictions, parse_adapter_spec, report_to_dict
 from sqlscore.results import VERDICT_INVALID, VERDICT_SCORED
 
-from helpers import ConstantModel, serve_model
+from helpers import ConstantModel, lookup_model, serve_model
 
 
 def test_spec_parsing():
@@ -142,14 +142,25 @@ class TestFileAdapter:
 
 class TestSubprocessAdapter:
     def test_echo_model_returns_ground_truth(self, questions, tmp_path):
-        script = tmp_path / "echo_model.py"
-        script.write_text(
-            "import json, sys\nprint(json.load(sys.stdin)['query'])\n",
-            encoding="utf-8",
-        )
-        predictions = get_predictions(questions[:5], f"cmd:{sys.executable} {script}")
+        predictions = get_predictions(questions[:5], lookup_model(tmp_path, questions[:5]))
         assert [p.sql for p in predictions] == [q.query for q in questions[:5]]
         assert all(p.latency_ms is not None and p.latency_ms >= 0 for p in predictions)
+
+    def test_payload_holds_the_question_but_not_its_sql(self, questions, tmp_path):
+        # the gold SQL must not reach the model, as with the http adapter
+        seen = tmp_path / "seen.jsonl"
+        script = tmp_path / "recording_model.py"
+        script.write_text(
+            "import json, sys\n"
+            f"with open({str(seen)!r}, 'a', encoding='utf-8') as f:\n"
+            "    f.write(sys.stdin.read() + '\\n')\n"
+            "print('SELECT 1')\n",
+            encoding="utf-8",
+        )
+        get_predictions(questions[:3], f"cmd:{sys.executable} {script}")
+        payloads = [json.loads(line) for line in seen.read_text(encoding="utf-8").rstrip("\n").split("\n")]
+        assert [sorted(p) for p in payloads] == [["case_type", "db_id", "id", "language", "question"]] * 3
+        assert [p["question"] for p in payloads] == [q.question for q in questions[:3]]
 
     def test_failing_command_yields_empty_predictions_then_error(self, questions, tmp_path):
         script = tmp_path / "broken_model.py"

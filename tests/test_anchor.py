@@ -93,6 +93,10 @@ def test_clock_word_in_alias_position_is_a_name(db_dir):
     assert anchor_sql(sql) == sql
     db = db_dir / "benchmark_1.sqlite"
     assert execute(sql, db).columns == execute("SELECT count(*), 1 FROM campaigns", db).columns
+    # END ends an expression; the tokenizer reads it as a name, which ends one too
+    sql = "SELECT CASE WHEN 1 THEN 2 END current_date FROM campaigns"
+    assert anchor_sql(sql) == sql
+    assert execute(sql, db).columns == ((2,) * execute("SELECT count(*) FROM campaigns", db).columns[0][0],)
     # a clock word after an operator, a keyword or a comma is a clock read; GLOB and friends are operators
     assert anchor_sql("SELECT current_date current_time, 1 + current_date WHERE a GLOB current_date") == (
         "SELECT '2023-01-17' current_time, 1 + '2023-01-17' WHERE a GLOB '2023-01-17'"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqlscore import NodeKind, ParseError, anchor_sql, parse, render, tokenize
+from sqlscore import DEFAULT_ANCHOR, EvalOptions, NodeKind, ParseError, anchor_sql, parse, render, score_pair, semantic_similarity, tokenize
 from sqlscore.parser import _ARITHMETIC, Token, split_qualified
 from sqlscore.sqlast import Node, physical_tables
 
@@ -417,6 +417,14 @@ def test_tokenizer_positions_monotonic():
         ("a/b/ *c/**/d", [("ident", "a", 0), ("op", "/", 1), ("ident", "b", 2), ("op", "/", 3), ("op", "*", 5), ("ident", "c", 6), ("ident", "d", 11), ("eof", "", 12)]),
         ("*/-/*x*/-/", [("op", "*", 0), ("op", "/", 1), ("op", "-", 2), ("op", "-", 8), ("op", "/", 9), ("eof", "", 10)]),
         ("a/-b", [("ident", "a", 0), ("op", "/", 1), ("op", "-", 2), ("ident", "b", 3), ("eof", "", 4)]),
+        # a hex literal is one number, as in SQLite; "0x" with no hex digit is 0 and a name
+        (
+            "0x10 0XfF -0x1 0x 0x1g",
+            [
+                ("number", "0x10", 0), ("number", "0xff", 5), ("op", "-", 10), ("number", "0x1", 11),
+                ("number", "0", 15), ("ident", "x", 16), ("number", "0x1", 18), ("ident", "g", 21), ("eof", "", 22),
+            ],
+        ),
     ],
 )
 def test_tokens_pinned(sql, tokens):
@@ -490,6 +498,21 @@ _MIXED_CHAINS = "SELECT " + "1 * " * 40 + "1" + " + 1" * 30  # 40 products, then
         ("\xa0", "expected SELECT or WITH near '\\xa0'", 0),
         (" \x0b ", "unexpected character '\\x0b'", 1),
         ("SELECT a FROM t WHERE a = b = c", "trailing input after statement near '='", 28),
+        # "replace" is a name to SQLite, but a statement that starts with it is still named
+        ("REPLACE INTO t VALUES (1)", "unsupported SQL construct REPLACE near 'replace'", 0),
+        # as names these would read "t right JOIN u" as an alias and an inner join, so they stay reserved
+        ("SELECT a FROM t right JOIN u ON 1", "unsupported SQL construct RIGHT near 'right'", 16),
+        ("SELECT a FROM t FULL JOIN u ON 1", "unsupported SQL construct FULL near 'full'", 16),
+        ("SELECT a FROM t NATURAL JOIN u", "unsupported SQL construct NATURAL near 'natural'", 16),
+        # window functions keep their message
+        ("SELECT sum(a) OVER (PARTITION BY b) FROM t", "unsupported SQL construct OVER near 'over'", 14),
+        ("SELECT a FROM t WINDOW w AS (PARTITION BY b)", "unsupported SQL construct WINDOW near 'window'", 16),
+        # a CAST type's size is one or two numbers, each after at most one sign
+        ("SELECT cast(a AS int(1, 2, 3))", "expected ')' near ','", 25),
+        ("SELECT cast(a AS int(x))", "expected type size near 'x'", 21),
+        ("SELECT cast(a AS int())", "expected type size near ')'", 21),
+        ("SELECT cast(a AS int(- -1))", "expected type size near '-'", 23),
+        ("SELECT cast(a AS int(1)", "expected ')' at end of input", 23),
     ],
 )
 def test_parse_errors_pinned(sql, message, position):
@@ -642,3 +665,67 @@ def test_physical_tables_of_a_deep_chain():
         root = Node(NodeKind.ALIAS, "x", (root, Node(NodeKind.TABLE_REF, f"t{depth % 100}")))
     root = Node(NodeKind.STATEMENT, "", (Node(NodeKind.CTE, "t0"), root))
     assert physical_tables(root) == physical_tables_reference(root) == {"base", *(f"t{i}" for i in range(1, 100))}
+
+
+# -- forms that SQLite reads and the parser once refused or misread ----------------
+
+
+def _runs_in_sqlite(*sqls):
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute('CREATE TABLE t (a, name, "end", "partition", "replace")')
+        conn.execute('CREATE TABLE "partition" ("end")')
+        for sql in sqls:
+            conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+
+
+def test_hex_literals_score_by_value():
+    # SQLite reads 0x10 as 16; read as the number 0 and the alias x10, the pair scored 1.0
+    assert render(parse("SELECT 0x10, -0XfF FROM t")) == "SELECT 0x10, -0xff FROM t"
+    assert parse(render(parse("SELECT 0x10, -0XfF FROM t"))) == parse("SELECT 0x10, -0XfF FROM t")
+    assert semantic_similarity("SELECT 0x10, name FROM t", "SELECT 0x20, name FROM t").value == pytest.approx(0.8)
+    assert semantic_similarity("SELECT 0x10, name FROM t", "SELECT 0X10, name FROM t").value == 1.0
+
+
+@pytest.mark.parametrize(
+    "sql, rendered",
+    [
+        ("SELECT replace(name, 'a', 'b') FROM t", "SELECT replace(name, 'a', 'b') FROM t"),
+        ("SELECT End, PARTITION, replace FROM t", "SELECT end, partition, replace FROM t"),
+        ('SELECT "end" AS replace FROM "partition" AS end', "SELECT end AS replace FROM partition"),
+        ("SELECT end.a FROM t AS end JOIN t ON end.a = t.a", "SELECT end.a FROM t AS end JOIN t ON end.a = t.a"),
+    ],
+)
+def test_names_sqlite_takes_parse(sql, rendered):
+    """``end``, ``partition`` and ``replace`` are names to SQLite, so a truth that uses them is no corpus error."""
+    assert render(parse(sql)) == rendered
+    assert parse(rendered) == parse(sql)
+    _runs_in_sqlite(sql, rendered)
+
+
+@pytest.mark.parametrize(
+    "sql, rendered",
+    [
+        ("SELECT CAST(a AS DECIMAL(10, 2)) FROM t", "SELECT cast(a AS decimal(10, 2)) FROM t"),
+        ("SELECT cast(a AS varchar ( 20 )) FROM t", "SELECT cast(a AS varchar(20)) FROM t"),
+        ("SELECT CAST(a AS DOUBLE PRECISION) FROM t", "SELECT cast(a AS double precision) FROM t"),
+        ('SELECT cast(a AS "Big" Int(+5, -3)) FROM t', 'SELECT cast(a AS "Big" int(5, -3)) FROM t'),
+    ],
+)
+def test_cast_type_names_round_trip(sql, rendered):
+    assert render(parse(sql)) == rendered
+    assert parse(rendered) == parse(sql)
+    _runs_in_sqlite(sql, rendered)
+
+
+def test_cast_type_names_score(db_dir):
+    truth = "SELECT name, 100.0 * budget / CAST(1000 AS DECIMAL(10, 2)) FROM campaigns"
+    respelled = "SELECT name, 100.0 * budget / cast(1000 AS decimal(10,+2)) FROM campaigns"
+    other_type = "SELECT name, 100.0 * budget / CAST(1000 AS DOUBLE PRECISION) FROM campaigns"
+    db = db_dir / "benchmark_1.sqlite"
+    semantic, result = score_pair(truth, respelled, db, DEFAULT_ANCHOR, EvalOptions())
+    assert (semantic.value, result.f1) == (1.0, 1.0)
+    semantic, result = score_pair(truth, other_type, db, DEFAULT_ANCHOR, EvalOptions())
+    assert 0 < semantic.value < 1 and result.f1 == 1.0

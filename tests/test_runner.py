@@ -30,7 +30,7 @@ from sqlscore import adapters, parse, parser, results, runner, semantic
 from sqlscore.results import VERDICT_EXECUTION_ERROR, VERDICT_INVALID
 from sqlscore.semantic import semantic_score_from_asts
 
-from helpers import add_column_alias, coinciding_warnings, drop_select_column, random_query, swap_table
+from helpers import add_column_alias, coinciding_warnings, drop_select_column, lookup_model, random_query, swap_table
 
 
 def identity_predictions(questions):
@@ -864,11 +864,7 @@ def test_get_predictions_then_evaluate_round_trip(questions, db_dir):
 
 
 def test_subprocess_echo_model_end_to_end(questions, db_dir, tmp_path):
-    import sys
-
-    script = tmp_path / "echo_model.py"
-    script.write_text("import json, sys\nprint(json.load(sys.stdin)['query'])\n", encoding="utf-8")
-    predictions = get_predictions(questions, f"cmd:{sys.executable} {script}")
+    predictions = get_predictions(questions, lookup_model(tmp_path, questions))
     report = evaluate(questions, predictions, db_dir)
     assert all(r.semantic.value == 1.0 for r in report.instances)
     assert all(r.result.f1 == 1.0 for r in report.instances)
