@@ -29,8 +29,8 @@ KEYWORDS = {
     "distinct", "all", "asc", "desc", "cast",
 }
 
-# Recognized so the error message names the construct instead of a bare
-# "unexpected token".
+# Recognized so the error message names the construct instead of a bare "unexpected token".  All but the names
+# "end", "partition" and "replace" are reserved: as a name, "right" would read "t right JOIN u" as an alias
 UNSUPPORTED = {
     "having", "union", "intersect", "except", "exists", "case", "when",
     "then", "else", "end", "right", "full", "natural", "using", "values",
@@ -82,8 +82,6 @@ _TOKEN_RE = re.compile(
 _GROUP_KINDS = (None, "word", "punct", "op", "number", "string", "qident", "unterminated", "bad")
 _UNTERMINATED = {"/": "block comment", "'": "string literal"}  # by first character; else a quoted identifier
 
-# SQLite takes "end", "partition" and "replace" as names, and so does the parser.  It keeps "right", "full" and
-# "natural" reserved (as names, "t right JOIN u" would read as an alias), and "over" and "window" (window functions)
 _RESERVED = KEYWORDS | UNSUPPORTED - {"end", "partition", "replace"}
 
 
@@ -152,8 +150,7 @@ class _Parser:
     its kind; they step ``pos`` past a token they have checked, which is
     never eof.  A production that nests runs through ``nested``, which
     lowers ``depth`` again only on return: a ParseError ends the whole
-    parse.  Operator chains and joins count one level per fold and restore
-    ``depth`` themselves.  ``alias`` reads SQLite's ``[AS] name`` rule.
+    parse.  Operator chains and joins count one level per fold and restore it.
     """
 
     def __init__(self, tokens: list[Token]):
@@ -240,9 +237,11 @@ class _Parser:
 
     def alias(self, what: str) -> str | None:
         """The name of SQLite's ``[AS] name`` alias, or None when neither follows; AS without a name is "expected ``what``"."""
-        if self.accept("kw", "as"):
+        tok = self.tokens[self.pos]
+        if tok.kind == "kw" and tok.value == "as":
+            self.pos += 1
             return self.identifier(what)
-        return self.identifier() if self.tokens[self.pos].kind in ("ident", "qident") else None
+        return self.identifier() if tok.kind == "ident" or tok.kind == "qident" else None
 
     # -- statement ---------------------------------------------------------
 
@@ -285,7 +284,9 @@ class _Parser:
         return Node(NodeKind.STATEMENT, "", tuple(children))
 
     def parse_select_item(self) -> Node:
-        if self.accept("op", "*"):
+        tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.value == "*":
+            self.pos += 1
             return Node(NodeKind.COLUMN_REF, "*")
         expr = self.parse_expr()
         name = self.alias("alias name")
@@ -460,9 +461,7 @@ class _Parser:
             if nxt.kind == "punct" and nxt.value == ".":
                 self.pos += 1
                 self.needs_resolution = True
-                nxt = self.tokens[self.pos]
-                if nxt.kind == "op" and nxt.value == "*":
-                    self.pos += 1
+                if self.accept("op", "*"):
                     return Node(NodeKind.COLUMN_REF, f"{name}.*")
                 column = self.identifier("column name")
                 return Node(NodeKind.COLUMN_REF, f"{name}.{column}")
@@ -483,7 +482,7 @@ class _Parser:
                 self.expect("punct", "(")
                 value = self.nested(self.parse_expr)
                 self.expect("kw", "as")
-                type_name = self.identifier("type name")  # one or more names, then (n) or (n, m), as in SQLite
+                type_name = self.identifier("type name")  # names, then (n) or (n, m) of signed numbers, as in SQLite
                 while self.tokens[self.pos].kind in ("ident", "qident"):
                     type_name += " " + self.identifier()
                 if self.accept("punct", "("):
@@ -507,8 +506,7 @@ class _Parser:
             return Node(NodeKind.OPERATOR, "neg", (operand,))
         raise self.error("expected expression")
 
-    def type_size(self) -> str:
-        """A number after at most one sign, in a CAST type name's parentheses; a ``+`` is dropped."""
+    def type_size(self) -> str:  # a "+" is dropped
         negative = not self.accept("op", "+") and self.accept("op", "-")
         tok = self.tokens[self.pos]
         if tok.kind != "number":
@@ -546,7 +544,9 @@ def split_qualified(text: str) -> tuple[str | None, str]:
             return text[:end], text[end + 1 :]
         return None, text
     head, sep, tail = text.partition(".")
-    return (head, tail) if sep else (None, text)
+    if sep:
+        return head, tail
+    return None, text
 
 
 def _unambiguous_aliases(items: list[Node]) -> tuple[dict[str, str], dict[str, int]]:
