@@ -17,8 +17,8 @@ def readme_block(heading: str, language: str) -> str:
     return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
-QUICK_START = [shlex.split(line, comments=True) for line in readme_block("Quick start", "sh").replace("\\\n", " ").splitlines()]
-QUICK_START = [argv for argv in QUICK_START if argv]
+# each command as its argv: continued lines joined, comments and blank lines dropped
+QUICK_START = [argv for line in readme_block("Quick start", "sh").replace("\\\n", " ").splitlines() if (argv := shlex.split(line, comments=True))]
 
 
 @pytest.fixture()
