@@ -135,9 +135,20 @@ def tokenize(sql: str) -> list[Token]:
 
 
 _PREDICATE_WORDS = {"not", "in", "like", "between", "is"}
-_ADDITIVE = {"+", "-", "||"}
-_MULTIPLICATIVE = {"*", "/", "%"}
-_ARITHMETIC = _ADDITIVE | _MULTIPLICATIVE
+
+# The operator levels, loosest first, that the parser folds and render parenthesizes by; "neg" is unary minus.
+PRECEDENCE = {
+    "or": 1,
+    "and": 2,
+    "not": 3,
+    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "in": 4, "not in": 4, "like": 4, "not like": 4,
+    "between": 4, "not between": 4, "is null": 4, "is not null": 4,
+    "+": 5, "-": 5, "||": 5,
+    "*": 6, "/": 6, "%": 6,
+    "neg": 7,
+}
+SUM_LEVEL = PRECEDENCE["+"]  # the loosest level an operand of a comparison, LIKE or BETWEEN takes
 
 
 MAX_NESTING_DEPTH = 64
@@ -353,7 +364,7 @@ class _Parser:
 
     # Each production parses its first operand at the tightest level and
     # enters a looser level only when that level's operator follows, so a
-    # bare operand costs parse_expr, parse_not and parse_primary.
+    # bare operand costs parse_expr, parse_not, parse_sum and parse_primary.
 
     def parse_expr(self) -> Node:
         """OR of ANDs of NOT-level operands."""
@@ -381,14 +392,11 @@ class _Parser:
         if tok.kind == "kw" and tok.value == "not":
             self.pos += 1
             return Node(NodeKind.OPERATOR, "not", (self.nested(self.parse_not),))
-        left = self.parse_primary()
+        left = self.parse_sum()
         tok = self.tokens[self.pos]
-        if tok.kind == "op" and tok.value in _ARITHMETIC:
-            left = self._arithmetic(left)
-            tok = self.tokens[self.pos]
-        if tok.kind == "op":  # a comparison: _arithmetic took every other operator
+        if tok.kind == "op":  # a comparison: parse_sum took every other operator
             self.pos += 1
-            return Node(NodeKind.OPERATOR, tok.value, (left, self.parse_additive()))
+            return Node(NodeKind.OPERATOR, tok.value, (left, self.parse_sum()))
         if tok.kind != "kw" or tok.value not in _PREDICATE_WORDS:
             return left
         op = tok.value
@@ -413,36 +421,26 @@ class _Parser:
             self.expect("punct", ")")
             return Node(NodeKind.OPERATOR, op, (left, *items))
         if tok.value == "like":
-            return Node(NodeKind.OPERATOR, op, (left, self.parse_additive()))
-        low = self.parse_additive()
+            return Node(NodeKind.OPERATOR, op, (left, self.parse_sum()))
+        low = self.parse_sum()
         self.expect("kw", "and")
-        high = self.parse_additive()
+        high = self.parse_sum()
         return Node(NodeKind.OPERATOR, op, (left, low, high))
 
-    def parse_additive(self) -> Node:
+    def parse_sum(self, floor: int = SUM_LEVEL) -> Node:
+        """A unary, then each binary operator of level ``floor`` or tighter with its
+        right operand, which binds one level tighter still: a left-deep tree."""
         left = self.parse_primary()
         tok = self.tokens[self.pos]
-        if tok.kind == "op" and tok.value in _ARITHMETIC:
-            return self._arithmetic(left)
-        return left
-
-    def _arithmetic(self, left: Node) -> Node:
-        """``left``, a parsed unary, with the products and sums that follow it."""
-        left = self._left_chain(left, _MULTIPLICATIVE, self.parse_primary)
-        return self._left_chain(left, _ADDITIVE, self.parse_multiplicative)
-
-    def parse_multiplicative(self) -> Node:
-        return self._left_chain(self.parse_primary(), _MULTIPLICATIVE, self.parse_primary)
-
-    def _left_chain(self, left: Node, ops: set[str], parse_operand: Callable[[], Node]) -> Node:
-        # each fold deepens the left-deep tree by one level, so it counts
-        # against the nesting limit until the chain ends
-        tok = self.tokens[self.pos]
-        depth = self.depth
-        while tok.kind == "op" and tok.value in ops:
+        depth, run = self.depth, floor
+        while tok.kind == "op" and (level := PRECEDENCE[tok.value]) >= floor:
+            # each fold deepens the tree by one level, so it counts against
+            # the nesting limit until the run of its operator level ends
+            if level != run:
+                self.depth, run = depth, level
             self.pos += 1
             self._deeper()
-            left = Node(NodeKind.OPERATOR, tok.value, (left, parse_operand()))
+            left = Node(NodeKind.OPERATOR, tok.value, (left, self.parse_sum(level + 1)))
             tok = self.tokens[self.pos]
         self.depth = depth
         return left

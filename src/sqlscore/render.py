@@ -9,22 +9,7 @@ where precedence demands them.  ``parse(render(ast))`` reproduces ``ast``.
 from __future__ import annotations
 
 from .sqlast import Node, NodeKind, from_items
-from .parser import BARE_TIME_FUNCTIONS
-
-_PRECEDENCE = {
-    "or": 1,
-    "and": 2,
-    "not": 3,
-    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "in": 4, "not in": 4, "like": 4, "not like": 4,
-    "between": 4, "not between": 4, "is null": 4, "is not null": 4,
-    "+": 5, "-": 5, "||": 5,
-    "*": 6, "/": 6, "%": 6,
-    "neg": 7,
-}
-
-_BINARY_ARITHMETIC = {"+", "-", "||", "*", "/", "%"}
-
+from .parser import BARE_TIME_FUNCTIONS, PRECEDENCE, SUM_LEVEL
 
 def render(ast: Node) -> str:
     """Emit executable SQL for a statement produced by parse or a rewrite."""
@@ -77,7 +62,8 @@ def _from_item(node: Node) -> str:
     raise ValueError(f"not a from-item: {node.kind}")
 
 
-def _expr(node: Node, parent_prec: int = 0, right_operand: bool = False) -> str:
+def _expr(node: Node, floor: int = 0) -> str:
+    """``node`` as text, in parentheses if its operator binds looser than level ``floor``."""
     if node.kind in (NodeKind.COLUMN_REF, NodeKind.TABLE_REF):
         return node.text
     if node.kind is NodeKind.LITERAL:
@@ -89,7 +75,7 @@ def _expr(node: Node, parent_prec: int = 0, right_operand: bool = False) -> str:
     if node.kind is NodeKind.ALIAS:
         return f"{_expr(node.children[0])} AS {node.text}"
     if node.kind is NodeKind.OPERATOR:
-        return _operator(node, parent_prec, right_operand)
+        return _operator(node, floor)
     raise ValueError(f"cannot render node kind {node.kind}")
 
 
@@ -102,14 +88,14 @@ def _function_call(node: Node) -> str:
     return f"{node.text}({args})"
 
 
-def _operator(node: Node, parent_prec: int, right_operand: bool) -> str:
+def _operator(node: Node, floor: int) -> str:
     text = node.text
     if text == "distinct":
         return "DISTINCT " + _expr(node.children[0])
     if text == "desc":
         return _expr(node.children[0]) + " DESC"
 
-    prec = _PRECEDENCE[text]
+    prec = PRECEDENCE[text]
 
     if text in ("and", "or"):
         out = f" {text.upper()} ".join(_expr(c, prec) for c in node.children)
@@ -131,18 +117,17 @@ def _operator(node: Node, parent_prec: int, right_operand: bool) -> str:
         out = f"{lhs} {text.upper()} {rhs}"
     elif text in ("between", "not between"):
         subject = _expr(node.children[0], prec)
-        low = _expr(node.children[1], _PRECEDENCE["and"] + 1)
-        high = _expr(node.children[2], _PRECEDENCE["and"] + 1)
+        low = _expr(node.children[1], PRECEDENCE["and"] + 1)
+        high = _expr(node.children[2], PRECEDENCE["and"] + 1)
         out = f"{subject} {text.upper()} {low} AND {high}"
     elif text in ("is null", "is not null"):
         out = f"{_expr(node.children[0], prec)} {text.upper()}"
     else:
-        # left-associative canonical form: a right operand at the same
-        # precedence keeps its parentheses, otherwise the tree would change
+        # left-deep canonical form: an arithmetic right operand at its
+        # parent's level keeps its parentheses, otherwise the tree would change
         symbol = text.upper() if text.replace(" ", "").isalpha() else text
         left = _expr(node.children[0], prec)
-        right = _expr(node.children[1], prec, right_operand=text in _BINARY_ARITHMETIC)
+        right = _expr(node.children[1], prec + 1 if prec >= SUM_LEVEL else prec)
         out = f"{left} {symbol} {right}"
 
-    needs_parens = prec < parent_prec or (prec == parent_prec and right_operand)
-    return f"({out})" if needs_parens else out
+    return f"({out})" if prec < floor else out

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqlscore import DEFAULT_ANCHOR, EvalOptions, NodeKind, ParseError, anchor_sql, parse, render, score_pair, semantic_similarity, tokenize
-from sqlscore.parser import _ARITHMETIC, Token, split_qualified
+from sqlscore.parser import PRECEDENCE, Token, split_qualified
 from sqlscore.sqlast import Node, physical_tables
 
 from helpers import physical_tables_reference, random_query
@@ -349,12 +349,13 @@ def test_split_qualified(text, parts):
 
 
 def test_every_operator_token_is_arithmetic_or_a_comparison():
-    # parse_not reads any operator that _arithmetic leaves as a comparison
+    # parse_sum reads every operator token's level from PRECEDENCE, and parse_not
+    # reads any operator that parse_sum leaves as a comparison
     found = set()
     for n in (1, 2, 3):
         for ops in itertools.product(string.punctuation, repeat=n):
             found.update(t.value for t in tokenize(f"a{''.join(ops)}b") if t.kind == "op")
-    assert found == _ARITHMETIC | {"=", "!=", "<", "<=", ">", ">="}
+    assert found == {op for op in PRECEDENCE if not op.replace(" ", "").isalpha()}
 
 
 def test_tokenizer_positions_monotonic():
