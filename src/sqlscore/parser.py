@@ -136,7 +136,8 @@ def tokenize(sql: str) -> list[Token]:
 
 _PREDICATE_WORDS = {"not", "in", "like", "between", "is"}
 
-# The operator levels, loosest first, that the parser folds and render parenthesizes by; "neg" is unary minus.
+# The operator levels, loosest first, that the parser folds and render parenthesizes by; "neg" is unary
+# minus.  The arithmetic levels are SQLite's (https://www.sqlite.org/lang_expr.html#operators).
 PRECEDENCE = {
     "or": 1,
     "and": 2,
@@ -144,9 +145,10 @@ PRECEDENCE = {
     "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
     "in": 4, "not in": 4, "like": 4, "not like": 4,
     "between": 4, "not between": 4, "is null": 4, "is not null": 4,
-    "+": 5, "-": 5, "||": 5,
+    "+": 5, "-": 5,
     "*": 6, "/": 6, "%": 6,
-    "neg": 7,
+    "||": 7,
+    "neg": 8,
 }
 SUM_LEVEL = PRECEDENCE["+"]  # the loosest level an operand of a comparison, LIKE or BETWEEN takes
 

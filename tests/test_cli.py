@@ -543,6 +543,12 @@ def test_normalize_non_ascii_names(capsys):
     assert out.strip() == "SELECT prénom, 名前, prÉnom, prénom FROM t"
 
 
+def test_normalize_keeps_the_parentheses_sqlite_needs(capsys):
+    # SQLite binds || above +, so without them this reads 1 + (2 || 'a'), which is 3, not '3a'
+    code, out, _ = run_cli(capsys, "normalize", "SELECT (1 + 2) || 'a'")
+    assert (code, out) == (0, "SELECT (1 + 2) || 'a'\n")
+
+
 def test_package_runs_as_a_process(corpus_path, db_dir, tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     partial = tmp_path / "db"  # benchmark_2 only, so validate warns that benchmark_1 is missing

@@ -219,6 +219,7 @@ class TestRoundTrip:
             "SELECT t.a, u.b FROM t, u WHERE t.k = u.k ORDER BY t.a DESC LIMIT 5 OFFSET 1",
             "SELECT -a, a - -5, -(a + b) FROM t",
             "SELECT a || 'suffix' FROM t WHERE b LIKE '%x%'",
+            "SELECT (1 + 2) || 'a', 1 + 2 || 'a', (2 * 3) || 'a', -(a || b), (-a) || b FROM t",
             "SELECT * FROM t",
             "SELECT t.* FROM t JOIN u ON t.k = u.k",
             "SELECT NULL",
@@ -590,6 +591,10 @@ def shape(node):
         ("a IS NOT NULL OR b LIKE 'x'", "(or (is not null a) (like b 'x'))"),
         ("(a OR b) OR c", "(or a b c)"),
         ("x || y + z", "(+ (|| x y) z)"),
+        # as in SQLite, || binds tighter than *, and a sign tighter than ||
+        ("a + b || c", "(+ a (|| b c))"),
+        ("2 * 3 || 'a' / b", "(/ (* 2 (|| 3 'a')) b)"),
+        ("-a || b", "(|| (neg a) b)"),
         ("a - b - c * d / e % f", "(- (- a b) (% (/ (* c d) e) f))"),
         ("NOT NOT a < b", "(not (not (< a b)))"),
         ("- - a * + b", "(* (neg (neg a)) b)"),
@@ -599,6 +604,53 @@ def shape(node):
 def test_expression_trees_pinned(expr, tree):
     (select_list,) = parse("SELECT " + expr).children
     assert shape(select_list.children[0]) == tree
+
+
+def fully_parenthesized(node):
+    """An expression tree as SQL text with every operation in parentheses."""
+    if node.kind is NodeKind.OPERATOR and node.text == "neg":
+        return f"(-{fully_parenthesized(node.children[0])})"
+    if node.kind is NodeKind.OPERATOR:
+        left, right = map(fully_parenthesized, node.children)
+        return f"({left} {node.text} {right})"
+    return f"({node.text})"
+
+
+def random_arithmetic(rng: random.Random, depth: int = 0) -> str:
+    """A chain of + - * / % || over numbers and numeric strings, with signs and parenthesized chains."""
+
+    def operand():
+        roll = rng.random()
+        if roll < 0.15 and depth < 2:
+            return f"({random_arithmetic(rng, depth + 1)})"
+        if roll < 0.2 and depth < 2:
+            return f"-({random_arithmetic(rng, depth + 1)})"
+        if roll < 0.3:
+            return "-" + rng.choice("1237")
+        return rng.choice(["1", "2", "3", "5", "7", "'2'", "'4'", "'7'"])
+
+    text = operand()
+    for _ in range(rng.randint(1, 4)):
+        text += f" {rng.choice(['+', '-', '*', '/', '%', '||'])} {operand()}"
+    return text
+
+
+def test_arithmetic_groups_as_sqlite_does():
+    # a tree that groups unlike SQLite gives another value for some of these texts,
+    # as the rendering does where it drops parentheses the tree needs
+    rng = random.Random(5)
+    conn = sqlite3.connect(":memory:")
+    try:
+        for _ in range(400):
+            text = random_arithmetic(rng)
+            ast = parse("SELECT " + text)
+            (select_list,) = ast.children
+            grouped = fully_parenthesized(select_list.children[0])
+            rendered = render(ast).removeprefix("SELECT ")
+            value, tree_value, rendered_value = conn.execute(f"SELECT {text}, {grouped}, {rendered}").fetchone()
+            assert (tree_value, rendered_value) == (value, value), (text, grouped, rendered)
+    finally:
+        conn.close()
 
 
 def test_non_ascii_names_parse_as_column_refs():
@@ -680,6 +732,30 @@ def _runs_in_sqlite(*sqls):
             conn.execute(sql).fetchall()
     finally:
         conn.close()
+
+
+def _rows(sql):
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE t (a, b, c, d, x)")
+        conn.execute("INSERT INTO t VALUES (1, 2, 3, 4, 5)")
+        return conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    "sql, rendered",
+    [
+        ("SELECT (1 + 2) || 'a'", "SELECT (1 + 2) || 'a'"),
+        ("SELECT (2 * 3) || 'a', 2 * 3 || 'a'", "SELECT (2 * 3) || 'a', 2 * 3 || 'a'"),
+        ("SELECT a + (b || c), (a + b) || c FROM t", "SELECT a + b || c, (a + b) || c FROM t"),
+    ],
+)
+def test_normalized_text_keeps_the_rows(sql, rendered):
+    assert render(parse(sql)) == rendered
+    assert parse(rendered) == parse(sql)
+    assert _rows(rendered) == _rows(sql)
 
 
 def test_hex_literals_score_by_value():
