@@ -104,30 +104,28 @@ def _operator(node: Node, floor: int) -> str:
     elif text == "neg":
         inner = node.children[0]
         rendered = _expr(inner)
-        if inner.kind is NodeKind.OPERATOR:
+        if inner.kind is NodeKind.OPERATOR or rendered[:1] == "-":  # "--" would start a comment
             rendered = f"({rendered})"
         out = "-" + rendered
-    elif text in ("in", "not in"):
-        lhs = _expr(node.children[0], prec)
-        rest = node.children[1:]
-        if len(rest) == 1 and rest[0].kind is NodeKind.STATEMENT:
-            rhs = _expr(rest[0])  # statement renders with its own parens
-        else:
-            rhs = "(" + ", ".join(_expr(c) for c in rest) + ")"
-        out = f"{lhs} {text.upper()} {rhs}"
-    elif text in ("between", "not between"):
-        subject = _expr(node.children[0], prec)
-        low = _expr(node.children[1], PRECEDENCE["and"] + 1)
-        high = _expr(node.children[2], PRECEDENCE["and"] + 1)
-        out = f"{subject} {text.upper()} {low} AND {high}"
-    elif text in ("is null", "is not null"):
-        out = f"{_expr(node.children[0], prec)} {text.upper()}"
     else:
-        # left-deep canonical form: an arithmetic right operand at its
-        # parent's level keeps its parentheses, otherwise the tree would change
-        symbol = text.upper() if text.replace(" ", "").isalpha() else text
-        left = _expr(node.children[0], prec)
-        right = _expr(node.children[1], prec + 1 if prec >= SUM_LEVEL else prec)
-        out = f"{left} {symbol} {right}"
+        # the parser reads each operand of a comparison-level operator at the
+        # sum level, and an arithmetic right operand one level tighter than
+        # its parent (left-deep trees); an operand looser than that keeps its parentheses
+        left, right = (SUM_LEVEL, SUM_LEVEL) if prec < SUM_LEVEL else (prec, prec + 1)
+        subject = _expr(node.children[0], left)
+        if text in ("in", "not in"):
+            rest = node.children[1:]
+            if len(rest) == 1 and rest[0].kind is NodeKind.STATEMENT:
+                rhs = _expr(rest[0])  # statement renders with its own parens
+            else:
+                rhs = "(" + ", ".join(_expr(c) for c in rest) + ")"
+            out = f"{subject} {text.upper()} {rhs}"
+        elif text in ("between", "not between"):
+            out = f"{subject} {text.upper()} {_expr(node.children[1], right)} AND {_expr(node.children[2], right)}"
+        elif text in ("is null", "is not null"):
+            out = f"{subject} {text.upper()}"
+        else:
+            symbol = text.upper() if text.replace(" ", "").isalpha() else text
+            out = f"{subject} {symbol} {_expr(node.children[1], right)}"
 
     return f"({out})" if prec < floor else out

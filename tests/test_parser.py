@@ -738,7 +738,7 @@ def _rows(sql):
     conn = sqlite3.connect(":memory:")
     try:
         conn.execute("CREATE TABLE t (a, b, c, d, x)")
-        conn.execute("INSERT INTO t VALUES (1, 2, 3, 4, 5)")
+        conn.execute("INSERT INTO t VALUES (0, 2, 3, 4, 5)")
         return conn.execute(sql).fetchall()
     finally:
         conn.close()
@@ -750,6 +750,19 @@ def _rows(sql):
         ("SELECT (1 + 2) || 'a'", "SELECT (1 + 2) || 'a'"),
         ("SELECT (2 * 3) || 'a', 2 * 3 || 'a'", "SELECT (2 * 3) || 'a', 2 * 3 || 'a'"),
         ("SELECT a + (b || c), (a + b) || c FROM t", "SELECT a + b || c, (a + b) || c FROM t"),
+        # the parser reads a comparison-level operand at the sum level, so a nested one keeps its parentheses:
+        # "a = b = c" reads as (a = b) = c, which is 0 on this row where a = (b = c) is 1
+        ("SELECT a = (b = c) FROM t", "SELECT a = (b = c) FROM t"),
+        ("SELECT (a = b) = c, (a = b) != (c < d) FROM t", "SELECT (a = b) = c, (a = b) != (c < d) FROM t"),
+        ("SELECT x FROM t WHERE (a IS NULL) = 0", "SELECT x FROM t WHERE (a IS NULL) = 0"),
+        ("SELECT (a = b) IN (0), (a IN (1, 2)) NOT IN (1) FROM t", "SELECT (a = b) IN (0), (a IN (1, 2)) NOT IN (1) FROM t"),
+        ("SELECT x BETWEEN (b = c) AND d, a BETWEEN b AND (c < d) FROM t", "SELECT x BETWEEN (b = c) AND d, a BETWEEN b AND (c < d) FROM t"),
+        ("SELECT a BETWEEN (NOT b) AND c, (a BETWEEN b AND c) = 0 FROM t", "SELECT a BETWEEN (NOT b) AND c, (a BETWEEN b AND c) = 0 FROM t"),
+        ("SELECT a LIKE (b = c), (a LIKE b) = 0 FROM t", "SELECT a LIKE (b = c), (a LIKE b) = 0 FROM t"),
+        ("SELECT (a IS NOT NULL) IS NULL, (a = b) IS NULL FROM t", "SELECT (a IS NOT NULL) IS NULL, (a = b) IS NULL FROM t"),
+        # "--" starts a comment, so a negated negative literal keeps its parentheses
+        ("SELECT - -1, -(-2.5), - - -b FROM t", "SELECT -(-1), -(-2.5), -(-(-b)) FROM t"),
+        ("SELECT a - -1, -(-0x10) FROM t", "SELECT a - -1, -(-0x10) FROM t"),
     ],
 )
 def test_normalized_text_keeps_the_rows(sql, rendered):
