@@ -45,7 +45,8 @@ BARE_TIME_FUNCTIONS = {"current_timestamp", "current_date", "current_time"}
 # An unquoted name, as in SQLite: an ASCII letter, "_" or any non-ASCII
 # character (U+00A0 and U+3000 too), then any of those or an ASCII digit.
 # Each class lists what it leaves out: the rest of ASCII.
-_WORD = r"[^\x00-\x40\x5b-\x5e\x60\x7b-\x7f][^\x00-\x2f\x3a-\x40\x5b-\x5e\x60\x7b-\x7f]*"
+_NAME_CHAR = r"[^\x00-\x2f\x3a-\x40\x5b-\x5e\x60\x7b-\x7f]"  # after the first
+_WORD = r"[^\x00-\x40\x5b-\x5e\x60\x7b-\x7f]" + _NAME_CHAR + "*"
 _IDENT_RE = re.compile(_WORD + r"\Z")
 # Only ASCII letters fold, because SQLite tells "é" from "É".
 _ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
@@ -54,11 +55,13 @@ _QUOTED_NAME_RE = re.compile(r'"[^"]*(?:""[^"]*)*"(?!")')  # a quote inside is d
 # The lexical grammar.  Each match is any run of whitespace (the five ASCII
 # characters SQLite skips), then one token, told apart by group number, or a
 # comment, in no group.  Alternatives are tried commonest first; where two
-# overlap, SQLite's reading wins: a ``.`` before a digit starts a number, and
-# ``--`` and ``/*`` start comments.  A string, and a name in double quotes or
-# backticks, closes on a quote that is not doubled: ``(?!')`` stops
-# backtracking from closing it on the first half of a ``''`` escape (Python
-# 3.10 has no possessive quantifiers).  Brackets have no escape.
+# overlap, SQLite's reading wins: a ``.`` before a digit starts a number,
+# ``--`` and ``/*`` start comments, and a number with name characters glued
+# on (``1a``, ``0x``, ``1_000``) is one ``bad`` token, through ``glued``.  A
+# string, and a name in double quotes or backticks, closes on a quote that is
+# not doubled: ``(?!')`` stops backtracking from closing it on the first half
+# of a ``''`` escape (Python 3.10 has no possessive quantifiers).  Brackets
+# have no escape.
 # ``unterminated`` matches an opener that could not be closed and the rest of
 # the text, and ``bad`` any other character.  The token is optional, so no
 # match can fail.
@@ -67,8 +70,8 @@ _TOKEN_RE = re.compile(
     [ \t\n\f\r]*
     (?:(?P<word>""" + _WORD + r""")
     |(?P<punct>[(),;]|\.(?![0-9]))
-    |(?P<op><=|>=|!=|<>|\|\||-(?!-)|/(?!\*)|[=<>+*%])
-    |(?P<number>0[xX][0-9a-fA-F]+|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)
+    |(?P<op><=|>=|!=|<>|==|\|\||-(?!-)|/(?!\*)|[=<>+*%])
+    |(?P<number>0[xX][0-9a-fA-F]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)(?P<glued>""" + _NAME_CHAR + r"""+)?
     |(?P<string>'[^']*(?:''[^']*)*'(?!'))
     |(?P<qident>"[^"]*(?:""[^"]*)*"(?!")|`[^`]*(?:``[^`]*)*`(?!`)|\[[^\]]*\])
     |--[^\n]*|/\*.*?\*/
@@ -79,7 +82,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_GROUP_KINDS = (None, "word", "punct", "op", "number", "string", "qident", "unterminated", "bad")
+_GROUP_KINDS = (None, "word", "punct", "op", "number", "bad", "string", "qident", "unterminated", "bad")
+_OP_SPELLINGS = {"<>": "!=", "==": "="}  # SQLite's second spellings
 _UNTERMINATED = {"/": "block comment", "'": "string literal"}  # by first character; else a quoted identifier
 
 _RESERVED = KEYWORDS | UNSUPPORTED - {"end", "partition", "replace"}
@@ -120,13 +124,15 @@ def tokenize(sql: str) -> list[Token]:
             continue
         text, start = m.group(group), m.start(group)
         if group == 3:  # op
-            if text == "<>":
-                text = "!="
+            text = _OP_SPELLINGS.get(text, text)
         elif group == 4:  # number
             text = text.lower()
-        elif group == 5:  # string
+        elif group == 5:  # glued: the number and its name characters
+            start = m.start(4)
+            text = sql[start : m.end()]
+        elif group == 6:  # string
             text = text[1:-1].replace("''", "'")
-        elif group == 6:  # qident
+        elif group == 7:  # qident
             quote = text[0]
             text = text[1:-1] if quote == "[" else text[1:-1].replace(quote * 2, quote)
         tokens.append(_new_tuple(Token, (_GROUP_KINDS[group], text, start)))
@@ -209,7 +215,7 @@ class _Parser:
         # no production consumes a bad or unterminated token, so a text with one fails here
         for tok in self.tokens:
             if tok.kind == "bad":
-                return ParseError(f"unexpected character {tok.value!r}", tok.pos)
+                return ParseError(f"unexpected character {tok.value!r}" if len(tok.value) == 1 else f"unrecognized token {tok.value!r}", tok.pos)
             if tok.kind == "unterminated":
                 return ParseError(f"unterminated {_UNTERMINATED.get(tok.value[0], 'quoted identifier')}", tok.pos)
         tok = self.tokens[self.pos]

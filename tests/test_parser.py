@@ -274,8 +274,11 @@ def test_token_positions_point_at_their_text(text):
         if tok.kind in ("kw", "ident", "number", "op", "punct"):
             source = text[tok.pos : tok.pos + len(tok.value)].translate(ASCII_LOWER)
             assert source == tok.value or (tok.value, source) == ("!=", "<>")
-        elif tok.kind in ("bad", "unterminated"):  # one character, or the rest of the text
-            assert tok.value == text[tok.pos : tok.pos + 1 if tok.kind == "bad" else None]
+        elif tok.kind == "bad":  # one character, or a number with name characters glued on
+            assert tok.value == text[tok.pos : tok.pos + len(tok.value)]
+            assert len(tok.value) == 1 or tok.value[0] in "0123456789."
+        elif tok.kind == "unterminated":  # the rest of the text
+            assert tok.value == text[tok.pos :]
 
 
 def test_token_is_an_immutable_named_tuple():
@@ -376,11 +379,22 @@ def test_tokenizer_positions_monotonic():
             "SELECT .5, 1.e3, 1e+",
             [
                 ("kw", "select", 0), ("number", ".5", 7), ("punct", ",", 9),
-                ("number", "1", 11), ("punct", ".", 12), ("ident", "e3", 13), ("punct", ",", 15),
-                ("number", "1", 17), ("ident", "e", 18), ("op", "+", 19), ("eof", "", 20),
+                ("number", "1.e3", 11), ("punct", ",", 15),
+                ("bad", "1e", 17), ("op", "+", 19), ("eof", "", 20),
             ],
         ),
-        ("1E5e", [("number", "1e5", 0), ("ident", "e", 3), ("eof", "", 4)]),
+        # numbers end as in SQLite: a trailing "." belongs to the number, and
+        # name characters glued on make the whole run one unrecognized token
+        ("1E5e", [("bad", "1E5e", 0), ("eof", "", 4)]),
+        (
+            "5. 1.E5 .5e-3 1.5.5 1..2",
+            [
+                ("number", "5.", 0), ("number", "1.e5", 3), ("number", ".5e-3", 8), ("number", "1.5", 14),
+                ("number", ".5", 17), ("number", "1.", 20), ("number", ".2", 22), ("eof", "", 24),
+            ],
+        ),
+        ("1_000 1a é1 1é 2.x", [("bad", "1_000", 0), ("bad", "1a", 6), ("ident", "é1", 9), ("bad", "1é", 12), ("bad", "2.x", 15), ("eof", "", 18)]),
+        ("a==b", [("ident", "a", 0), ("op", "=", 1), ("ident", "b", 3), ("eof", "", 4)]),
         ("a -- c", [("ident", "a", 0), ("eof", "", 6)]),
         ("x--c\ny", [("ident", "x", 0), ("ident", "y", 5), ("eof", "", 6)]),
         ("/**/", [("eof", "", 4)]),
@@ -419,12 +433,13 @@ def test_tokenizer_positions_monotonic():
         ("a/b/ *c/**/d", [("ident", "a", 0), ("op", "/", 1), ("ident", "b", 2), ("op", "/", 3), ("op", "*", 5), ("ident", "c", 6), ("ident", "d", 11), ("eof", "", 12)]),
         ("*/-/*x*/-/", [("op", "*", 0), ("op", "/", 1), ("op", "-", 2), ("op", "-", 8), ("op", "/", 9), ("eof", "", 10)]),
         ("a/-b", [("ident", "a", 0), ("op", "/", 1), ("op", "-", 2), ("ident", "b", 3), ("eof", "", 4)]),
-        # a hex literal is one number, as in SQLite; "0x" with no hex digit is 0 and a name
+        # a hex literal is one number, as in SQLite; "0x" with no hex digit, like any
+        # number with name characters glued on, is one unrecognized token
         (
             "0x10 0XfF -0x1 0x 0x1g",
             [
                 ("number", "0x10", 0), ("number", "0xff", 5), ("op", "-", 10), ("number", "0x1", 11),
-                ("number", "0", 15), ("ident", "x", 16), ("number", "0x1", 18), ("ident", "g", 21), ("eof", "", 22),
+                ("bad", "0x", 15), ("bad", "0x1g", 18), ("eof", "", 22),
             ],
         ),
     ],
@@ -452,6 +467,8 @@ def test_tokens_pinned(sql, tokens):
         ("SELECT a ? b", "unexpected character '?'", 9),
         ("a||b|c", "unexpected character '|'", 4),
         ("!", "unexpected character '!'", 0),
+        ("SELECT 1a", "unrecognized token '1a'", 7),
+        ("SELECT a FROM t WHERE a = 1_000", "unrecognized token '1_000'", 26),
     ],
 )
 def test_token_errors_pinned(sql, message, position):
@@ -777,6 +794,25 @@ def test_hex_literals_score_by_value():
     assert parse(render(parse("SELECT 0x10, -0XfF FROM t"))) == parse("SELECT 0x10, -0XfF FROM t")
     assert semantic_similarity("SELECT 0x10, name FROM t", "SELECT 0x20, name FROM t").value == pytest.approx(0.8)
     assert semantic_similarity("SELECT 0x10, name FROM t", "SELECT 0X10, name FROM t").value == 1.0
+
+
+def test_numbers_read_as_sqlite_reads_them(db_dir):
+    assert render(parse("SELECT 5., 1.E5, -.5e-3")) == "SELECT 5., 1.e5, -.5e-3"
+    assert parse("SELECT 5., 1.e5, -.5e-3") == parse(render(parse("SELECT 5., 1.E5, -.5e-3")))
+    assert _rows("SELECT 5., 1.e5, -.5e-3") == _rows(render(parse("SELECT 5., 1.E5, -.5e-3"))) == [(5.0, 100000.0, -0.0005)]
+    # read as 1 AS a, "SELECT 1a" scored 1.0 against "SELECT 1", though SQLite refuses it
+    assert semantic_similarity("SELECT 1", "SELECT 1a").verdict == "invalid_prediction"
+    # "100." parses, so the percentage idiom with it is scored, not invalid
+    truth = "SELECT city, count(*) * 100.0 / (SELECT count(*) FROM campaigns) FROM campaigns GROUP BY city"
+    semantic, result = score_pair(truth, truth.replace("100.0", "100."), db_dir / "benchmark_1.sqlite", DEFAULT_ANCHOR, EvalOptions())
+    assert semantic.verdict == "scored" and 0 < semantic.value < 1 and result.f1 == 1.0
+
+
+def test_double_equals_reads_as_equals():
+    # SQLite's second spelling of =, as <> is of !=
+    assert parse("SELECT a FROM t WHERE a == 1 AND b <> 2") == parse("SELECT a FROM t WHERE a = 1 AND b != 2")
+    assert render(parse("SELECT a == b FROM t")) == "SELECT a = b FROM t"
+    assert _rows("SELECT a == b, a == 0 FROM t") == _rows("SELECT a = b, a = 0 FROM t")
 
 
 @pytest.mark.parametrize(
