@@ -23,14 +23,17 @@ from typing import Callable, NamedTuple
 from .sqlast import Node, NodeKind, ParseError, from_items
 
 KEYWORDS = {
-    "select", "from", "where", "group", "by", "order", "limit", "offset",
+    "select", "from", "where", "group", "by", "order", "limit",
     "as", "with", "join", "inner", "left", "outer", "cross", "on",
     "and", "or", "not", "in", "like", "between", "is", "null",
-    "distinct", "all", "asc", "desc", "cast",
+    "distinct", "all", "cast",
 }
 
 # Recognized so the error message names the construct instead of a bare "unexpected token".  All but the names
-# "end", "partition" and "replace" are reserved: as a name, "right" would read "t right JOIN u" as an alias
+# "end", "partition" and "replace" are reserved: as a name, "right" would read "t right JOIN u" as an alias.
+# SQLite takes more of the words above as names, but only "asc", "desc" and "offset" are names here, read by
+# value where they end an ORDER BY item or a LIMIT count: as names, the join words would read "t left JOIN u"
+# as an alias too, and "by", "with" and "like" start clauses or predicates
 UNSUPPORTED = {
     "having", "union", "intersect", "except", "exists", "case", "when",
     "then", "else", "end", "right", "full", "natural", "using", "values",
@@ -297,7 +300,7 @@ class _Parser:
             children.append(Node(NodeKind.ORDER_BY, "", tuple(self._comma_list(self.parse_order_item))))
         if self.accept("kw", "limit"):
             limits = [self.parse_expr()]
-            if self.accept("kw", "offset"):
+            if self.accept("ident", "offset"):
                 limits.append(self.parse_expr())
             children.append(Node(NodeKind.LIMIT, "", tuple(limits)))
         return Node(NodeKind.STATEMENT, "", tuple(children))
@@ -313,9 +316,9 @@ class _Parser:
 
     def parse_order_item(self) -> Node:
         expr = self.parse_expr()
-        if self.accept("kw", "desc"):
+        if self.accept("ident", "desc"):
             return Node(NodeKind.OPERATOR, "desc", (expr,))
-        self.accept("kw", "asc")
+        self.accept("ident", "asc")
         return expr
 
     # -- FROM --------------------------------------------------------------

@@ -395,6 +395,14 @@ def test_tokenizer_positions_monotonic():
         ),
         ("1_000 1a é1 1é 2.x", [("bad", "1_000", 0), ("bad", "1a", 6), ("ident", "é1", 9), ("bad", "1é", 12), ("bad", "2.x", 15), ("eof", "", 18)]),
         ("a==b", [("ident", "a", 0), ("op", "=", 1), ("ident", "b", 3), ("eof", "", 4)]),
+        # names to SQLite; the parser reads them by value where they end an ORDER BY item or a LIMIT count
+        (
+            "BY a DESC LIMIT 1 OFFSET Asc",
+            [
+                ("kw", "by", 0), ("ident", "a", 3), ("ident", "desc", 5), ("kw", "limit", 10),
+                ("number", "1", 16), ("ident", "offset", 18), ("ident", "asc", 25), ("eof", "", 28),
+            ],
+        ),
         ("a -- c", [("ident", "a", 0), ("eof", "", 6)]),
         ("x--c\ny", [("ident", "x", 0), ("ident", "y", 5), ("eof", "", 6)]),
         ("/**/", [("eof", "", 4)]),
@@ -754,8 +762,8 @@ def _runs_in_sqlite(*sqls):
 def _rows(sql):
     conn = sqlite3.connect(":memory:")
     try:
-        conn.execute("CREATE TABLE t (a, b, c, d, x)")
-        conn.execute("INSERT INTO t VALUES (0, 2, 3, 4, 5)")
+        conn.execute('CREATE TABLE t (a, b, c, d, x, "desc", "asc", "offset")')
+        conn.execute("INSERT INTO t VALUES (0, 2, 3, 4, 5, 6, 7, 8)")
         return conn.execute(sql).fetchall()
     finally:
         conn.close()
@@ -806,6 +814,26 @@ def test_numbers_read_as_sqlite_reads_them(db_dir):
     truth = "SELECT city, count(*) * 100.0 / (SELECT count(*) FROM campaigns) FROM campaigns GROUP BY city"
     semantic, result = score_pair(truth, truth.replace("100.0", "100."), db_dir / "benchmark_1.sqlite", DEFAULT_ANCHOR, EvalOptions())
     assert semantic.verdict == "scored" and 0 < semantic.value < 1 and result.f1 == 1.0
+
+
+@pytest.mark.parametrize(
+    "sql, rendered",
+    [
+        ("SELECT desc, asc, offset FROM t", "SELECT desc, asc, offset FROM t"),
+        ('SELECT "desc" AS asc FROM t AS offset', "SELECT desc AS asc FROM t"),
+        ("SELECT a desc, b asc FROM t offset", "SELECT a AS desc, b AS asc FROM t"),
+        ("SELECT a FROM t ORDER BY desc desc, asc asc, offset LIMIT 2 offset 0", "SELECT a FROM t ORDER BY desc DESC, asc, offset LIMIT 2 OFFSET 0"),
+    ],
+)
+def test_desc_asc_and_offset_are_names(sql, rendered):
+    assert render(parse(sql)) == rendered
+    assert parse(rendered) == parse(sql)
+    assert _rows(rendered) == _rows(sql)
+
+
+def test_desc_asc_and_offset_keep_their_meaning():
+    order_by, limit = parse("SELECT a FROM t ORDER BY a desc, b ASC LIMIT 1 OFFSET 2").children[-2:]
+    assert (shape(order_by), shape(limit)) == ("( (desc a) b)", "( 1 2)")
 
 
 def test_double_equals_reads_as_equals():
