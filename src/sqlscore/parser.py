@@ -6,8 +6,8 @@ subqueries in expressions and FROM.  Anything else raises ParseError.
 
 Parsing normalizes as it goes: keywords and unquoted identifiers are
 case-folded, comments stripped, whitespace collapsed, redundant parentheses
-dropped (the tree keeps only precedence-relevant structure), ``<>``
-canonicalized to ``!=``, explicit ASC and ALL quantifiers removed, AND/OR
+dropped (the tree keeps only precedence-relevant structure), ``<>`` and
+``==`` read as ``!=`` and ``=``, explicit ASC and ALL quantifiers removed, AND/OR
 chains flattened into n-ary nodes, and table aliases that bind an
 unambiguous table are resolved away (their qualifiers rewritten to the
 table name).  Case-folding lowers ASCII letters only, as SQLite does, and

@@ -11,6 +11,7 @@ from __future__ import annotations
 from .sqlast import Node, NodeKind, from_items
 from .parser import BARE_TIME_FUNCTIONS, PRECEDENCE, SUM_LEVEL
 
+
 def render(ast: Node) -> str:
     """Emit executable SQL for a statement produced by parse or a rewrite."""
     ctes = [c for c in ast.children if c.kind is NodeKind.CTE]
